@@ -40,8 +40,10 @@ type Policy interface {
 	// Name identifies the policy in experiment tables.
 	Name() string
 	// Prepare is called once per round, before TxProb, with the current
-	// informed flags. Oracle policies recompute their state here;
-	// distributed policies ignore it.
+	// informed flags. Oracle policies update their state here (the
+	// density oracle incrementally, from the flags that changed since
+	// the previous call; any informed set is accepted); distributed
+	// policies ignore it.
 	Prepare(t int, informed []bool)
 	// TxProb returns the transmission probability of station i in round
 	// t, given i was informed in round at.
@@ -247,12 +249,17 @@ func (d *DaumStyle) TxProb(_, t, at int) float64 {
 }
 
 // DensityOracle transmits with probability c/(number of informed
-// stations within distance 1), recomputed every round — an idealized
-// local-broadcast flood with perfect density knowledge.
+// stations within distance 1) — an idealized local-broadcast flood with
+// perfect density knowledge. The counts are kept incrementally: each
+// station's unit ball is computed once at construction, and Prepare
+// moves only the counts around stations whose informed flag changed
+// since the previous call, so a round costs O(n + changes·ball) rather
+// than O(n²).
 type DensityOracle struct {
-	net  *network.Network
 	C    float64
-	dens []int
+	ball [][]int32 // ball[j]: stations i ≠ j with Dist(i, j) <= 1
+	seen []bool    // informed flags as of the last Prepare
+	dens []int     // informed stations within distance 1, self included
 }
 
 var _ Policy = (*DensityOracle)(nil)
@@ -263,33 +270,42 @@ func NewDensityOracle(net *network.Network, c float64) *DensityOracle {
 	if c <= 0 {
 		c = 0.5
 	}
-	return &DensityOracle{net: net, C: c, dens: make([]int, net.N())}
+	n := net.N()
+	return &DensityOracle{C: c, ball: net.Balls(1), seen: make([]bool, n), dens: make([]int, n)}
 }
 
 // Name implements Policy.
 func (o *DensityOracle) Name() string { return "density-oracle" }
 
-// Prepare implements Policy: recount informed stations per unit ball.
+// Prepare implements Policy: diff informed against the flags of the
+// previous call and move the unit-ball counts of every station whose
+// flag flipped. Any informed set is accepted — it may grow, shrink or
+// change arbitrarily between calls — and the counts always equal a
+// full recount.
 func (o *DensityOracle) Prepare(_ int, informed []bool) {
-	n := o.net.N()
-	for i := 0; i < n; i++ {
-		o.dens[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		if !informed[i] {
+	for j, inf := range informed {
+		if inf == o.seen[j] {
 			continue
 		}
-		for j := 0; j < n; j++ {
-			if informed[j] && o.net.Space.Dist(i, j) <= 1 {
-				o.dens[i]++
-			}
+		o.seen[j] = inf
+		d := 1
+		if !inf {
+			d = -1
+		}
+		o.dens[j] += d
+		for _, i := range o.ball[j] {
+			o.dens[i] += d
 		}
 	}
 }
 
-// TxProb implements Policy.
+// TxProb implements Policy. Only informed stations have a density;
+// an uninformed one reads as 0, exactly as a recount leaves it.
 func (o *DensityOracle) TxProb(i, _, _ int) float64 {
-	d := o.dens[i]
+	d := 0
+	if o.seen[i] {
+		d = o.dens[i]
+	}
 	if d < 1 {
 		d = 1
 	}

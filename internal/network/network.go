@@ -40,14 +40,22 @@ func New(s geom.Space, p sinr.Params) (*Network, error) {
 	}
 	net := &Network{Space: s, Params: p, Adj: make([][]int32, n)}
 	radius := p.CommRadius()
+	link := func(i, j int32) {
+		net.Adj[i] = append(net.Adj[i], j)
+		net.Adj[j] = append(net.Adj[j], i)
+	}
 	if eu, ok := s.(*geom.Euclidean); ok && n > 64 {
-		net.buildEuclidean(eu, radius)
+		r2 := radius * radius
+		gridPairs(eu.Pts, radius, func(i, j int32) {
+			if eu.Pts[i].Dist2(eu.Pts[j]) <= r2 {
+				link(i, j)
+			}
+		})
 	} else {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if s.Dist(i, j) <= radius {
-					net.Adj[i] = append(net.Adj[i], int32(j))
-					net.Adj[j] = append(net.Adj[j], int32(i))
+					link(int32(i), int32(j))
 				}
 			}
 		}
@@ -55,16 +63,16 @@ func New(s geom.Space, p sinr.Params) (*Network, error) {
 	return net, nil
 }
 
-// buildEuclidean bucket-grids points at the comm radius so only the 3×3
-// neighborhood needs pairwise checks.
-func (net *Network) buildEuclidean(eu *geom.Euclidean, radius float64) {
-	pts := eu.Pts
+// gridPairs bucket-grids points into square cells of side cell and
+// calls visit(i, j), i < j, for every pair in the same or adjacent
+// cells — a superset of the pairs within distance cell, so only the
+// 3×3 neighborhood needs pairwise checks.
+func gridPairs(pts []geom.Point, cell float64, visit func(i, j int32)) {
 	minX, minY := math.Inf(1), math.Inf(1)
 	for _, q := range pts {
 		minX = math.Min(minX, q.X)
 		minY = math.Min(minY, q.Y)
 	}
-	cell := radius
 	type key struct{ x, y int32 }
 	buckets := make(map[key][]int32, len(pts))
 	keyOf := func(q geom.Point) key {
@@ -74,23 +82,46 @@ func (net *Network) buildEuclidean(eu *geom.Euclidean, radius float64) {
 		k := keyOf(q)
 		buckets[k] = append(buckets[k], int32(i))
 	}
-	r2 := radius * radius
 	for i, q := range pts {
 		k := keyOf(q)
 		for dx := int32(-1); dx <= 1; dx++ {
 			for dy := int32(-1); dy <= 1; dy++ {
 				for _, j := range buckets[key{k.x + dx, k.y + dy}] {
-					if int32(i) >= j {
-						continue
-					}
-					if q.Dist2(pts[j]) <= r2 {
-						net.Adj[i] = append(net.Adj[i], j)
-						net.Adj[j] = append(net.Adj[j], int32(i))
+					if int32(i) < j {
+						visit(int32(i), j)
 					}
 				}
 			}
 		}
 	}
+}
+
+// Balls returns, for every station i, the stations j ≠ i with
+// Space.Dist(i, j) <= r — the exact metric test, which can differ from
+// the squared-distance test the comm graph uses at the boundary (at
+// r = 1, Sqrt rounds 1+2⁻⁵² down to 1). Euclidean spaces above 64 stations bucket
+// on a grid whose cells are a hair wider than r, so rounding in the
+// cell index cannot push a pair at distance r two cells apart; other
+// spaces scan all pairs. Lists are not sorted.
+func (net *Network) Balls(r float64) [][]int32 {
+	n := net.N()
+	balls := make([][]int32, n)
+	link := func(i, j int32) {
+		if net.Space.Dist(int(i), int(j)) <= r {
+			balls[i] = append(balls[i], j)
+			balls[j] = append(balls[j], i)
+		}
+	}
+	if eu, ok := net.Space.(*geom.Euclidean); ok && n > 64 {
+		gridPairs(eu.Pts, r*(1+1e-9), link)
+	} else {
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				link(int32(i), int32(j))
+			}
+		}
+	}
+	return balls
 }
 
 // N returns the number of stations.

@@ -140,6 +140,67 @@ func TestEuclideanGridBucketsMatchBruteForce(t *testing.T) {
 	}
 }
 
+// boundaryPoints returns points q with q.Dist2(origin) > 1 but
+// q.Dist(origin) == 1: the pairs where the squared-distance test and
+// the exact metric test disagree.
+func boundaryPoints(t *testing.T, want int) []geom.Point {
+	t.Helper()
+	var out []geom.Point
+	for k := 0; len(out) < want && k < 100000; k++ {
+		x := 0.3 + float64(k)*1e-5
+		y := math.Sqrt(1 - x*x)
+		for step := 0; step < 8; step++ {
+			q := geom.Point{X: x, Y: y}
+			if q.Dist2(geom.Point{}) > 1 && q.Dist(geom.Point{}) <= 1 {
+				out = append(out, q)
+				break
+			}
+			y = math.Nextafter(y, 2)
+		}
+	}
+	if len(out) < want {
+		t.Fatalf("found %d boundary points, want %d", len(out), want)
+	}
+	return out
+}
+
+func TestBallsMatchPairwiseDist(t *testing.T) {
+	r := rng.New(7)
+	pts := []geom.Point{{}}
+	pts = append(pts, boundaryPoints(t, 4)...)
+	for len(pts) < 200 {
+		pts = append(pts, geom.Point{X: r.Range(0, 6), Y: r.Range(0, 6)})
+	}
+	coords := make([]float64, 40)
+	for i := range coords {
+		coords[i] = r.Range(0, 12)
+	}
+	p := sinr.DefaultParams()
+	for _, s := range []geom.Space{geom.NewEuclidean(pts), geom.NewEuclidean(pts[:40]), geom.NewLine(coords)} {
+		net, err := New(s, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		balls := net.Balls(1)
+		for i := 0; i < s.Len(); i++ {
+			want := map[int32]bool{}
+			for j := 0; j < s.Len(); j++ {
+				if i != j && s.Dist(i, j) <= 1 {
+					want[int32(j)] = true
+				}
+			}
+			if len(want) != len(balls[i]) {
+				t.Fatalf("n=%d station %d: ball size %d, pairwise scan %d", s.Len(), i, len(balls[i]), len(want))
+			}
+			for _, j := range balls[i] {
+				if !want[j] {
+					t.Fatalf("n=%d station %d: spurious ball member %d", s.Len(), i, j)
+				}
+			}
+		}
+	}
+}
+
 func TestGranularity(t *testing.T) {
 	p := sinr.DefaultParams()
 	// Edges of length 0.1 and 0.5 -> Rs = 5.

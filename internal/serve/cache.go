@@ -29,15 +29,24 @@ import (
 //
 // Concurrent misses on one key collapse to a single build
 // (singleflight): the first caller constructs, the rest wait on its
-// flight and leave with clones. Entries are LRU-evicted against a byte
-// budget estimated from station and edge counts.
+// flight and leave with clones.
+//
+// Residency is segmented. A freshly built entry enters a probation
+// list capped at probationCap entries; its first hit promotes it into
+// the main LRU. A stream of one-shot keys (fresh seeds never asked for
+// again) therefore pins at most probationCap deployments instead of
+// filling the whole budget, while any key requested twice stays
+// resident as before. Entries are evicted against a byte budget
+// estimated from station and edge counts, draining probation (oldest
+// first) before the main LRU.
 type Cache struct {
-	mu      sync.Mutex
-	budget  int64
-	used    int64
-	lru     *list.List // of *cacheEntry, front = most recent
-	entries map[string]*list.Element
-	flights map[string]*flight
+	mu        sync.Mutex
+	budget    int64
+	used      int64
+	probation *list.List // of *cacheEntry never hit since insertion, front = newest
+	lru       *list.List // of *cacheEntry hit at least once, front = most recent
+	entries   map[string]*list.Element
+	flights   map[string]*flight
 
 	// neg is the per-key circuit breaker: repeated build failures open
 	// a negative entry with a TTL, so a poisoned spec fast-fails
@@ -86,11 +95,15 @@ func (e *CircuitOpenError) Error() string {
 func (e *CircuitOpenError) Unwrap() error { return e.Cause }
 
 type cacheEntry struct {
-	key   string
-	net   *network.Network
-	proto sim.Resolver // cloneable prototype; nil when only net is cached
-	bytes int64
+	key       string
+	net       *network.Network
+	proto     sim.Resolver // cloneable prototype; nil when only net is cached
+	bytes     int64
+	probation bool // resident on the probation list, not yet hit
 }
+
+// probationCap bounds the never-hit entries the cache keeps resident.
+const probationCap = 64
 
 type flight struct {
 	done chan struct{}
@@ -108,6 +121,7 @@ const DefaultCacheBytes = 256 << 20
 func NewCache(budget int64) *Cache {
 	return &Cache{
 		budget:           budget,
+		probation:        list.New(),
 		lru:              list.New(),
 		entries:          make(map[string]*list.Element),
 		flights:          make(map[string]*flight),
@@ -185,10 +199,31 @@ func entryBytes(n *network.Network) int64 {
 // engine is a clone of the cached prototype whenever the sinr package
 // can clone it — hit and miss hand out the same kind of object, so
 // results cannot depend on cache temperature — and a fresh
-// buildEngine product otherwise.
+// buildEngine product otherwise. A miss's entry starts on probation;
+// the key's next Get is a hit and promotes it.
 func (c *Cache) Get(key string,
 	buildNet func() (*network.Network, error),
 	buildEngine func(*network.Network) (sim.Resolver, error),
+) (*network.Network, sim.Resolver, bool, error) {
+	return c.get(key, buildNet, buildEngine, false)
+}
+
+// Warm makes key resident like a Get, but a built entry skips
+// probation and enters the main LRU directly: the caller vouches that
+// the key is reused, as a journal's hottest keys are. Counters move
+// exactly as for a Get.
+func (c *Cache) Warm(key string,
+	buildNet func() (*network.Network, error),
+	buildEngine func(*network.Network) (sim.Resolver, error),
+) error {
+	_, _, _, err := c.get(key, buildNet, buildEngine, true)
+	return err
+}
+
+func (c *Cache) get(key string,
+	buildNet func() (*network.Network, error),
+	buildEngine func(*network.Network) (sim.Resolver, error),
+	warm bool,
 ) (*network.Network, sim.Resolver, bool, error) {
 	if c.budget <= 0 {
 		if err := faultinject.Fire(faultinject.CacheBuild); err != nil {
@@ -212,7 +247,7 @@ func (c *Cache) Get(key string,
 			return nil, nil, false, err
 		}
 		if el, ok := c.entries[key]; ok {
-			c.lru.MoveToFront(el)
+			c.touchLocked(el)
 			ent := el.Value.(*cacheEntry)
 			c.hits++
 			c.mu.Unlock()
@@ -231,6 +266,9 @@ func (c *Cache) Get(key string,
 			if f.ent != nil {
 				c.mu.Lock()
 				c.hits++
+				if el, ok := c.entries[key]; ok && el.Value == f.ent {
+					c.touchLocked(el)
+				}
 				c.mu.Unlock()
 				return c.handout(f.ent, buildEngine, true)
 			}
@@ -266,7 +304,7 @@ func (c *Cache) Get(key string,
 		c.mu.Lock()
 		delete(c.flights, key)
 		delete(c.neg, key) // a successful build closes the breaker
-		c.insertLocked(ent)
+		c.insertLocked(ent, !warm)
 		c.mu.Unlock()
 		f.ent = ent
 		close(f.done)
@@ -300,27 +338,65 @@ func (c *Cache) handout(ent *cacheEntry, buildEngine func(*network.Network) (sim
 	return ent.net, eng, hit, nil
 }
 
-// insertLocked adds ent and evicts least-recently-used entries until
-// the budget holds again. An entry larger than the whole budget is
-// evicted immediately — it would only displace everything else.
-func (c *Cache) insertLocked(ent *cacheEntry) {
+// touchLocked records a hit on a resident entry: a probationer is
+// promoted into the main LRU, and either way the entry becomes the
+// most recent.
+func (c *Cache) touchLocked(el *list.Element) {
+	ent := el.Value.(*cacheEntry)
+	if !ent.probation {
+		c.lru.MoveToFront(el)
+		return
+	}
+	c.probation.Remove(el)
+	ent.probation = false
+	c.entries[ent.key] = c.lru.PushFront(ent)
+}
+
+// insertLocked adds ent — on probation, or straight into the main LRU
+// — then evicts until probation is within its cap and the budget holds
+// again, oldest probationers first, then least-recently-used entries.
+// An entry larger than the whole budget is evicted immediately — it
+// would only displace everything else.
+func (c *Cache) insertLocked(ent *cacheEntry, probation bool) {
 	if el, ok := c.entries[ent.key]; ok {
 		// A concurrent flight lost a race we never start (flights are
 		// keyed), but stay defensive: replace the existing entry.
-		c.used -= el.Value.(*cacheEntry).bytes
-		c.lru.Remove(el)
-		delete(c.entries, ent.key)
+		c.removeLocked(el)
 	}
-	c.entries[ent.key] = c.lru.PushFront(ent)
+	ent.probation = probation
+	c.entries[ent.key] = c.segment(ent).PushFront(ent)
 	c.used += ent.bytes
-	for c.used > c.budget && c.lru.Len() > 0 {
-		back := c.lru.Back()
-		old := back.Value.(*cacheEntry)
-		c.lru.Remove(back)
-		delete(c.entries, old.key)
-		c.used -= old.bytes
+	for c.probation.Len() > probationCap {
+		c.removeLocked(c.probation.Back())
 		c.evictions++
 	}
+	for c.used > c.budget {
+		back := c.probation.Back()
+		if back == nil {
+			back = c.lru.Back()
+		}
+		if back == nil {
+			break
+		}
+		c.removeLocked(back)
+		c.evictions++
+	}
+}
+
+// removeLocked drops a resident entry from its list and the index.
+func (c *Cache) removeLocked(el *list.Element) {
+	ent := el.Value.(*cacheEntry)
+	c.segment(ent).Remove(el)
+	delete(c.entries, ent.key)
+	c.used -= ent.bytes
+}
+
+// segment returns the list ent is resident on.
+func (c *Cache) segment(ent *cacheEntry) *list.List {
+	if ent.probation {
+		return c.probation
+	}
+	return c.lru
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.

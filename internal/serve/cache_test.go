@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sinrcast/internal/network"
+	"sinrcast/internal/rng"
 	"sinrcast/internal/scenario"
 	"sinrcast/internal/sim"
 	"sinrcast/internal/sinr"
@@ -208,5 +209,109 @@ func TestCacheOversizedEntry(t *testing.T) {
 	// Still serviceable.
 	if _, eng, _, err := c.Get("k", buildNet, buildEngine); err != nil || eng == nil {
 		t.Fatalf("cache wedged after oversized entry: %v", err)
+	}
+}
+
+// TestCacheProbationCapsOneShotKeys: a stream of keys that are never
+// asked for again leaves at most probationCap entries resident, even
+// while the cache is far under its byte budget.
+func TestCacheProbationCapsOneShotKeys(t *testing.T) {
+	c := NewCache(DefaultCacheBytes)
+	const keys = 3 * probationCap
+	for seed := uint64(1); seed <= keys; seed++ {
+		bn, be := testBuilders(t, 16, seed)
+		if _, _, _, err := c.Get(fmt.Sprintf("k%d", seed), bn, be); err != nil {
+			t.Fatal(err)
+		}
+		if cs := c.Stats(); cs.Entries > probationCap {
+			t.Fatalf("after %d one-shot keys: %d entries resident, cap %d", seed, cs.Entries, probationCap)
+		}
+	}
+	cs := c.Stats()
+	if cs.Entries != probationCap || cs.Bytes >= cs.Budget {
+		t.Fatalf("want exactly %d never-hit entries under budget, got %+v", probationCap, cs)
+	}
+	if cs.Evictions != keys-probationCap {
+		t.Fatalf("evictions %d, want %d", cs.Evictions, keys-probationCap)
+	}
+	// The newest one-shot keys are the ones still resident.
+	bn, be := testBuilders(t, 16, keys)
+	if _, _, hit, _ := c.Get(fmt.Sprintf("k%d", keys), bn, be); !hit {
+		t.Fatal("newest probationer was evicted")
+	}
+}
+
+// TestCacheHitEntrySurvivesOneShots: a key hit once is promoted out of
+// probation, so no number of later one-shot keys can evict it while
+// the budget holds.
+func TestCacheHitEntrySurvivesOneShots(t *testing.T) {
+	c := NewCache(DefaultCacheBytes)
+	hotNet, hotEng := testBuilders(t, 32, 99)
+	for i := 0; i < 2; i++ {
+		if _, _, _, err := c.Get("hot", hotNet, hotEng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed := uint64(1); seed <= 4*probationCap; seed++ {
+		bn, be := testBuilders(t, 16, seed)
+		if _, _, _, err := c.Get(fmt.Sprintf("k%d", seed), bn, be); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.Stats()
+	if _, _, hit, err := c.Get("hot", hotNet, hotEng); err != nil || !hit {
+		t.Fatalf("promoted key lost to one-shot keys: hit=%v err=%v", hit, err)
+	}
+	if after := c.Stats(); after.Misses != before.Misses {
+		t.Fatalf("promoted key rebuilt: before %+v after %+v", before, after)
+	}
+}
+
+// TestCacheStatsBytesMatchResident: after a random mix of one-shot
+// misses, promotions, warms and budget evictions, Stats().Bytes is the
+// sum of the resident entries' sizes and every resident entry sits on
+// exactly one list.
+func TestCacheStatsBytesMatchResident(t *testing.T) {
+	buildNet, _ := testBuilders(t, 24, 1)
+	net, err := buildNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(12 * entryBytes(net))
+	r := rng.New(3)
+	sizes := []int{16, 24, 40}
+	for op := 0; op < 600; op++ {
+		seed := uint64(r.Intn(40))
+		if op%5 == 0 {
+			seed = 1000 + uint64(op) // one-shot
+		}
+		bn, be := testBuilders(t, sizes[seed%3], seed)
+		key := fmt.Sprintf("k%d", seed)
+		if op%17 == 0 {
+			err = c.Warm(key, bn, be)
+		} else {
+			_, _, _, err = c.Get(key, bn, be)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mu.Lock()
+		var sum int64
+		for _, el := range c.entries {
+			sum += el.Value.(*cacheEntry).bytes
+		}
+		lists := c.probation.Len() + c.lru.Len()
+		entries := len(c.entries)
+		c.mu.Unlock()
+		cs := c.Stats()
+		if cs.Bytes != sum || cs.Bytes > cs.Budget {
+			t.Fatalf("op %d: Stats().Bytes %d, resident sum %d, budget %d", op, cs.Bytes, sum, cs.Budget)
+		}
+		if lists != entries {
+			t.Fatalf("op %d: %d entries indexed, %d on lists", op, entries, lists)
+		}
+	}
+	if cs := c.Stats(); cs.Evictions == 0 || cs.Hits == 0 {
+		t.Fatalf("mix exercised no evictions or no hits: %+v", cs)
 	}
 }

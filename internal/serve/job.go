@@ -204,9 +204,11 @@ func (r *JobRequest) runCacheKey() (string, bool) {
 
 // rewarm rebuilds one journaled deployment through the cache — the
 // replay path's half of runSim's cache interaction, without running
-// any trials. Failures are deliberately ignored: rewarming is an
-// optimization, and a spec that no longer builds will be reported by
-// the resubmitted job itself.
+// any trials. The journal already proves the key is reused, so the
+// entry skips probation (Cache.Warm) and stays resident however many
+// keys are rewarmed. Failures are deliberately ignored: rewarming is
+// an optimization, and a spec that no longer builds will be reported
+// by the resubmitted job itself.
 func (s *Server) rewarm(req *JobRequest) {
 	scSpec, err := scenario.Parse(req.Scenario)
 	if err != nil {
@@ -215,7 +217,7 @@ func (s *Server) rewarm(req *JobRequest) {
 	phys := req.physParams()
 	engine := req.engineName()
 	key := cacheKey(scSpec, engine, phys, req.Seed)
-	s.cache.Get(key,
+	s.cache.Warm(key,
 		func() (*network.Network, error) { return scenario.Generate(scSpec, phys, req.Seed) },
 		func(n *network.Network) (sim.Resolver, error) { return sinr.NewNamedEngine(engine, n.Space, n.Params) },
 	)

@@ -166,7 +166,8 @@ func TestRunJobResumeByteIdentical(t *testing.T) {
 
 // TestReplayRewarmsCache pins the rewarm half of replay: the journaled
 // run job's cache key must be hot before the first post-restart
-// request touches it.
+// request touches it. More keys are rewarmed than the cache's
+// probation segment holds, and every one must stay resident.
 func TestReplayRewarmsCache(t *testing.T) {
 	path := tempJournal(t)
 	s1, ts1 := journalServer(t, path, Config{})
@@ -175,6 +176,13 @@ func TestReplayRewarmsCache(t *testing.T) {
 	if code, body := fetchResult(t, ts1, id, "text"); code != http.StatusOK {
 		t.Fatalf("gen1: status %d: %s", code, body)
 	}
+	const extra = probationCap + 8
+	for seed := uint64(1000); seed < 1000+extra; seed++ {
+		id := submitJob(t, ts1, JobRequest{Scenario: "uniform:n=16", Protocol: "decay", Seed: seed, Trials: 1})
+		if code, body := fetchResult(t, ts1, id, "text"); code != http.StatusOK {
+			t.Fatalf("gen1 seed %d: status %d: %s", seed, code, body)
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s1.Shutdown(ctx); err != nil {
@@ -182,10 +190,10 @@ func TestReplayRewarmsCache(t *testing.T) {
 	}
 	ts1.Close()
 
-	s2, ts2 := journalServer(t, path, Config{})
+	s2, ts2 := journalServer(t, path, Config{RewarmHot: extra + 8})
 	waitReplay(t, s2)
-	if st := s2.Cache().Stats(); st.Entries == 0 {
-		t.Fatalf("replay rewarmed no cache entries: %+v", st)
+	if st := s2.Cache().Stats(); st.Entries != extra+1 || st.Evictions != 0 {
+		t.Fatalf("replay left %d of %d rewarmed keys resident: %+v", st.Entries, extra+1, st)
 	}
 	// The first post-restart submission of the same spec must be a hit.
 	before := s2.Cache().Stats()

@@ -135,13 +135,11 @@ func TestSubmitFastFails422WhenCircuitOpen(t *testing.T) {
 func TestRetryAfterTracksDrainRate(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := testServer(t, Config{Jobs: jobs.Config{QueueDepth: 1, Workers: 1}})
-	// Prime the drain-rate window: complete a few instant jobs first.
-	var primed []string
+	// Prime the drain-rate window: complete a few instant jobs first,
+	// one at a time — with one worker and one queue slot, a third
+	// submission racing two unfinished jobs would be refused.
 	for i := 0; i < 3; i++ {
-		primed = append(primed, submitJob(t, ts, quickRun))
-	}
-	for _, id := range primed {
-		waitTerminal(t, ts.URL, id)
+		waitTerminal(t, ts.URL, submitJob(t, ts, quickRun))
 	}
 	if rate := s.mgr.DrainRate(); rate <= 0 {
 		t.Fatalf("drain rate not observed: %v", rate)
