@@ -37,8 +37,9 @@ import (
 // again) therefore pins at most probationCap deployments instead of
 // filling the whole budget, while any key requested twice stays
 // resident as before. Entries are evicted against a byte budget
-// estimated from station and edge counts, draining probation (oldest
-// first) before the main LRU.
+// estimated from station and edge counts, draining older probationers
+// before the main LRU and never the entry being inserted, so a new key
+// displaces the least-recently-used promoted entry when it must.
 type Cache struct {
 	mu        sync.Mutex
 	budget    int64
@@ -354,31 +355,38 @@ func (c *Cache) touchLocked(el *list.Element) {
 
 // insertLocked adds ent — on probation, or straight into the main LRU
 // — then evicts until probation is within its cap and the budget holds
-// again, oldest probationers first, then least-recently-used entries.
-// An entry larger than the whole budget is evicted immediately — it
-// would only displace everything else.
+// again: older probationers first, then least-recently-used entries.
+// The new entry itself is never the victim, so a key's second request
+// is a hit even when promoted entries fill the budget; a full LRU
+// yields its oldest entry instead. An entry larger than the whole
+// budget is not kept at all — it would only displace everything else.
 func (c *Cache) insertLocked(ent *cacheEntry, probation bool) {
 	if el, ok := c.entries[ent.key]; ok {
 		// A concurrent flight lost a race we never start (flights are
 		// keyed), but stay defensive: replace the existing entry.
 		c.removeLocked(el)
 	}
+	if ent.bytes > c.budget {
+		c.evictions++
+		return
+	}
 	ent.probation = probation
-	c.entries[ent.key] = c.segment(ent).PushFront(ent)
+	el := c.segment(ent).PushFront(ent)
+	c.entries[ent.key] = el
 	c.used += ent.bytes
 	for c.probation.Len() > probationCap {
 		c.removeLocked(c.probation.Back())
 		c.evictions++
 	}
 	for c.used > c.budget {
-		back := c.probation.Back()
-		if back == nil {
-			back = c.lru.Back()
+		victim := c.probation.Back()
+		if victim == nil || victim == el {
+			victim = c.lru.Back()
 		}
-		if back == nil {
+		if victim == nil || victim == el {
 			break
 		}
-		c.removeLocked(back)
+		c.removeLocked(victim)
 		c.evictions++
 	}
 }

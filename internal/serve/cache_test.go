@@ -315,3 +315,49 @@ func TestCacheStatsBytesMatchResident(t *testing.T) {
 		t.Fatalf("mix exercised no evictions or no hits: %+v", cs)
 	}
 }
+
+// TestCacheNewKeyDisplacesFullLRU: once promoted entries fill the
+// budget, a new key must still stay resident long enough for its
+// second request to hit, displacing the least-recently-used promoted
+// entry rather than being evicted on insertion.
+func TestCacheNewKeyDisplacesFullLRU(t *testing.T) {
+	buildNet, _ := testBuilders(t, 48, 1)
+	net, err := buildNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(3 * entryBytes(net))
+	get := func(seed uint64) bool {
+		t.Helper()
+		bn, be := testBuilders(t, 48, seed)
+		_, _, hit, err := c.Get(fmt.Sprintf("k%d", seed), bn, be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hit
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		get(seed)
+		if !get(seed) {
+			t.Fatalf("k%d: second request missed while filling the budget", seed)
+		}
+	}
+	if cs := c.Stats(); cs.Entries != 3 || cs.Evictions != 0 {
+		t.Fatalf("promoted keys did not fill the budget: %+v", cs)
+	}
+	for seed := uint64(4); seed <= 6; seed++ {
+		get(seed)
+		if !get(seed) {
+			t.Fatalf("k%d: second request missed — new key evicted on insertion", seed)
+		}
+	}
+	// The new hot set displaced the old one, oldest first.
+	for seed := uint64(4); seed <= 6; seed++ {
+		if !get(seed) {
+			t.Fatalf("k%d: promoted newcomer was evicted", seed)
+		}
+	}
+	if get(1) {
+		t.Fatal("oldest promoted key survived a full replacement of the hot set")
+	}
+}
