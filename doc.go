@@ -108,17 +108,16 @@
 //     slabs plus per-receiver far-field sums are cached by epoch —
 //     unchanged rounds replay them bit-identically without
 //     descending or re-folding. The folds run through the
-//     internal/sinr/simd batch kernels (α-specialized 4/8-wide
-//     unrolls preserving scalar summation order bit-exactly, a
-//     kernel-free ArgMin rejection pass before any path-loss math,
-//     and an opt-in AVX2 tier via simd.SetUseAsm with portable
-//     arm64/purego fallbacks and a measured disagreement bound).
-//     Receivers with no transmitter near their block are rejected
-//     with one block-granular hot-table lookup, steady-state rounds
-//     are allocation-free, and SetFrontierMemo(false) /
-//     SetDeltaCrossover(0) / SetVectorized(false) expose the
-//     bit-identical slow reference paths for debugging. Built for
-//     million-station rounds.
+//     internal/sinr/simd portable batch kernels (α-specialized
+//     4/8-wide unrolls preserving scalar summation order
+//     bit-exactly, and a kernel-free ArgMin rejection pass before
+//     any path-loss math). Receivers with no transmitter near their
+//     block are rejected with one block-granular hot-table lookup,
+//     and steady-state rounds are allocation-free. There is one
+//     resolve path; the tests hold it bit for bit to a per-receiver
+//     descent oracle with scalar folds, and SetDeltaCrossover(0)
+//     forces the bit-identical full-rebuild path for debugging.
+//     Built for million-station rounds.
 //
 // Both approximate engines keep near-field interference and the
 // decoding candidate exact, so approximation only perturbs the far

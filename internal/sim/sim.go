@@ -216,7 +216,7 @@ func NewEngine(phys Resolver, protos []Protocol) (*Engine, error) {
 // SetWakeScheduling toggles the calendar-queue tick loop (default: the
 // package default, normally on). Off is the reference path: every
 // station ticks every round. The two paths are byte-identical — the
-// toggle exists so tests can pin that, like sinr's SetFrontierMemo.
+// toggle exists so tests can pin that.
 func (e *Engine) SetWakeScheduling(on bool) {
 	e.wakeSched = on
 	e.schedValid = false

@@ -36,10 +36,9 @@ var benchSink float64
 
 // BenchmarkFrontierReplay isolates the far-field replay kernel — the
 // Σ p·d^-α multiply-add stream resolveReceiver runs per receiver —
-// across frontier sizes, path-loss exponents, and the three
-// implementation tiers: the plain scalar loop (the SetVectorized(false)
-// reference), the portable unrolled batch kernel, and the opt-in AVX2
-// assembly where the build and CPU provide it.
+// across frontier sizes and path-loss exponents: the plain scalar loop
+// (the fold of the descent oracle) against the unrolled FarSum batch
+// kernel production runs.
 func BenchmarkFrontierReplay(b *testing.B) {
 	for _, size := range []int{64, 512, 4096} {
 		x, y, p := benchSlabs(uint64(size), size)
@@ -64,26 +63,15 @@ func BenchmarkFrontierReplay(b *testing.B) {
 				}
 				benchSink = acc
 			})
-			if (alpha == 2 || alpha == 4) && simd.AsmAvailable() {
-				b.Run(fmt.Sprintf("len=%d/alpha=%g/asm", size, alpha), func(b *testing.B) {
-					simd.SetUseAsm(true)
-					defer simd.SetUseAsm(false)
-					acc := 0.0
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						acc += k.FarSumFast(0.25, -0.5, x, y, p)
-					}
-					benchSink = acc
-				})
-			}
 		}
 	}
 }
 
-// BenchmarkGatherNear isolates the near-field distance scan — the exact
-// per-transmitter sum plus argmin election over a block's gathered near
-// slab — across slab sizes and exponents, scalar loop vs the batch
-// NearScan kernel.
+// BenchmarkGatherNear isolates the near-field distance scan over a
+// block's gathered near slab — argmin election plus the exact
+// per-transmitter sum — across slab sizes and exponents: the fused
+// scalar loop against the two kernels resolveReceiver runs, the
+// kernel-free ArgMin rejection pass and the NearSum fold.
 func BenchmarkGatherNear(b *testing.B) {
 	for _, size := range []int{16, 64, 256} {
 		x, y, _ := benchSlabs(uint64(size)*7+1, size)
@@ -107,11 +95,20 @@ func BenchmarkGatherNear(b *testing.B) {
 				}
 				benchSink = acc
 			})
-			b.Run(fmt.Sprintf("len=%d/alpha=%g/batch", size, alpha), func(b *testing.B) {
+			// ArgMin does no kernel math, so its timing does not depend on
+			// α; it still runs per exponent to keep every cell complete.
+			b.Run(fmt.Sprintf("len=%d/alpha=%g/argmin", size, alpha), func(b *testing.B) {
 				acc := 0.0
 				for i := 0; i < b.N; i++ {
-					total, best, _ := k.NearScan(pw, 0.25, -0.5, x, y, 0, 1e18)
-					acc += total + float64(best)
+					best, bestD2 := simd.ArgMin(0.25, -0.5, x, y, 1e18)
+					acc += bestD2 + float64(best)
+				}
+				benchSink = acc
+			})
+			b.Run(fmt.Sprintf("len=%d/alpha=%g/nearsum", size, alpha), func(b *testing.B) {
+				acc := 0.0
+				for i := 0; i < b.N; i++ {
+					acc += k.NearSum(pw, 0.25, -0.5, x, y, 0)
 				}
 				benchSink = acc
 			})

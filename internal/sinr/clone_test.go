@@ -146,12 +146,9 @@ func TestCloneSharesTopology(t *testing.T) {
 	if &hc.levels[0].pow[0] == &h.levels[0].pow[0] {
 		t.Error("hier clone shares mutable pyramid aggregates")
 	}
-	h.SetFrontierMemo(false)
-	h.SetVectorized(false)
 	h.SetDeltaCrossover(0.25)
-	hc2 := h.Clone()
-	if hc2.memo || hc2.vec || hc2.deltaCrossover != 0.25 {
-		t.Error("hier clone did not copy tuning toggles")
+	if hc2 := h.Clone(); hc2.deltaCrossover != 0.25 {
+		t.Error("hier clone did not copy the delta crossover")
 	}
 }
 

@@ -96,3 +96,23 @@ func (h *HierEngine) HotStatsForTest() (bumps, transitions int64) {
 // NearCellsForTest exposes the near-field box radius in cells, the
 // input of the per-cell bump count the hot-table gate compares against.
 func (h *HierEngine) NearCellsForTest() int { return h.nearCells }
+
+// ResolveDescentForTest resolves one round for the given strictly
+// increasing receivers through the per-receiver descent oracle,
+// serially: it brings the aggregation state up to date for tx exactly
+// as Resolve does, then runs collectOne for each receiver. Pass every
+// station to get the whole round. The result is freshly allocated.
+func (h *HierEngine) ResolveDescentForTest(tx, receivers []int) []Reception {
+	if len(tx) == 0 || len(receivers) == 0 {
+		return nil
+	}
+	h.ensureRunState()
+	checkReceivers(receivers, len(h.pts))
+	h.checkTx(tx)
+	h.prepareRound(tx)
+	var out []Reception
+	for _, u := range receivers {
+		out = h.collectOne(u, out)
+	}
+	return out
+}

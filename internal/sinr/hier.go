@@ -163,6 +163,10 @@ type hierChunk struct {
 //     so their cost collapses to the near-field rejection scans and
 //     the decode tests.
 //
+// These amortizations are the engine's only resolve path. The plain
+// per-receiver descent they replace is kept in the tests as an oracle,
+// and the round-sequence tests require the two to agree bit for bit.
+//
 // Like the other engines, path loss goes through the specialized
 // Kernel, large rounds split into chunks executed by the work-stealing
 // runner with byte-identical output for every worker count and steal
@@ -180,17 +184,12 @@ type HierEngine struct {
 	minParallelN int
 	pinned       bool
 	par          chunkRunner
-	// Cached chunk closures for the four parallel dispatch shapes
+	// Cached chunk closures for the two parallel dispatch shapes
 	// (allocated once so steady-state rounds stay alloc-free).
-	blockFn   func(chunk, worker int)
-	rangeFn   func(chunk, worker int)
-	listFn    func(chunk, worker int)
-	descentFn func(chunk, worker int)
+	blockFn func(chunk, worker int)
+	listFn  func(chunk, worker int)
 
-	// Tuning knobs (see SetFrontierMemo / SetDeltaCrossover /
-	// SetVectorized).
-	memo           bool
-	vec            bool
+	// deltaCrossover is the churn tuning knob (see SetDeltaCrossover).
 	deltaCrossover float64
 
 	// Cross-round transmitter aggregation state. Unlike the other
@@ -381,9 +380,7 @@ func hierFromTopo(tp *hierTopo) *HierEngine {
 		hierTopo:       tp,
 		workers:        resolveWorkers(0),
 		minParallelN:   parallelCrossover,
-		memo:           true,
 		deltaCrossover: DefaultDeltaCrossover,
-		vec:            true,
 		aggEpoch:       1,
 	}
 }
@@ -433,12 +430,11 @@ func (h *HierEngine) ensureRunState() {
 // caches and scratch. The clone resolves byte-identically to a freshly
 // constructed engine — it inherits none of the original's cross-round
 // aggregation state — and separate clones may run concurrently. Tuning
-// (workers, pinning, crossover, memo/vectorization/delta toggles) is
-// copied.
+// (workers, pinning, parallel crossover, delta crossover) is copied.
 func (h *HierEngine) Clone() *HierEngine {
 	c := hierFromTopo(h.hierTopo)
 	c.workers, c.minParallelN, c.pinned = h.workers, h.minParallelN, h.pinned
-	c.memo, c.vec, c.deltaCrossover = h.memo, h.vec, h.deltaCrossover
+	c.deltaCrossover = h.deltaCrossover
 	return c
 }
 
@@ -495,25 +491,6 @@ func (h *HierEngine) SetWorkers(w int) { h.workers = resolveWorkers(w) }
 // platform offers no affinity API — and output is byte-identical
 // either way.
 func (h *HierEngine) SetPinned(on bool) { h.pinned = on }
-
-// SetFrontierMemo toggles the shared per-cell frontier (on by
-// default). Off, every receiver descends the pyramid from the root on
-// its own — the slower reference path, bit-identical to the memoized
-// one; the equivalence property tests pin the two against each other,
-// and turning the memo off is the first debugging step when a hier
-// result looks suspect.
-func (h *HierEngine) SetFrontierMemo(on bool) { h.memo = on }
-
-// SetVectorized toggles the batch replay kernels of the memoized
-// receiver loop (on by default): the near-field scan and far-field
-// frontier replay run through the unrolled simd batch kernels instead
-// of plain element loops. The portable kernels preserve the scalar
-// summation order bit-exactly, so this toggle — mirroring
-// SetFrontierMemo — never changes results; it exists as the reference
-// path for the vectorization property tests and for debugging. (The
-// opt-in assembly tier, simd.SetUseAsm, is only consulted while
-// vectorization is on.)
-func (h *HierEngine) SetVectorized(on bool) { h.vec = on }
 
 // SetDeltaCrossover sets the churn fraction up to which consecutive
 // rounds update transmitter aggregates incrementally instead of
@@ -953,30 +930,16 @@ func (h *HierEngine) Resolve(tx []int) []Reception {
 	h.checkTx(tx)
 	h.prepareRound(tx)
 
-	n := len(h.pts)
-	if !h.memo {
-		if h.workers > 1 && n >= h.minParallelN {
-			ensureRunner(&h.par, h, h.workers, h.pinned)
-			if h.rangeFn == nil {
-				h.rangeFn = h.runChunkRange
-			}
-			h.out = h.par.runRange(n, h.workers, h.rangeFn, h.out)
-		} else {
-			h.out = h.collectRange(0, n, h.out[:0])
-		}
-		return h.out
-	}
-
 	h.buildWorkList()
-	if h.workers > 1 && n >= h.minParallelN {
+	if h.workers > 1 && len(h.pts) >= h.minParallelN {
 		h.out = h.runBlocks(nil)
 	} else {
 		h.out = h.collectBlocks(h.workList, nil, h.out[:0])
 	}
-	// Cell-ordered collection emits receptions grouped by receiver
-	// cell; sort back to the ascending receiver order every engine
+	// Block-ordered collection emits receptions grouped by receiver
+	// block; sort back to the ascending receiver order every engine
 	// guarantees. Receivers are unique keys, so the order is total —
-	// identical for any worker count and to the unmemoized path.
+	// identical for any worker count.
 	slices.SortFunc(h.out, func(a, b Reception) int { return a.Receiver - b.Receiver })
 	return h.out
 }
@@ -993,15 +956,11 @@ func (h *HierEngine) ResolveFor(tx []int, receivers []int) []Reception {
 	h.checkTx(tx)
 	h.prepareRound(tx)
 
-	if !h.memo {
-		h.out = h.resolveListDescent(receivers)
-		return h.out
-	}
 	// Large subsets (an eighth of the network or more) pay for the
-	// cell walk: mark the subset and reuse the whole-round path. Small
-	// subsets iterate receivers directly — scattered cells build their
-	// slabs lazily, one cell cache per worker, which never costs more
-	// than the unmemoized per-receiver descent.
+	// block walk: mark the subset and reuse the whole-round path. Small
+	// subsets iterate receivers directly — scattered blocks build their
+	// slabs lazily, one block cache per worker, which never costs more
+	// than a per-receiver descent.
 	if len(receivers)*8 >= len(h.pts) {
 		if h.recvMask == nil {
 			h.recvMask = make([]bool, len(h.pts))
@@ -1037,22 +996,6 @@ func (h *HierEngine) ResolveFor(tx []int, receivers []int) []Reception {
 	return h.out
 }
 
-// resolveListDescent is the unmemoized ResolveFor body (subset loop
-// over per-receiver descents), chunked like the other engines.
-func (h *HierEngine) resolveListDescent(receivers []int) []Reception {
-	if h.workers > 1 && len(receivers) >= h.minParallelN {
-		ensureRunner(&h.par, h, h.workers, h.pinned)
-		if h.descentFn == nil {
-			h.descentFn = h.runChunkDescent
-		}
-		h.curRecv = receivers
-		out := h.par.runRange(len(receivers), h.workers, h.descentFn, h.out)
-		h.curRecv = nil
-		return out
-	}
-	return h.collectListDescent(receivers, h.out[:0])
-}
-
 // runBlocks is the parallel memoized whole-round body (mask non-nil
 // when a large ResolveFor restricts the round): every work-list block
 // becomes one chunk, owned by worker blockID·W/nBlocks. Block ids are
@@ -1084,13 +1027,6 @@ func (h *HierEngine) runChunkBlock(chunk, worker int) {
 	h.par.slots[chunk].out = h.collectBlocks(h.workList[chunk:chunk+1], h.curMask, h.par.slots[chunk].out[:0])
 }
 
-// runChunkRange resolves the chunk-th receiver range on the unmemoized
-// whole-round path.
-func (h *HierEngine) runChunkRange(chunk, worker int) {
-	lo, hi := h.par.chunkRange(chunk, len(h.pts))
-	h.par.slots[chunk].out = h.collectRange(lo, hi, h.par.slots[chunk].out[:0])
-}
-
 // runChunkList resolves the chunk-th contiguous slice of a small
 // ResolveFor subset with the executing worker's private slabs (chunks
 // from different regions may land on one worker under stealing; the
@@ -1098,13 +1034,6 @@ func (h *HierEngine) runChunkRange(chunk, worker int) {
 func (h *HierEngine) runChunkList(chunk, worker int) {
 	lo, hi := h.par.chunkRange(chunk, len(h.curRecv))
 	h.par.slots[chunk].out = h.collectList(&h.chunks[worker], h.curRecv[lo:hi], h.par.slots[chunk].out[:0])
-}
-
-// runChunkDescent resolves the chunk-th slice of an unmemoized
-// ResolveFor subset.
-func (h *HierEngine) runChunkDescent(chunk, worker int) {
-	lo, hi := h.par.chunkRange(chunk, len(h.curRecv))
-	h.par.slots[chunk].out = h.collectListDescent(h.curRecv[lo:hi], h.par.slots[chunk].out[:0])
 }
 
 // --- Frontier-memoized collection --------------------------------------
@@ -1218,72 +1147,37 @@ func (h *HierEngine) buildFrontier(sl *blockSlabs, bx0c, by0c, bx1c, by1c int) {
 }
 
 // resolveReceiver resolves one receiver against the chunk's prepared
-// slabs: an exact linear scan of the gathered near field (which also
-// elects the decoding candidate), then the frontier replay — accepted
-// nodes as flat multiply-adds, undecided subtrees by exact descent.
-// Both loops normally run through the simd batch kernels (bit-exact
-// unrolled scans, plus the opt-in assembly tier for the far replay);
-// SetVectorized(false) restores the plain element loops below as the
-// reference.
+// slabs: a kernel-free argmin over the gathered near field elects the
+// decoding candidate, then only candidates pay the exact near fold and
+// the frontier replay (accepted nodes as flat multiply-adds). Both
+// folds run through the portable simd batch kernels, which preserve the
+// scalar summation order bit-exactly — the per-receiver descent oracle
+// of the round-sequence tests pins that.
 func (h *HierEngine) resolveReceiver(sl *blockSlabs, u int32, dst []Reception) []Reception {
 	p := h.params
 	pw := p.Power()
 	kern := h.kern
 	upx, upy := h.ptsX[u], h.ptsY[u]
 
-	total := 0.0
-	bestD2 := math.Inf(1)
-	best := int32(-1)
-	nx, ny, nid := sl.nearX, sl.nearY, sl.nearID
-	if h.vec {
-		// Rejection first: a pure-distance argmin with no kernel math.
-		// Most stations of a hot block have no transmitter within the
-		// communication range (only their block is hot, not their cell)
-		// and bow out here without a single divide or square root. Only
-		// decode candidates pay the kernel fold — which accumulates in
-		// the same index order, so the split is bit-identical to the
-		// fused scalar scan below (a rejected station's total is never
-		// observed).
-		bi, bd2 := simd.ArgMin(upx, upy, nx, ny, bestD2)
-		if bi < 0 || bd2 > 1 {
-			return dst
-		}
-		best, bestD2 = nid[bi], bd2
-		total = kern.NearSum(pw, upx, upy, nx, ny, total)
-	} else {
-		for i := range nx {
-			dx := upx - nx[i]
-			dy := upy - ny[i]
-			d2 := dx*dx + dy*dy
-			total += pw * kern.FromDist2(d2)
-			if d2 < bestD2 {
-				bestD2 = d2
-				best = nid[i]
-			}
-		}
-	}
-	if best < 0 || bestD2 > 1 {
+	// Rejection first: a pure-distance argmin with no kernel math. Most
+	// stations of a hot block have no transmitter within the
+	// communication range (only their block is hot, not their cell) and
+	// bow out here without a single divide or square root. Only decode
+	// candidates pay the kernel fold — which accumulates in index order,
+	// so the split is bit-identical to a fused scan (a rejected
+	// station's total is never observed).
+	bi, bestD2 := simd.ArgMin(upx, upy, sl.nearX, sl.nearY, math.Inf(1))
+	if bi < 0 || bestD2 > 1 {
 		return dst
 	}
+	best := sl.nearID[bi]
+	total := kern.NearSum(pw, upx, upy, sl.nearX, sl.nearY, 0)
 
-	far := 0.0
-	if h.farEpoch[u] == h.aggEpoch {
-		far = h.farCache[u]
-	} else {
-		evX, evY, evP := sl.evX, sl.evY, sl.evP
-		if h.vec {
-			far = kern.FarSumFast(upx, upy, evX, evY, evP)
-		} else {
-			for i := range evX {
-				dx := upx - evX[i]
-				dy := upy - evY[i]
-				far += evP[i] * kern.FromDist2(dx*dx+dy*dy)
-			}
-		}
-		h.farCache[u] = far
+	if h.farEpoch[u] != h.aggEpoch {
+		h.farCache[u] = kern.FarSum(upx, upy, sl.evX, sl.evY, sl.evP)
 		h.farEpoch[u] = h.aggEpoch
 	}
-	total += far
+	total += h.farCache[u]
 
 	s := pw * kern.FromDist2(bestD2)
 	intf := total - s
@@ -1332,7 +1226,7 @@ func (h *HierEngine) collectBlocks(blocks []int32, mask []bool, dst []Reception)
 // this path never writes it); on a miss the worker's private slabs are
 // built and keyed by (block, epoch) — scattered small subsets degrade
 // gracefully to one build per receiver, which costs about one
-// unmemoized descent each.
+// per-receiver descent each.
 func (h *HierEngine) collectList(ch *hierChunk, receivers []int, dst []Reception) []Reception {
 	for _, u := range receivers {
 		b := h.blockOfCell(h.cellOf[u])
@@ -1353,159 +1247,4 @@ func (h *HierEngine) collectList(ch *hierChunk, receivers []int, dst []Reception
 		dst = h.resolveReceiver(sl, int32(u), dst)
 	}
 	return dst
-}
-
-// --- Unmemoized reference collection -----------------------------------
-
-func (h *HierEngine) collectRange(lo, hi int, dst []Reception) []Reception {
-	for u := lo; u < hi; u++ {
-		dst = h.collectOne(u, dst)
-	}
-	return dst
-}
-
-func (h *HierEngine) collectListDescent(receivers []int, dst []Reception) []Reception {
-	for _, u := range receivers {
-		dst = h.collectOne(u, dst)
-	}
-	return dst
-}
-
-// collectOne resolves receiver u with its own full pyramid descent —
-// the unmemoized reference path (SetFrontierMemo(false)), applying the
-// same block-rectangle θ classification and union near box as
-// buildFrontier so its output is bit-identical to the memoized replay.
-// Shared state is read-only here, so chunks run it concurrently; the
-// descent order is fixed, so the accumulated float sums — and hence
-// the output — are identical for every chunking.
-func (h *HierEngine) collectOne(u int, dst []Reception) []Reception {
-	uc := h.cellOf[u]
-	if h.hotCnt[h.blockOfCell(uc)] == 0 || h.isTx[u] {
-		return dst
-	}
-	p := h.params
-	pw := p.Power()
-	kern := h.kern
-	nc := h.nearCells
-	upx, upy := h.ptsX[u], h.ptsY[u]
-	bx0, by0, bx1, by1 := h.blockCellRange(h.blockOfCell(uc))
-
-	// Near field first: exact per-transmitter sums over the block's
-	// union near box, which also finds the decoding candidate. If no
-	// candidate lies within the communication range the round is over
-	// for u and the far-field descent is skipped entirely.
-	total := 0.0
-	bestD2 := math.Inf(1)
-	best := int32(-1)
-	y0, y1 := max(by0-nc, 0), min(by1+nc, h.rows-1)
-	x0, x1 := max(bx0-nc, 0), min(bx1+nc, h.cols-1)
-	for cy := y0; cy <= y1; cy++ {
-		row := cy * h.cols
-		for cx := x0; cx <= x1; cx++ {
-			for _, t := range h.txInCell[row+cx] {
-				dx := upx - h.ptsX[t]
-				dy := upy - h.ptsY[t]
-				d2 := dx*dx + dy*dy
-				total += pw * kern.FromDist2(d2)
-				if d2 < bestD2 {
-					bestD2 = d2
-					best = t
-				}
-			}
-		}
-	}
-	if best < 0 || bestD2 > 1 {
-		return dst
-	}
-
-	total += h.farField(upx, upy, bx0, by0, bx1, by1)
-
-	s := pw * kern.FromDist2(bestD2)
-	intf := total - s
-	if intf < 0 {
-		intf = 0
-	}
-	if p.Decodes(s, intf) {
-		dst = append(dst, Reception{Receiver: u, Transmitter: int(best)})
-	}
-	return dst
-}
-
-// farField sums the approximated interference outside the union near
-// box of the receiver at (upx,upy), whose block has cell extent
-// [bx0c,bx1c]×[by0c,by1c], by descending the pyramid from the root
-// with buildFrontier's block-rectangle classification — one receiver's
-// private replay of exactly the descent the frontier shares across the
-// block. The DFS stack is bounded by 3 pending siblings per level;
-// 4·levels slots leave slack for the root.
-func (h *HierEngine) farField(upx, upy float64, bx0c, by0c, bx1c, by1c int) float64 {
-	kern := h.kern
-	theta2 := h.theta2
-	nc := h.nearCells
-	rx0 := h.minX + float64(bx0c)*h.cellSize - h.rectPad
-	rx1 := h.minX + float64(bx1c+1)*h.cellSize + h.rectPad
-	ry0 := h.minY + float64(by0c)*h.cellSize - h.rectPad
-	ry1 := h.minY + float64(by1c+1)*h.cellSize + h.rectPad
-	var stackBuf [160]pyrNode
-	stack := stackBuf[:0]
-	top := len(h.levels) - 1
-	if h.levels[top].pow[0] != 0 {
-		stack = append(stack, pyrNode{lv: int32(top), idx: 0})
-	}
-	sum := 0.0
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		lv := &h.levels[nd.lv]
-		nx, ny := int(nd.idx)%lv.cols, int(nd.idx)/lv.cols
-		// Base-cell extent of the node: [bx0, bx1] × [by0, by1].
-		shift := uint(nd.lv)
-		bx0, by0 := nx<<shift, ny<<shift
-		bx1, by1 := bx0+(1<<shift)-1, by0+(1<<shift)-1
-		outsideNear := bx0 > bx1c+nc || bx1 < bx0c-nc || by0 > by1c+nc || by1 < by0c-nc
-		if outsideNear {
-			pow := lv.pow[nd.idx]
-			cx := lv.px[nd.idx] / pow
-			cy := lv.py[nd.idx] / pow
-			accept := nd.lv == 0
-			if !accept {
-				dxn, dyn := 0.0, 0.0
-				if cx < rx0 {
-					dxn = rx0 - cx
-				} else if cx > rx1 {
-					dxn = cx - rx1
-				}
-				if cy < ry0 {
-					dyn = ry0 - cy
-				} else if cy > ry1 {
-					dyn = cy - ry1
-				}
-				accept = lv.diam2 <= theta2*(dxn*dxn+dyn*dyn)
-			}
-			if accept {
-				dx := upx - cx
-				dy := upy - cy
-				sum += pow * kern.FromDist2(dx*dx+dy*dy)
-				continue
-			}
-		} else if nd.lv == 0 {
-			continue // inside the near box: summed exactly already
-		}
-		// Recurse into the 2×2 children.
-		child := &h.levels[nd.lv-1]
-		cx0, cy0 := nx*2, ny*2
-		for dy := 0; dy < 2; dy++ {
-			for dx := 0; dx < 2; dx++ {
-				cx, cy := cx0+dx, cy0+dy
-				if cx >= child.cols || cy >= child.rows {
-					continue
-				}
-				ci := int32(cy*child.cols + cx)
-				if child.pow[ci] != 0 {
-					stack = append(stack, pyrNode{lv: nd.lv - 1, idx: ci})
-				}
-			}
-		}
-	}
-	return sum
 }

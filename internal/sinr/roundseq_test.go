@@ -1,6 +1,7 @@
 // Round-sequence equivalence: the frontier-memoized, delta-updated
 // HierEngine must be bit-identical, round for round, to (a) the
-// unmemoized full-rebuild reference path, (b) a freshly constructed
+// test-only per-receiver descent oracle rebuilding its aggregation
+// every round (ResolveDescentForTest), (b) a freshly constructed
 // engine resolving only that round (no carried state), and (c) its own
 // sharded resolution — across topology families, path-loss exponents,
 // realistic transmitter churn, and interleaved ResolveFor subsets.
@@ -68,6 +69,16 @@ func evolveTx(r *rng.Source, n int, cur []int, churn, density float64) []int {
 	return out
 }
 
+// allStations lists every station index: the receiver set that makes
+// ResolveDescentForTest resolve a whole round.
+func allStations(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
 func sortedSubset(r *rng.Source, n int, p float64) []int {
 	var s []int
 	for i := 0; i < n; i++ {
@@ -120,8 +131,8 @@ func TestRoundSequenceEquivalence(t *testing.T) {
 				par := mk()  // same, sharded
 				sinr.ForceParallelForTest(par, 3)
 				oracle := mk() // reference: per-receiver descent, rebuild every round
-				oracle.SetFrontierMemo(false)
 				oracle.SetDeltaCrossover(0)
+				all := allStations(n)
 				r := rng.New(uint64(len(fam.name))*1000 + uint64(alpha*4))
 				for seq := 0; seq < seqs; seq++ {
 					var tx []int
@@ -140,12 +151,12 @@ func TestRoundSequenceEquivalence(t *testing.T) {
 							if len(sub) == 0 {
 								continue
 							}
-							want := append([]sinr.Reception(nil), oracle.ResolveFor(tx, sub)...)
+							want := oracle.ResolveDescentForTest(tx, sub)
 							diffRec(t, label+" memoFor", want, memo.ResolveFor(tx, sub))
 							diffRec(t, label+" parFor", want, par.ResolveFor(tx, sub))
 							diffRec(t, label+" freshFor", want, fresh.ResolveFor(tx, sub))
 						default:
-							want := append([]sinr.Reception(nil), oracle.Resolve(tx)...)
+							want := oracle.ResolveDescentForTest(tx, all)
 							diffRec(t, label+" memo", want, memo.Resolve(tx))
 							diffRec(t, label+" par", want, par.Resolve(tx))
 							diffRec(t, label+" fresh", want, fresh.Resolve(tx))

@@ -223,178 +223,15 @@ func (k Kernel) farSumGeneric(upx, upy float64, x, y, p []float64) float64 {
 	return sum
 }
 
-// NearScan continues a uniform-power exact scan over a coordinate slab:
-// starting from the running (total, bestD2) it folds
+// NearScanIndexed continues a uniform-power exact scan over an id list
+// with gathered coordinates (element i lives at (ptsX[ids[i]],
+// ptsY[ids[i]])): starting from the running (total, bestD2) it folds
 // pw·k.FromDist2(d²(u, i)) for every element in order and tracks the
 // strict argmin of d² (first index wins ties). It returns the updated
-// total, the index of the new best element (-1 if no element beat the
+// total, the station id of the new best element (-1 if none beat the
 // incoming bestD2), and the updated bestD2 — bit-identical to the
-// scalar near-field loop of the hierarchical block replay.
-func (k Kernel) NearScan(pw, upx, upy float64, x, y []float64, total, bestD2 float64) (float64, int, float64) {
-	switch k.mode {
-	case kernInvSq:
-		return nearScanInvSq(pw, upx, upy, x, y, total, bestD2)
-	case kernInvQuad:
-		return nearScanInvQuad(pw, upx, upy, x, y, total, bestD2)
-	case kernHalf:
-		if k.m == 2 {
-			return nearScanHalf2(pw, upx, upy, x, y, total, bestD2)
-		}
-	}
-	return k.nearScanGeneric(pw, upx, upy, x, y, total, bestD2)
-}
-
-func nearScanInvSq(pw, upx, upy float64, x, y []float64, total, bestD2 float64) (float64, int, float64) {
-	n := len(x)
-	y = y[:n]
-	best := -1
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dx0, dy0 := upx-x[i], upy-y[i]
-		dx1, dy1 := upx-x[i+1], upy-y[i+1]
-		dx2, dy2 := upx-x[i+2], upy-y[i+2]
-		dx3, dy3 := upx-x[i+3], upy-y[i+3]
-		d20 := dx0*dx0 + dy0*dy0
-		d21 := dx1*dx1 + dy1*dy1
-		d22 := dx2*dx2 + dy2*dy2
-		d23 := dx3*dx3 + dy3*dy3
-		total += pw * (1 / d20)
-		if d20 < bestD2 {
-			bestD2, best = d20, i
-		}
-		total += pw * (1 / d21)
-		if d21 < bestD2 {
-			bestD2, best = d21, i+1
-		}
-		total += pw * (1 / d22)
-		if d22 < bestD2 {
-			bestD2, best = d22, i+2
-		}
-		total += pw * (1 / d23)
-		if d23 < bestD2 {
-			bestD2, best = d23, i+3
-		}
-	}
-	for ; i < n; i++ {
-		dx, dy := upx-x[i], upy-y[i]
-		d2 := dx*dx + dy*dy
-		total += pw * (1 / d2)
-		if d2 < bestD2 {
-			bestD2, best = d2, i
-		}
-	}
-	return total, best, bestD2
-}
-
-func nearScanInvQuad(pw, upx, upy float64, x, y []float64, total, bestD2 float64) (float64, int, float64) {
-	n := len(x)
-	y = y[:n]
-	best := -1
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dx0, dy0 := upx-x[i], upy-y[i]
-		dx1, dy1 := upx-x[i+1], upy-y[i+1]
-		dx2, dy2 := upx-x[i+2], upy-y[i+2]
-		dx3, dy3 := upx-x[i+3], upy-y[i+3]
-		d20 := dx0*dx0 + dy0*dy0
-		d21 := dx1*dx1 + dy1*dy1
-		d22 := dx2*dx2 + dy2*dy2
-		d23 := dx3*dx3 + dy3*dy3
-		total += pw * (1 / (d20 * d20))
-		if d20 < bestD2 {
-			bestD2, best = d20, i
-		}
-		total += pw * (1 / (d21 * d21))
-		if d21 < bestD2 {
-			bestD2, best = d21, i+1
-		}
-		total += pw * (1 / (d22 * d22))
-		if d22 < bestD2 {
-			bestD2, best = d22, i+2
-		}
-		total += pw * (1 / (d23 * d23))
-		if d23 < bestD2 {
-			bestD2, best = d23, i+3
-		}
-	}
-	for ; i < n; i++ {
-		dx, dy := upx-x[i], upy-y[i]
-		d2 := dx*dx + dy*dy
-		total += pw * (1 / (d2 * d2))
-		if d2 < bestD2 {
-			bestD2, best = d2, i
-		}
-	}
-	return total, best, bestD2
-}
-
-func nearScanHalf2(pw, upx, upy float64, x, y []float64, total, bestD2 float64) (float64, int, float64) {
-	n := len(x)
-	y = y[:n]
-	best := -1
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dx0, dy0 := upx-x[i], upy-y[i]
-		dx1, dy1 := upx-x[i+1], upy-y[i+1]
-		dx2, dy2 := upx-x[i+2], upy-y[i+2]
-		dx3, dy3 := upx-x[i+3], upy-y[i+3]
-		d20 := dx0*dx0 + dy0*dy0
-		d21 := dx1*dx1 + dy1*dy1
-		d22 := dx2*dx2 + dy2*dy2
-		d23 := dx3*dx3 + dy3*dy3
-		d0 := math.Sqrt(d20)
-		d1 := math.Sqrt(d21)
-		d2 := math.Sqrt(d22)
-		d3 := math.Sqrt(d23)
-		total += pw * (1 / ((d0 * d0) * math.Sqrt(d0)))
-		if d20 < bestD2 {
-			bestD2, best = d20, i
-		}
-		total += pw * (1 / ((d1 * d1) * math.Sqrt(d1)))
-		if d21 < bestD2 {
-			bestD2, best = d21, i+1
-		}
-		total += pw * (1 / ((d2 * d2) * math.Sqrt(d2)))
-		if d22 < bestD2 {
-			bestD2, best = d22, i+2
-		}
-		total += pw * (1 / ((d3 * d3) * math.Sqrt(d3)))
-		if d23 < bestD2 {
-			bestD2, best = d23, i+3
-		}
-	}
-	for ; i < n; i++ {
-		dx, dy := upx-x[i], upy-y[i]
-		d2 := dx*dx + dy*dy
-		d := math.Sqrt(d2)
-		total += pw * (1 / ((d * d) * math.Sqrt(d)))
-		if d2 < bestD2 {
-			bestD2, best = d2, i
-		}
-	}
-	return total, best, bestD2
-}
-
-func (k Kernel) nearScanGeneric(pw, upx, upy float64, x, y []float64, total, bestD2 float64) (float64, int, float64) {
-	n := len(x)
-	y = y[:n]
-	best := -1
-	for i := 0; i < n; i++ {
-		dx, dy := upx-x[i], upy-y[i]
-		d2 := dx*dx + dy*dy
-		total += pw * k.FromDist2(d2)
-		if d2 < bestD2 {
-			bestD2, best = d2, i
-		}
-	}
-	return total, best, bestD2
-}
-
-// NearScanIndexed is NearScan over an id list with gathered
-// coordinates: element i lives at (ptsX[ids[i]], ptsY[ids[i]]). It
-// returns the station id of the new best element (-1 if none beat the
-// incoming bestD2) — the shape of the grid engine's per-cell near
-// loops, where the transmitter list is ids and coordinates live in the
+// scalar loop, in the shape of the grid engine's per-cell near loops,
+// where the transmitter list is ids and coordinates live in the
 // engine's station slabs.
 func (k Kernel) NearScanIndexed(pw, upx, upy float64, ids []int32, ptsX, ptsY []float64, total, bestD2 float64) (float64, int32, float64) {
 	best := int32(-1)
@@ -585,11 +422,10 @@ func ArgMin(upx, upy float64, x, y []float64, bestD2 float64) (int, float64) {
 }
 
 // NearSum folds pw·k.FromDist2(d²(u, i)) over a coordinate slab in
-// index order starting from total — exactly the summation NearScan
-// performs, without the argmin bookkeeping. Paired with ArgMin it
-// splits the near-field scan into rejection and accumulation passes
-// whose combined result is bit-identical to the fused scan, because the
-// argmin never feeds the float fold.
+// index order starting from total, bit-identical to the scalar loop.
+// Paired with ArgMin it splits the near-field scan into rejection and
+// accumulation passes whose combined result is bit-identical to a
+// fused scan, because the argmin never feeds the float fold.
 func (k Kernel) NearSum(pw, upx, upy float64, x, y []float64, total float64) float64 {
 	switch k.mode {
 	case kernInvSq:

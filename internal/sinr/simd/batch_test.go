@@ -48,37 +48,6 @@ func TestFarSumBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
-func TestNearScanBitIdenticalToScalar(t *testing.T) {
-	r := rng.New(8)
-	for _, alpha := range batchAlphas {
-		k := NewKernel(alpha)
-		for _, n := range batchLens {
-			x, y, _ := randSlabs(r, n)
-			upx, upy := r.Range(-60, 60), r.Range(-60, 60)
-			pw := r.Range(0.5, 2)
-			// Exercise both a fresh scan and a continued one with a
-			// standing best the slab may or may not beat.
-			for _, start := range []float64{math.Inf(1), r.Range(100, 5000)} {
-				startTotal := r.Range(0, 10)
-				wTotal, wBest, wBD2 := startTotal, -1, start
-				for i := 0; i < n; i++ {
-					dx, dy := upx-x[i], upy-y[i]
-					d2 := dx*dx + dy*dy
-					wTotal += pw * k.FromDist2(d2)
-					if d2 < wBD2 {
-						wBD2, wBest = d2, i
-					}
-				}
-				gTotal, gBest, gBD2 := k.NearScan(pw, upx, upy, x, y, startTotal, start)
-				if gTotal != wTotal || gBest != wBest || gBD2 != wBD2 {
-					t.Fatalf("alpha=%v n=%d start=%v: NearScan=(%v,%d,%v) scalar=(%v,%d,%v)",
-						alpha, n, start, gTotal, gBest, gBD2, wTotal, wBest, wBD2)
-				}
-			}
-		}
-	}
-}
-
 func TestNearScanIndexedBitIdenticalToScalar(t *testing.T) {
 	r := rng.New(9)
 	ptsX, ptsY, _ := randSlabs(r, 200)
@@ -162,74 +131,6 @@ func TestAccumRowBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
-// asmDisagreementBound is the measured-disagreement contract of the
-// assembly tier: all terms are positive, so the 4-lane reorder can only
-// shift the relative error by O(n·ε) with no cancellation — 1e-13
-// leaves an order of magnitude of headroom over the worst case observed
-// across the fuzzed slabs.
-const asmDisagreementBound = 1e-13
-
-func TestFarSumFastAsmBoundedDisagreement(t *testing.T) {
-	if !AsmAvailable() {
-		t.Skip("assembly tier unavailable on this CPU/build")
-	}
-	if !SetUseAsm(true) {
-		t.Fatal("SetUseAsm(true) refused despite AsmAvailable")
-	}
-	defer SetUseAsm(false)
-	r := rng.New(11)
-	for _, alpha := range []float64{2, 4} {
-		k := NewKernel(alpha)
-		for _, n := range batchLens {
-			x, y, p := randSlabs(r, n)
-			upx, upy := r.Range(-60, 60), r.Range(-60, 60)
-			want := k.FarSum(upx, upy, x, y, p)
-			got := k.FarSumFast(upx, upy, x, y, p)
-			if want == got {
-				continue
-			}
-			rel := math.Abs(got-want) / math.Abs(want)
-			if rel > asmDisagreementBound || math.IsNaN(rel) {
-				t.Fatalf("alpha=%v n=%d: asm=%v portable=%v rel=%g exceeds %g",
-					alpha, n, got, want, rel, asmDisagreementBound)
-			}
-		}
-	}
-}
-
-func TestFarSumFastWithoutOptInIsPortable(t *testing.T) {
-	SetUseAsm(false)
-	r := rng.New(12)
-	for _, alpha := range batchAlphas {
-		k := NewKernel(alpha)
-		x, y, p := randSlabs(r, 37)
-		upx, upy := r.Range(-60, 60), r.Range(-60, 60)
-		if got, want := k.FarSumFast(upx, upy, x, y, p), k.FarSum(upx, upy, x, y, p); got != want {
-			t.Fatalf("alpha=%v: FarSumFast without opt-in = %v, want portable %v", alpha, got, want)
-		}
-	}
-}
-
-func TestSetUseAsmSemantics(t *testing.T) {
-	defer SetUseAsm(false)
-	if UsingAsm() {
-		t.Fatal("asm on by default")
-	}
-	ok := SetUseAsm(true)
-	if ok != AsmAvailable() {
-		t.Fatalf("SetUseAsm(true) = %v, want AsmAvailable() = %v", ok, AsmAvailable())
-	}
-	if UsingAsm() != AsmAvailable() {
-		t.Fatalf("UsingAsm() = %v after opt-in, want %v", UsingAsm(), AsmAvailable())
-	}
-	if !SetUseAsm(false) {
-		t.Fatal("SetUseAsm(false) must always succeed")
-	}
-	if UsingAsm() {
-		t.Fatal("UsingAsm() true after SetUseAsm(false)")
-	}
-}
-
 func TestArgMinBitIdenticalToScalar(t *testing.T) {
 	r := rng.New(13)
 	for _, n := range batchLens {
@@ -254,8 +155,10 @@ func TestArgMinBitIdenticalToScalar(t *testing.T) {
 }
 
 // TestNearSumMatchesNearScanTotal pins the rejection/accumulation split:
-// NearSum's fold must be bit-identical to the total a fused NearScan
-// computes over the same slab, for every kernel mode and tail length.
+// NearSum's fold must be bit-identical to the total a fused scalar near
+// scan accumulates over the same slab (the argmin never feeds the
+// fold, so the scan's total is the plain in-order sum below), for every
+// kernel mode and tail length.
 func TestNearSumMatchesNearScanTotal(t *testing.T) {
 	r := rng.New(14)
 	for _, alpha := range batchAlphas {
@@ -265,9 +168,13 @@ func TestNearSumMatchesNearScanTotal(t *testing.T) {
 			upx, upy := r.Range(-60, 60), r.Range(-60, 60)
 			pw := r.Range(0.5, 2)
 			startTotal := r.Range(0, 10)
-			want, _, _ := k.NearScan(pw, upx, upy, x, y, startTotal, math.Inf(1))
+			want := startTotal
+			for i := 0; i < n; i++ {
+				dx, dy := upx-x[i], upy-y[i]
+				want += pw * k.FromDist2(dx*dx+dy*dy)
+			}
 			if got := k.NearSum(pw, upx, upy, x, y, startTotal); got != want {
-				t.Fatalf("alpha=%v n=%d: NearSum=%v NearScan total=%v (diff %g)",
+				t.Fatalf("alpha=%v n=%d: NearSum=%v scalar=%v (diff %g)",
 					alpha, n, got, want, got-want)
 			}
 		}

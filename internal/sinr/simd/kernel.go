@@ -1,31 +1,19 @@
 // Package simd is the path-loss layer of the SINR engines: the
-// α-specialized Kernel evaluating d^-α, plus vectorized batch forms of
-// the resolve inner loops (far-field frontier replay, near-field
-// distance scans, exact-engine row accumulation).
+// α-specialized Kernel evaluating d^-α, plus batch forms of the resolve
+// inner loops (far-field frontier replay, near-field rejection and
+// accumulation, grid near scans, exact-engine row accumulation).
 //
-// Two tiers of vectorization are provided:
-//
-//   - Portable batch kernels (FarSum, NearScan, NearScanIndexed,
-//     AccumRow): manually 4-wide (8-wide for the division-bound α=2 and
-//     α=4 shapes) unrolled pure-Go loops with bounds checks hoisted.
-//     They preserve the scalar left-to-right summation order bit-exactly
-//     — every term is computed with the identical IEEE operation
-//     sequence and folded into the accumulator in the identical order —
-//     so callers replacing a plain loop with a batch call observe no
-//     value change at all, only speed. The unroll wins come from
-//     amortized loop/bounds overhead, the per-element Kernel call and
-//     mode switch hoisted out of the loop, and independent
-//     divisions/square roots in flight together.
-//
-//   - An optional AVX2 assembly path (FarSumFast) for the α=2 and α=4
-//     far-field replay, compiled on amd64 unless the purego build tag is
-//     set, selected at runtime by CPU-feature detection AND an explicit
-//     SetUseAsm opt-in. It accumulates in four parallel lanes, so its
-//     sums disagree with the scalar order by a few ulps (the terms are
-//     all positive, so the disagreement is bounded by ~len·ε with no
-//     cancellation); tests pin a measured bound. It is off by default so
-//     every engine stays bit-identical to its scalar reference unless a
-//     process explicitly trades last-ulp determinism for speed.
+// The batch kernels (FarSum, ArgMin, NearSum, NearScanIndexed,
+// AccumRow) are manually 4-wide (8-wide for the division-bound α=2 and
+// α=4 shapes) unrolled pure-Go loops with bounds checks hoisted. They
+// preserve the scalar left-to-right summation order bit-exactly —
+// every term is computed with the identical IEEE operation sequence
+// and folded into the accumulator in the identical order — so callers
+// replacing a plain loop with a batch call observe no value change at
+// all, only speed. The unroll wins come from amortized loop/bounds
+// overhead, the per-element Kernel call and mode switch hoisted out of
+// the loop, and independent divisions/square roots in flight together.
+// The code is portable: every GOARCH builds and runs the same kernels.
 package simd
 
 import "math"

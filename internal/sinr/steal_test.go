@@ -9,7 +9,7 @@ import (
 )
 
 // stealEngines builds one engine of every parallel shape over the
-// scene: exact, grid, hier with the frontier memo, hier without.
+// scene: exact, grid and hier.
 func stealEngines(t *testing.T, seed uint64, n int, side float64) map[string]func() Resolver {
 	t.Helper()
 	scene := randomScene(seed, n, side)
@@ -33,14 +33,6 @@ func stealEngines(t *testing.T, seed uint64, n int, side float64) map[string]fun
 			if err != nil {
 				t.Fatal(err)
 			}
-			return h
-		},
-		"hier-nomemo": func() Resolver {
-			h, err := NewHierEngine(scene, DefaultParams(), DefaultCellSize, DefaultNearRadius, DefaultTheta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.SetFrontierMemo(false)
 			return h
 		},
 	}

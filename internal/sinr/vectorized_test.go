@@ -1,9 +1,8 @@
-// Vectorization equivalence: the batch-kernel replay (SetVectorized,
-// on by default) must be bit-identical to the plain scalar loops on the
-// portable path, and the opt-in assembly tier may only perturb results
-// within a tiny measured bound. Frontier and near-slab lengths vary
-// freely with the topology and churn, so the sequences below also fuzz
-// the unroll tails (length mod 4/8) through the engine.
+// Vectorization equivalence: the batch-kernel replay of the hier
+// engine must be bit-identical to the per-receiver descent oracle,
+// which folds in plain scalar loops. Frontier and near-slab lengths
+// vary freely with the topology and churn, so the sequences below also
+// fuzz the unroll tails (length mod 4/8) through the engine.
 package sinr_test
 
 import (
@@ -12,14 +11,13 @@ import (
 
 	"sinrcast/internal/rng"
 	"sinrcast/internal/sinr"
-	"sinrcast/internal/sinr/simd"
 )
 
-// TestVectorizedReplayBitIdentity drives a vectorized engine and a
-// SetVectorized(false) reference through identical round sequences —
-// whole rounds and ResolveFor subsets (both the small list path and the
-// masked large path) — across the three topology families and the three
-// bench exponents, requiring byte-identical receptions throughout.
+// TestVectorizedReplayBitIdentity drives the production engine and the
+// descent oracle through identical round sequences — whole rounds and
+// ResolveFor subsets (both the small list path and the masked large
+// path) — across the three topology families and the three bench
+// exponents, requiring byte-identical receptions throughout.
 func TestVectorizedReplayBitIdentity(t *testing.T) {
 	families := []struct{ name, spec string }{
 		{"uniform", "uniform:n=640,density=8"},
@@ -33,17 +31,17 @@ func TestVectorizedReplayBitIdentity(t *testing.T) {
 				eu := seqScene(t, fam.spec, 31000+uint64(alpha*10))
 				n := eu.Len()
 				p := sinr.DefaultParams()
-				mk := func(vec bool) *sinr.HierEngine {
+				mk := func() *sinr.HierEngine {
 					h, err := sinr.NewHierEngine(eu, p, sinr.DefaultCellSize, sinr.DefaultNearRadius, sinr.DefaultTheta)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sinr.SetAlphaForTest(h, alpha)
 					h.SetWorkers(1)
-					h.SetVectorized(vec)
 					return h
 				}
-				vec, scalar := mk(true), mk(false)
+				vec, oracle := mk(), mk()
+				all := allStations(n)
 				r := rng.New(uint64(len(fam.name))*77 + uint64(alpha*4))
 				var tx []int
 				for round := 0; round < 24; round++ {
@@ -60,76 +58,11 @@ func TestVectorizedReplayBitIdentity(t *testing.T) {
 						if len(sub) == 0 {
 							continue
 						}
-						want := append([]sinr.Reception(nil), scalar.ResolveFor(tx, sub)...)
+						want := oracle.ResolveDescentForTest(tx, sub)
 						diffRec(t, label+" vecFor", want, vec.ResolveFor(tx, sub))
 					default:
-						want := append([]sinr.Reception(nil), scalar.Resolve(tx)...)
+						want := oracle.ResolveDescentForTest(tx, all)
 						diffRec(t, label+" vec", want, vec.Resolve(tx))
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestVectorizedAsmBoundedDisagreement turns the assembly tier on for a
-// whole engine and bounds how far the decode set may drift from the
-// portable reference. The AVX2 far replay reorders the frontier sum, so
-// a receiver balanced exactly on the SINR threshold may flip; with
-// realistic scenes that is vanishingly rare, and the gate allows only a
-// fraction of a percent of receptions to differ per round.
-func TestVectorizedAsmBoundedDisagreement(t *testing.T) {
-	if !simd.AsmAvailable() {
-		t.Skip("assembly tier unavailable on this CPU/build")
-	}
-	if !simd.SetUseAsm(true) {
-		t.Fatal("SetUseAsm(true) refused despite AsmAvailable")
-	}
-	t.Cleanup(func() { simd.SetUseAsm(false) })
-	for _, fam := range []struct{ name, spec string }{
-		{"uniform", "uniform:n=640,density=8"},
-		{"starclusters", "starclusters:arms=4,m=60,hops=40"},
-		{"gridholes", "gridholes:n=640,spacing=0.45"},
-	} {
-		for _, alpha := range []float64{2, 4} { // the shapes with asm kernels
-			t.Run(fmt.Sprintf("%s/alpha=%g", fam.name, alpha), func(t *testing.T) {
-				eu := seqScene(t, fam.spec, 5200+uint64(alpha))
-				n := eu.Len()
-				p := sinr.DefaultParams()
-				mk := func(vec bool) *sinr.HierEngine {
-					h, err := sinr.NewHierEngine(eu, p, sinr.DefaultCellSize, sinr.DefaultNearRadius, sinr.DefaultTheta)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sinr.SetAlphaForTest(h, alpha)
-					h.SetWorkers(1)
-					h.SetVectorized(vec)
-					return h
-				}
-				asm, ref := mk(true), mk(false)
-				r := rng.New(uint64(alpha) * 31)
-				var tx []int
-				for round := 0; round < 12; round++ {
-					tx = evolveTx(r, n, tx, 0.2, 0.05)
-					want := append([]sinr.Reception(nil), ref.Resolve(tx)...)
-					got := asm.Resolve(tx)
-					inWant := map[sinr.Reception]bool{}
-					for _, rc := range want {
-						inWant[rc] = true
-					}
-					diff := 0
-					for _, rc := range got {
-						if !inWant[rc] {
-							diff++
-						} else {
-							delete(inWant, rc)
-						}
-					}
-					diff += len(inWant)
-					budget := 1 + len(want)/200 // ≤0.5% of receptions + slack for tiny rounds
-					if diff > budget {
-						t.Fatalf("round %d: %d receptions differ between asm and portable (budget %d, |want|=%d)",
-							round, diff, budget, len(want))
 					}
 				}
 			})
