@@ -11,7 +11,6 @@ package alert
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"sinrcast/internal/coloring"
 	"sinrcast/internal/network"
@@ -69,25 +68,17 @@ func (c Config) Validate() error {
 	return errors.Join(errs...)
 }
 
-func (c Config) lg() float64 {
-	l := math.Log2(float64(c.Coloring.N))
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
-func (c Config) window(d int) int {
-	if c.WindowRounds > 0 {
-		return c.WindowRounds
-	}
-	lg := c.lg()
-	return int(math.Ceil(c.WindowFactor*float64(d+4)*lg + 2*lg*lg))
+// plan is the per-run constant part of an alert execution, derived
+// once and shared by every station.
+type plan struct {
+	cfg      *Config
+	sched    *coloring.Schedule
+	colorLen int // sched.TotalRounds(): the backbone coloring
 }
 
 // station is the per-station alert state machine.
 type station struct {
-	cfg     *Config
+	p       *plan
 	machine *coloring.Machine
 	rnd     *rng.Source
 	alerted bool // raised or received the alert
@@ -98,7 +89,7 @@ var _ sim.Protocol = (*station)(nil)
 
 // Tick implements sim.Protocol.
 func (s *station) Tick(t int) (bool, sim.Message) {
-	colorLen := s.cfg.Coloring.TotalRounds()
+	colorLen := s.p.colorLen
 	if t < colorLen {
 		if s.machine.Tick(t) {
 			return true, sim.Message{Kind: coloring.KindColoring}
@@ -107,10 +98,7 @@ func (s *station) Tick(t int) (bool, sim.Message) {
 	}
 	if t == colorLen {
 		s.machine.Finish()
-		s.txProb = s.machine.Color() * s.cfg.Coloring.CEps / (s.cfg.CProb * s.cfg.lg())
-		if s.txProb > s.cfg.MaxTxProb {
-			s.txProb = s.cfg.MaxTxProb
-		}
+		s.txProb = s.p.sched.FloodProb(s.machine.Color(), s.p.cfg.CProb, s.p.cfg.MaxTxProb)
 	}
 	if s.alerted && s.rnd.Bernoulli(s.txProb) {
 		return true, sim.Message{Kind: KindAlert}
@@ -133,7 +121,7 @@ func (s *station) TickWake(t int) (bool, sim.Message, int) {
 // case the whole window runs without a single Tick, matching the
 // protocol's mandated silence.
 func (s *station) nextWake(t int) int {
-	colorLen := s.cfg.Coloring.TotalRounds()
+	colorLen := s.p.colorLen
 	if t < colorLen {
 		if s.machine.Done() {
 			return colorLen
@@ -148,7 +136,7 @@ func (s *station) nextWake(t int) int {
 
 // Recv implements sim.Protocol.
 func (s *station) Recv(t int, msg sim.Message) {
-	if t < s.cfg.Coloring.TotalRounds() {
+	if t < s.p.colorLen {
 		s.machine.OnRecv(t)
 		return
 	}
@@ -204,17 +192,18 @@ func Run(net *network.Network, cfg Config, seed uint64, raised []bool) (*Result,
 	if err != nil {
 		return nil, err
 	}
+	sched, err := cfg.Coloring.Schedule()
+	if err != nil {
+		return nil, err
+	}
+	p := &plan{cfg: &cfg, sched: sched, colorLen: sched.TotalRounds()}
 	root := rng.New(seed)
 	stations := make([]*station, n)
 	protos := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
-		m, err := coloring.NewMachine(cfg.Coloring, root.Split(uint64(i)).Split(1))
-		if err != nil {
-			return nil, err
-		}
 		stations[i] = &station{
-			cfg:     &cfg,
-			machine: m,
+			p:       p,
+			machine: coloring.NewMachine(sched, root.Split(uint64(i)).Split(1)),
 			rnd:     root.Split(uint64(i)),
 			alerted: raised[i],
 		}
@@ -224,8 +213,7 @@ func Run(net *network.Network, cfg Config, seed uint64, raised []bool) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	colorLen := cfg.Coloring.TotalRounds()
-	eng.Run(colorLen, nil)
+	eng.Run(p.colorLen, nil)
 	preFlood := eng.Metrics.Transmissions
 	// Flood window: an already-alerted station's Recv is a no-op, so
 	// alerted stations stop being resolved as receivers (they still
@@ -243,7 +231,7 @@ func Run(net *network.Network, cfg Config, seed uint64, raised []bool) (*Result,
 			}
 		}
 	}))
-	eng.Run(cfg.window(d), nil)
+	eng.Run(sched.FloodWindow(cfg.WindowRounds, cfg.WindowFactor, d), nil)
 
 	any := false
 	for _, r := range raised {

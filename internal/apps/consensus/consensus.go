@@ -12,7 +12,6 @@ package consensus
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"sinrcast/internal/coloring"
@@ -87,33 +86,25 @@ func (c Config) Bits() int {
 	return bits.Len64(uint64(c.X))
 }
 
-// lg returns log2 n clamped at 1.
-func (c Config) lg() float64 {
-	l := math.Log2(float64(c.Coloring.N))
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
-// window returns the per-bit window length for a network of diameter d.
-func (c Config) window(d int) int {
-	if c.WindowRounds > 0 {
-		return c.WindowRounds
-	}
-	lg := c.lg()
-	return int(math.Ceil(c.WindowFactor*float64(d+4)*lg + 2*lg*lg))
+// plan is the per-run constant part of a consensus execution, derived
+// once and shared by every station: the backbone schedule, the per-bit
+// window length and the number of bit windows.
+type plan struct {
+	cfg      *Config
+	sched    *coloring.Schedule
+	colorLen int // sched.TotalRounds(): the backbone coloring
+	window   int
+	bits     int // cfg.Bits()
 }
 
 // station is the per-station consensus state machine.
 type station struct {
-	cfg     *Config
+	p       *plan
 	machine *coloring.Machine
 	rnd     *rng.Source
 	msg     int64
 
 	txProb float64 // backbone flood probability, fixed after coloring
-	window int
 
 	prefix   int64 // agreed bits so far (most significant first)
 	nbits    int   // number of agreed bits
@@ -134,7 +125,7 @@ func (s *station) initiates(bitIdx, totalBits int) bool {
 
 // Tick implements sim.Protocol.
 func (s *station) Tick(t int) (bool, sim.Message) {
-	colorLen := s.cfg.Coloring.TotalRounds()
+	colorLen := s.p.colorLen
 	if t < colorLen {
 		if s.machine.Tick(t) {
 			return true, sim.Message{Kind: coloring.KindColoring}
@@ -143,18 +134,15 @@ func (s *station) Tick(t int) (bool, sim.Message) {
 	}
 	if t == colorLen {
 		s.machine.Finish()
-		s.txProb = s.machine.Color() * s.cfg.Coloring.CEps / (s.cfg.CProb * s.cfg.lg())
-		if s.txProb > s.cfg.MaxTxProb {
-			s.txProb = s.cfg.MaxTxProb
-		}
+		s.txProb = s.p.sched.FloodProb(s.machine.Color(), s.p.cfg.CProb, s.p.cfg.MaxTxProb)
 	}
-	total := s.cfg.Bits()
+	total := s.p.bits
 	w := t - colorLen
-	bitIdx := w / s.window
+	bitIdx := w / s.p.window
 	if bitIdx >= total {
 		return false, sim.Message{} // protocol over
 	}
-	if w%s.window == 0 {
+	if w%s.p.window == 0 {
 		// Window start: close the previous window, decide its bit.
 		if bitIdx > 0 {
 			s.closeWindow()
@@ -182,15 +170,15 @@ func (s *station) TickWake(t int) (bool, sim.Message, int) {
 // that tick), and a station past the last window is done for good —
 // the final closeWindow happens in finalize, not in a Tick.
 func (s *station) nextWake(t int) int {
-	colorLen := s.cfg.Coloring.TotalRounds()
+	colorLen := s.p.colorLen
 	if t < colorLen {
 		if s.machine.Done() {
 			return colorLen
 		}
 		return t + 1
 	}
-	total := s.cfg.Bits()
-	bitIdx := (t - colorLen) / s.window
+	total := s.p.bits
+	bitIdx := (t - colorLen) / s.p.window
 	if bitIdx >= total {
 		return sim.NeverWake
 	}
@@ -200,7 +188,7 @@ func (s *station) nextWake(t int) int {
 	if bitIdx+1 >= total {
 		return sim.NeverWake
 	}
-	return colorLen + (bitIdx+1)*s.window
+	return colorLen + (bitIdx+1)*s.p.window
 }
 
 // closeWindow folds the finished window's outcome into the prefix.
@@ -216,7 +204,7 @@ func (s *station) closeWindow() {
 
 // Recv implements sim.Protocol.
 func (s *station) Recv(t int, msg sim.Message) {
-	colorLen := s.cfg.Coloring.TotalRounds()
+	colorLen := s.p.colorLen
 	if t < colorLen {
 		s.machine.OnRecv(t)
 		return
@@ -224,7 +212,7 @@ func (s *station) Recv(t int, msg sim.Message) {
 	if msg.Kind != KindToken {
 		return
 	}
-	bitIdx := (t - colorLen) / s.window
+	bitIdx := (t - colorLen) / s.p.window
 	if int64(bitIdx) == msg.A {
 		s.hasToken = true
 	}
@@ -233,7 +221,7 @@ func (s *station) Recv(t int, msg sim.Message) {
 // finalize closes the last window (the engine stops before another
 // window-start Tick would).
 func (s *station) finalize() {
-	if s.nbits < s.cfg.Bits() {
+	if s.nbits < s.p.bits {
 		s.closeWindow()
 	}
 }
@@ -288,21 +276,26 @@ func Run(net *network.Network, cfg Config, seed uint64, msgs []int64) (*Result, 
 	if err != nil {
 		return nil, err
 	}
+	sched, err := cfg.Coloring.Schedule()
+	if err != nil {
+		return nil, err
+	}
+	p := &plan{
+		cfg:      &cfg,
+		sched:    sched,
+		colorLen: sched.TotalRounds(),
+		window:   sched.FloodWindow(cfg.WindowRounds, cfg.WindowFactor, d),
+		bits:     cfg.Bits(),
+	}
 	root := rng.New(seed)
-	window := cfg.window(d)
 	stations := make([]*station, n)
 	protos := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
-		m, err := coloring.NewMachine(cfg.Coloring, root.Split(uint64(i)).Split(1))
-		if err != nil {
-			return nil, err
-		}
 		st := &station{
-			cfg:     &cfg,
-			machine: m,
+			p:       p,
+			machine: coloring.NewMachine(sched, root.Split(uint64(i)).Split(1)),
 			rnd:     root.Split(uint64(i)),
 			msg:     msgs[i],
-			window:  window,
 		}
 		stations[i] = st
 		protos[i] = st
@@ -311,7 +304,7 @@ func Run(net *network.Network, cfg Config, seed uint64, msgs []int64) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	total := cfg.Coloring.TotalRounds() + cfg.Bits()*window
+	total := p.colorLen + p.bits*p.window
 	eng.Run(total, nil)
 
 	res := &Result{

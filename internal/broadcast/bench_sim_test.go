@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"sinrcast/internal/coloring"
 	"sinrcast/internal/network"
 	"sinrcast/internal/rng"
 	"sinrcast/internal/sim"
@@ -43,40 +42,21 @@ func benchSimScene(b *testing.B, n int) (*network.Network, sim.Resolver) {
 // so the benchmark drives production Tick/TickWake code.
 func benchProtos(b *testing.B, proto string, cfg *Config, n int, seed uint64) []sim.Protocol {
 	b.Helper()
+	p, err := newPlan(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	root := rng.New(seed)
 	protos := make([]sim.Protocol, n)
-	switch proto {
-	case "nos":
-		for i := 0; i < n; i++ {
-			st, err := newNOSStation(cfg, root.Split(uint64(i)), 7, i == 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			protos[i] = st
+	for i := 0; i < n; i++ {
+		switch proto {
+		case "nos":
+			protos[i] = newNOSStation(p, root.Split(uint64(i)), 7, i == 0)
+		case "s":
+			protos[i] = newSBStation(p, root.Split(uint64(i)), 7, i == 0)
+		default:
+			b.Fatalf("unknown protocol %q", proto)
 		}
-	case "s":
-		for i := 0; i < n; i++ {
-			m, err := coloring.NewMachine(cfg.Coloring, root.Split(uint64(i)).Split(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := &sbStation{
-				cfg:        cfg,
-				machine:    m,
-				rnd:        root.Split(uint64(i)),
-				payload:    7,
-				source:     i == 0,
-				colorLen:   cfg.Coloring.TotalRounds(),
-				informedAt: -1,
-			}
-			if st.source {
-				st.informed = true
-				st.informedAt = 0
-			}
-			protos[i] = st
-		}
-	default:
-		b.Fatalf("unknown protocol %q", proto)
 	}
 	return protos
 }

@@ -82,29 +82,45 @@ func (c Config) Validate() error {
 	return errors.Join(errs...)
 }
 
-// lg returns log2(N) clamped below at 1.
-func (c Config) lg() float64 {
-	l := math.Log2(float64(c.Coloring.N))
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
 // TxLen returns the dissemination-part length in rounds: Θ(log² n).
-func (c Config) TxLen() int { return int(math.Ceil(c.TxRounds * c.lg() * c.lg())) }
+func (c Config) TxLen() int {
+	lg := c.Coloring.Lg()
+	return int(math.Ceil(c.TxRounds * lg * lg))
+}
 
 // PhaseLen returns the NoSBroadcast phase length: coloring + part 2.
 func (c Config) PhaseLen() int { return c.Coloring.TotalRounds() + c.TxLen() }
 
-// TxProb converts a color into the dissemination transmission
-// probability of Fact 11: p·cε/(CProb·lg n), capped at MaxTxProb.
-func (c Config) TxProb(color float64) float64 {
-	p := color * c.Coloring.CEps / (c.CProb * c.lg())
-	if p > c.MaxTxProb {
-		p = c.MaxTxProb
+// plan is the per-run constant part of a broadcast execution, derived
+// once from a validated Config and shared by every station of the run.
+type plan struct {
+	cfg      *Config
+	sched    *coloring.Schedule
+	colorLen int // sched.TotalRounds(): the coloring part
+	phaseLen int // cfg.PhaseLen(): one NoSBroadcast phase
+}
+
+// newPlan validates cfg and derives its run plan.
+func newPlan(cfg *Config) (*plan, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	return p
+	sched, err := cfg.Coloring.Schedule()
+	if err != nil {
+		return nil, err
+	}
+	return &plan{
+		cfg:      cfg,
+		sched:    sched,
+		colorLen: sched.TotalRounds(),
+		phaseLen: cfg.PhaseLen(),
+	}, nil
+}
+
+// txProb converts a color into the dissemination transmission
+// probability of Fact 11: p·cε/(CProb·lg n), capped at MaxTxProb.
+func (p *plan) txProb(color float64) float64 {
+	return p.sched.FloodProb(color, p.cfg.CProb, p.cfg.MaxTxProb)
 }
 
 // Result reports a broadcast execution.

@@ -59,12 +59,16 @@ func TestConfigValidate(t *testing.T) {
 func TestTxProbMonotoneAndCapped(t *testing.T) {
 	net := genPath(t, 16, 1)
 	cfg := cfgFor(net)
-	lo := cfg.TxProb(cfg.Coloring.PStart())
-	hi := cfg.TxProb(cfg.Coloring.FinalColor())
+	p, err := newPlan(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := p.txProb(cfg.Coloring.PStart())
+	hi := p.txProb(cfg.Coloring.FinalColor())
 	if lo <= 0 || hi <= lo {
 		t.Fatalf("TxProb not monotone: lo=%v hi=%v", lo, hi)
 	}
-	if got := cfg.TxProb(1e9); got != cfg.MaxTxProb {
+	if got := p.txProb(1e9); got != cfg.MaxTxProb {
 		t.Fatalf("TxProb not capped: %v", got)
 	}
 }

@@ -18,7 +18,8 @@ import (
 // Result.Rounds counts from round 0 of the global clock; the wake-up
 // application converts it to "time since first spontaneous wake-up".
 func RunNoSMulti(net *network.Network, cfg Config, seed uint64, wakeAt []int, payload int64) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	p, err := newPlan(&cfg)
+	if err != nil {
 		return nil, err
 	}
 	n := net.N()
@@ -48,10 +49,7 @@ func RunNoSMulti(net *network.Network, cfg Config, seed uint64, wakeAt []int, pa
 	stations := make([]*nosStation, n)
 	protos := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
-		st, err := newNOSStation(&cfg, root.Split(uint64(i)), payload, false)
-		if err != nil {
-			return nil, err
-		}
+		st := newNOSStation(p, root.Split(uint64(i)), payload, false)
 		st.wakeAt = wakeAt[i]
 		if wakeAt[i] == 0 {
 			st.informed = true
@@ -133,7 +131,7 @@ func RunNoSMulti(net *network.Network, cfg Config, seed uint64, wakeAt []int, pa
 	} else {
 		res.Rounds = eng.Metrics.Rounds
 	}
-	res.Phases = (res.Rounds + cfg.PhaseLen() - 1) / cfg.PhaseLen()
+	res.Phases = (res.Rounds + p.phaseLen - 1) / p.phaseLen
 	for i, st := range stations {
 		res.InformTime[i] = st.informedAt
 	}

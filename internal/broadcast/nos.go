@@ -12,7 +12,7 @@ import (
 
 // nosStation is the per-station NoSBroadcast state machine (§4.1).
 //
-// Global time is divided into phases of cfg.PhaseLen() rounds. A station
+// Global time is divided into phases of Config.PhaseLen() rounds. A station
 // is active in a phase iff it was informed before the phase started.
 // Part 1 of a phase re-runs StabilizeProbability on the active set;
 // part 2 transmits the message with the Fact 11 probability derived from
@@ -20,16 +20,10 @@ import (
 // (every message carries the payload), and they join at the next phase
 // boundary — exactly the paper's synchronization-by-round-counter.
 type nosStation struct {
-	cfg     *Config
+	p       *plan // shared by the run's stations
 	machine *coloring.Machine
 	rnd     *rng.Source
 	payload int64
-	// phaseLen and colorLen cache cfg.PhaseLen() and
-	// cfg.Coloring.TotalRounds(): both are schedule constants, and
-	// recomputing their ~half-dozen transcendental calls in every one
-	// of n Ticks per round dominates million-station rounds.
-	phaseLen int
-	colorLen int
 
 	informed   bool
 	informedAt int
@@ -42,18 +36,12 @@ type nosStation struct {
 
 var _ sim.Protocol = (*nosStation)(nil)
 
-func newNOSStation(cfg *Config, rnd *rng.Source, payload int64, isSource bool) (*nosStation, error) {
-	m, err := coloring.NewMachine(cfg.Coloring, rnd.Split(1))
-	if err != nil {
-		return nil, err
-	}
+func newNOSStation(p *plan, rnd *rng.Source, payload int64, isSource bool) *nosStation {
 	s := &nosStation{
-		cfg:        cfg,
-		machine:    m,
+		p:          p,
+		machine:    coloring.NewMachine(p.sched, rnd.Split(1)),
 		rnd:        rnd,
 		payload:    payload,
-		phaseLen:   cfg.PhaseLen(),
-		colorLen:   cfg.Coloring.TotalRounds(),
 		informedAt: -1,
 		wakeAt:     -1,
 	}
@@ -61,16 +49,21 @@ func newNOSStation(cfg *Config, rnd *rng.Source, payload int64, isSource bool) (
 		s.informed = true
 		s.informedAt = 0
 	}
-	return s, nil
+	return s
 }
 
 // Tick implements sim.Protocol.
 func (s *nosStation) Tick(t int) (bool, sim.Message) {
-	if !s.informed && s.wakeAt >= 0 && t >= s.wakeAt {
+	if !s.informed {
+		if s.wakeAt < 0 || t < s.wakeAt {
+			// Never informed, so never active: the boundary snapshot
+			// below would keep it out and Reset a pristine machine.
+			return false, sim.Message{}
+		}
 		s.informed = true
 		s.informedAt = t
 	}
-	r := t % s.phaseLen
+	r := t % s.p.phaseLen
 	if r == 0 {
 		// Phase boundary: snapshot participation and restart coloring.
 		s.active = s.informed
@@ -80,7 +73,7 @@ func (s *nosStation) Tick(t int) (bool, sim.Message) {
 	if !s.active {
 		return false, sim.Message{}
 	}
-	colorLen := s.colorLen
+	colorLen := s.p.colorLen
 	if r < colorLen {
 		if s.machine.Tick(r) {
 			return true, sim.Message{Kind: KindColoring, A: s.payload}
@@ -90,7 +83,7 @@ func (s *nosStation) Tick(t int) (bool, sim.Message) {
 	if r == colorLen {
 		// Part 1 just ended: fix the color and the Fact 11 probability.
 		s.machine.Finish()
-		s.txProb = s.cfg.TxProb(s.machine.Color())
+		s.txProb = s.p.txProb(s.machine.Color())
 	}
 	if s.rnd.Bernoulli(s.txProb) {
 		return true, sim.Message{Kind: KindData, A: s.payload}
@@ -122,13 +115,13 @@ func (s *nosStation) nextWake(t int) int {
 		}
 		return sim.NeverWake
 	}
-	r := t % s.phaseLen
+	r := t % s.p.phaseLen
 	phaseStart := t - r
 	if !s.active {
-		return phaseStart + s.phaseLen
+		return phaseStart + s.p.phaseLen
 	}
-	if r < s.colorLen && s.machine.Done() {
-		return phaseStart + s.colorLen
+	if r < s.p.colorLen && s.machine.Done() {
+		return phaseStart + s.p.colorLen
 	}
 	return t + 1
 }
@@ -140,7 +133,7 @@ func (s *nosStation) Recv(t int, msg sim.Message) {
 		s.informedAt = t
 	}
 	if s.active {
-		if r := t % s.phaseLen; r < s.colorLen {
+		if r := t % s.p.phaseLen; r < s.p.colorLen {
 			s.machine.OnRecv(r)
 		}
 	}
@@ -150,7 +143,8 @@ func (s *nosStation) Recv(t int, msg sim.Message) {
 // RunNoS executes NoSBroadcast from the given source station and returns
 // the measured result. payload is the broadcast message content.
 func RunNoS(net *network.Network, cfg Config, seed uint64, source int, payload int64) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	p, err := newPlan(&cfg)
+	if err != nil {
 		return nil, err
 	}
 	n := net.N()
@@ -168,10 +162,7 @@ func RunNoS(net *network.Network, cfg Config, seed uint64, source int, payload i
 	stations := make([]*nosStation, n)
 	protos := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
-		st, err := newNOSStation(&cfg, root.Split(uint64(i)), payload, i == source)
-		if err != nil {
-			return nil, err
-		}
+		st := newNOSStation(p, root.Split(uint64(i)), payload, i == source)
 		stations[i] = st
 		protos[i] = st
 	}
@@ -203,7 +194,7 @@ func RunNoS(net *network.Network, cfg Config, seed uint64, source int, payload i
 	} else {
 		res.Rounds = eng.Metrics.Rounds
 	}
-	res.Phases = (res.Rounds + cfg.PhaseLen() - 1) / cfg.PhaseLen()
+	res.Phases = (res.Rounds + p.phaseLen - 1) / p.phaseLen
 	for i, st := range stations {
 		res.InformTime[i] = st.informedAt
 	}

@@ -19,14 +19,11 @@ import (
 // Fact 11 probability each round, so the message advances one hop per
 // O(log n) rounds in expectation: O(D·log n + log² n) in total.
 type sbStation struct {
-	cfg     *Config
+	p       *plan // shared by the run's stations
 	machine *coloring.Machine
 	rnd     *rng.Source
 	payload int64
 	source  bool
-	// colorLen caches cfg.Coloring.TotalRounds(), a schedule constant
-	// recomputed in every Tick otherwise (see nosStation).
-	colorLen int
 
 	informed   bool
 	informedAt int
@@ -35,9 +32,25 @@ type sbStation struct {
 
 var _ sim.Protocol = (*sbStation)(nil)
 
+func newSBStation(p *plan, rnd *rng.Source, payload int64, isSource bool) *sbStation {
+	s := &sbStation{
+		p:          p,
+		machine:    coloring.NewMachine(p.sched, rnd.Split(1)),
+		rnd:        rnd,
+		payload:    payload,
+		source:     isSource,
+		informedAt: -1,
+	}
+	if isSource {
+		s.informed = true
+		s.informedAt = 0
+	}
+	return s
+}
+
 // Tick implements sim.Protocol.
 func (s *sbStation) Tick(t int) (bool, sim.Message) {
-	colorLen := s.colorLen
+	colorLen := s.p.colorLen
 	switch {
 	case t < colorLen:
 		if s.machine.Tick(t) {
@@ -48,7 +61,7 @@ func (s *sbStation) Tick(t int) (bool, sim.Message) {
 		// The dedicated source round: everyone else stays silent (the
 		// schedule is known to all in the spontaneous model).
 		s.machine.Finish()
-		s.txProb = s.cfg.TxProb(s.machine.Color())
+		s.txProb = s.p.txProb(s.machine.Color())
 		if s.source {
 			return true, sim.Message{Kind: KindData, A: s.payload}
 		}
@@ -75,9 +88,9 @@ func (s *sbStation) TickWake(t int) (bool, sim.Message, int) {
 // the coloring an uninformed station draws nothing until a reception
 // informs it. Informed stations gamble every round.
 func (s *sbStation) nextWake(t int) int {
-	if t < s.colorLen {
+	if t < s.p.colorLen {
 		if s.machine.Done() {
-			return s.colorLen
+			return s.p.colorLen
 		}
 		return t + 1
 	}
@@ -89,8 +102,7 @@ func (s *sbStation) nextWake(t int) int {
 
 // Recv implements sim.Protocol.
 func (s *sbStation) Recv(t int, msg sim.Message) {
-	colorLen := s.colorLen
-	if t < colorLen {
+	if t < s.p.colorLen {
 		s.machine.OnRecv(t)
 		return
 	}
@@ -105,7 +117,8 @@ func (s *sbStation) Recv(t int, msg sim.Message) {
 // The preprocessing coloring rounds are included in Result.Rounds, as in
 // Theorem 2's O(D log n + log² n) accounting.
 func RunS(net *network.Network, cfg Config, seed uint64, source int, payload int64) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	p, err := newPlan(&cfg)
+	if err != nil {
 		return nil, err
 	}
 	n := net.N()
@@ -123,23 +136,7 @@ func RunS(net *network.Network, cfg Config, seed uint64, source int, payload int
 	stations := make([]*sbStation, n)
 	protos := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
-		m, err := coloring.NewMachine(cfg.Coloring, root.Split(uint64(i)).Split(1))
-		if err != nil {
-			return nil, err
-		}
-		st := &sbStation{
-			cfg:        &cfg,
-			machine:    m,
-			rnd:        root.Split(uint64(i)),
-			payload:    payload,
-			source:     i == source,
-			colorLen:   cfg.Coloring.TotalRounds(),
-			informedAt: -1,
-		}
-		if st.source {
-			st.informed = true
-			st.informedAt = 0
-		}
+		st := newSBStation(p, root.Split(uint64(i)), payload, i == source)
 		stations[i] = st
 		protos[i] = st
 	}
@@ -169,7 +166,7 @@ func RunS(net *network.Network, cfg Config, seed uint64, source int, payload int
 	// quiescent receivers and are deactivated as they are informed.
 	budget := defaultBudget(cfg, net)
 	stop := func() bool { return remaining == 0 }
-	colorLen := cfg.Coloring.TotalRounds()
+	colorLen := p.colorLen
 	pre := colorLen
 	if pre > budget {
 		pre = budget

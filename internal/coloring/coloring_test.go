@@ -115,7 +115,7 @@ func TestDefaultParamsScheduleGrowsLikeLogSquared(t *testing.T) {
 // feedMachine drives m over its full schedule, invoking recv(r) to decide
 // whether a reception is delivered in round r.
 func feedMachine(m *Machine, recv func(r int) bool) {
-	total := m.Params().TotalRounds()
+	total := m.s.total
 	for r := 0; r < total; r++ {
 		m.Tick(r)
 		if !m.Done() && recv(r) {
@@ -126,39 +126,30 @@ func feedMachine(m *Machine, recv func(r int) bool) {
 }
 
 func TestMachineNoReceptionsSurvives(t *testing.T) {
-	m, err := NewMachine(testParams(), rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, testParams()), rng.New(1))
 	feedMachine(m, func(int) bool { return false })
 	if !m.Done() {
 		t.Fatal("machine not done after Finish")
 	}
-	if m.Color() != m.Params().FinalColor() {
-		t.Fatalf("color = %v, want final %v", m.Color(), m.Params().FinalColor())
+	if m.Color() != m.s.finalColor {
+		t.Fatalf("color = %v, want final %v", m.Color(), m.s.finalColor)
 	}
 }
 
 func TestMachineQuitsOnDenseSignal(t *testing.T) {
 	// Receptions every round: DT and PO both pass in phase 0, Confirm=1
 	// -> quit with color pstart after the first DT+PO iteration.
-	m, err := NewMachine(testParams(), rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, testParams()), rng.New(1))
 	feedMachine(m, func(int) bool { return true })
-	if m.Color() != m.Params().PStart() {
-		t.Fatalf("color = %v, want pstart %v", m.Color(), m.Params().PStart())
+	if m.Color() != m.s.pstart {
+		t.Fatalf("color = %v, want pstart %v", m.Color(), m.s.pstart)
 	}
 }
 
 func TestMachineConfirmTwoNeedsTwoIterations(t *testing.T) {
 	p := testParams()
 	p.Confirm = 2
-	m, err := NewMachine(p, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, p), rng.New(1))
 	feedMachine(m, func(int) bool { return true })
 	// Quit still in phase 0 (both iterations pass back to back), color
 	// = pstart, but only after the second iteration: verify via the
@@ -171,10 +162,7 @@ func TestMachineConfirmTwoNeedsTwoIterations(t *testing.T) {
 func TestMachineDTOnlyNeverQuits(t *testing.T) {
 	// Receptions only during DT halves: Playoff never passes.
 	p := testParams()
-	m, err := NewMachine(p, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, p), rng.New(1))
 	feedMachine(m, func(r int) bool {
 		return !m.segmentOf(r).inPO
 	})
@@ -185,10 +173,7 @@ func TestMachineDTOnlyNeverQuits(t *testing.T) {
 
 func TestMachinePOOnlyNeverQuits(t *testing.T) {
 	p := testParams()
-	m, err := NewMachine(p, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, p), rng.New(1))
 	feedMachine(m, func(r int) bool {
 		return m.segmentOf(r).inPO
 	})
@@ -200,10 +185,7 @@ func TestMachinePOOnlyNeverQuits(t *testing.T) {
 func TestMachineQuitsInLaterPhase(t *testing.T) {
 	// Receptions only from phase 1 onward: quit color = 2·pstart.
 	p := testParams()
-	m, err := NewMachine(p, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, p), rng.New(1))
 	feedMachine(m, func(r int) bool {
 		return r >= p.PhaseLen()
 	})
@@ -214,10 +196,7 @@ func TestMachineQuitsInLaterPhase(t *testing.T) {
 
 func TestMachinePVDoubles(t *testing.T) {
 	p := testParams()
-	m, err := NewMachine(p, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, p), rng.New(1))
 	if m.CurrentP() != p.PStart() {
 		t.Fatalf("initial pv = %v", m.CurrentP())
 	}
@@ -232,10 +211,7 @@ func TestMachinePVDoubles(t *testing.T) {
 
 func TestMachineReset(t *testing.T) {
 	p := testParams()
-	m, err := NewMachine(p, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, p), rng.New(1))
 	feedMachine(m, func(int) bool { return true })
 	if !m.Done() {
 		t.Fatal("not done")
@@ -252,10 +228,7 @@ func TestMachineReset(t *testing.T) {
 }
 
 func TestMachineTickPanicsOnRewind(t *testing.T) {
-	m, err := NewMachine(testParams(), rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, testParams()), rng.New(1))
 	for r := 0; r < 10; r++ {
 		m.Tick(r)
 	}
@@ -269,10 +242,7 @@ func TestMachineTickPanicsOnRewind(t *testing.T) {
 
 func TestMachineIgnoresOutOfScheduleRecv(t *testing.T) {
 	p := testParams()
-	m, err := NewMachine(p, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, p), rng.New(1))
 	m.OnRecv(-1)
 	m.OnRecv(p.TotalRounds() + 5)
 	m.Finish()
@@ -283,10 +253,7 @@ func TestMachineIgnoresOutOfScheduleRecv(t *testing.T) {
 
 func TestMachineNeverTransmitsAfterQuit(t *testing.T) {
 	p := testParams()
-	m, err := NewMachine(p, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, p), rng.New(3))
 	quitRound := -1
 	for r := 0; r < p.TotalRounds(); r++ {
 		tx := m.Tick(r)
@@ -422,10 +389,7 @@ func TestSegmentOfProperty(t *testing.T) {
 	// Property: segmentOf is monotone in phase/iter and every round maps
 	// into a valid segment.
 	p := testParams()
-	m, err := NewMachine(p, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, p), rng.New(1))
 	if err := quick.Check(func(raw uint16) bool {
 		r := int(raw) % p.TotalRounds()
 		s := m.segmentOf(r)
@@ -438,10 +402,7 @@ func TestSegmentOfProperty(t *testing.T) {
 
 func TestHalfSegmentEndProperty(t *testing.T) {
 	p := testParams()
-	m, err := NewMachine(p, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, p), rng.New(1))
 	// Property: r < halfSegmentEnd(r) <= TotalRounds, and the half
 	// segment containing r ends exactly where the next begins.
 	for r := 0; r < p.TotalRounds(); r++ {

@@ -12,10 +12,14 @@ import (
 // OnRecv(r) for every message decoded in round r. After the last round
 // call Finish; Color is then final.
 //
+// A Machine holds only its station's state. The schedule it follows is
+// the run's shared, immutable *Schedule, so every per-round method reads
+// precomputed segment lengths and thresholds and calls no Params getter.
+//
 // Machine is embeddable: broadcast protocols run one Machine per phase
 // and translate global rounds to local ones.
 type Machine struct {
-	par Params
+	s   *Schedule
 	rnd *rng.Source
 
 	quit  bool
@@ -30,24 +34,19 @@ type Machine struct {
 	streak  int // consecutive DT∧PO passes within the current phase
 }
 
-// NewMachine builds a station machine. The rng source must be private to
-// the station (use Source.Split with the station id).
-func NewMachine(par Params, rnd *rng.Source) (*Machine, error) {
-	if err := par.Validate(); err != nil {
-		return nil, err
-	}
-	return &Machine{par: par, rnd: rnd, pv: par.PStart()}, nil
+// NewMachine builds a station machine following the shared schedule s
+// (see Params.Schedule). The rng source must be private to the station
+// (use Source.Split with the station id).
+func NewMachine(s *Schedule, rnd *rng.Source) *Machine {
+	return &Machine{s: s, rnd: rnd, pv: s.pstart}
 }
-
-// Params returns the schedule parameters.
-func (m *Machine) Params() Params { return m.par }
 
 // Reset returns the machine to its initial state (used by phased
 // broadcast protocols that re-run the coloring each phase).
 func (m *Machine) Reset() {
 	m.quit = false
 	m.color = 0
-	m.pv = m.par.PStart()
+	m.pv = m.s.pstart
 	m.synced = 0
 	m.dtPass = false
 	m.dtCount = 0
@@ -63,13 +62,12 @@ type segment struct {
 }
 
 func (m *Machine) segmentOf(r int) segment {
-	pl := m.par.PhaseLen()
-	il := m.par.DTLen() + m.par.POLen()
+	pl, il := m.s.phaseLen, m.s.iterLen
 	with := r % pl
 	return segment{
 		phase: r / pl,
 		iter:  with / il,
-		inPO:  with%il >= m.par.DTLen(),
+		inPO:  with%il >= m.s.dtLen,
 	}
 }
 
@@ -81,8 +79,8 @@ func (m *Machine) sync(r int) {
 		m.synced = r
 		return
 	}
-	if r > m.par.TotalRounds() {
-		r = m.par.TotalRounds()
+	if r > m.s.total {
+		r = m.s.total
 	}
 	for m.synced < r {
 		cur := m.segmentOf(m.synced)
@@ -95,15 +93,15 @@ func (m *Machine) sync(r int) {
 		}
 		m.synced = next
 		if !cur.inPO {
-			m.dtPass = m.dtCount >= m.par.DTNeed()
+			m.dtPass = m.dtCount >= m.s.dtNeed
 			m.dtCount = 0
 			continue
 		}
 		// Playoff just ended: Algorithm 1 lines 5-6, amplified by the
 		// Confirm consecutive-pass requirement (see Params.Confirm).
-		if m.dtPass && m.poCount >= m.par.PONeed() {
+		if m.dtPass && m.poCount >= m.s.poNeed {
 			m.streak++
-			if m.streak >= m.par.Confirm {
+			if m.streak >= m.s.par.Confirm {
 				m.quit = true
 				m.color = m.pv
 				m.poCount = 0
@@ -115,7 +113,7 @@ func (m *Machine) sync(r int) {
 		m.poCount = 0
 		// End of a full phase: double pv (Algorithm 1 line 7) and reset
 		// the confirmation streak.
-		if cur.iter == m.par.CPrime-1 && m.segmentOf(m.synced).phase != cur.phase {
+		if cur.iter == m.s.par.CPrime-1 && m.segmentOf(m.synced).phase != cur.phase {
 			m.pv *= 2
 			m.streak = 0
 		}
@@ -125,13 +123,12 @@ func (m *Machine) sync(r int) {
 // halfSegmentEnd returns the first round after the DT or PO half-segment
 // containing r.
 func (m *Machine) halfSegmentEnd(r int) int {
-	pl := m.par.PhaseLen()
-	il := m.par.DTLen() + m.par.POLen()
+	pl, il := m.s.phaseLen, m.s.iterLen
 	base := (r / pl) * pl
 	with := r % pl
 	iterBase := base + (with/il)*il
-	if with%il < m.par.DTLen() {
-		return iterBase + m.par.DTLen()
+	if with%il < m.s.dtLen {
+		return iterBase + m.s.dtLen
 	}
 	return iterBase + il
 }
@@ -143,12 +140,12 @@ func (m *Machine) Tick(r int) bool {
 		panic(fmt.Sprintf("coloring: Tick(%d) after round %d was synced", r, m.synced))
 	}
 	m.sync(r)
-	if m.quit || r >= m.par.TotalRounds() {
+	if m.quit || r >= m.s.total {
 		return false
 	}
 	p := m.pv
 	if m.segmentOf(r).inPO {
-		p *= m.par.CEps
+		p *= m.s.par.CEps
 		if p > 1 {
 			p = 1
 		}
@@ -159,7 +156,7 @@ func (m *Machine) Tick(r int) bool {
 // OnRecv records a successful reception in local round r. Receptions
 // outside the schedule or after quitting are ignored.
 func (m *Machine) OnRecv(r int) {
-	if m.quit || r >= m.par.TotalRounds() || r < 0 {
+	if m.quit || r >= m.s.total || r < 0 {
 		return
 	}
 	if m.segmentOf(r).inPO {
@@ -172,10 +169,10 @@ func (m *Machine) OnRecv(r int) {
 // Finish finalizes the schedule; stations that never switched off get
 // the final color 2·pmax (Algorithm 1 line 8).
 func (m *Machine) Finish() {
-	m.sync(m.par.TotalRounds())
+	m.sync(m.s.total)
 	if !m.quit {
 		m.quit = true
-		m.color = m.par.FinalColor()
+		m.color = m.s.finalColor
 	}
 }
 

@@ -130,9 +130,11 @@ func (p Params) Validate() error {
 	return errors.Join(errs...)
 }
 
-// lg returns log2(N) clamped below at 1 so segment lengths stay positive
-// for tiny networks.
-func (p Params) lg() float64 {
+// Lg returns log2(N) clamped below at 1 so segment lengths stay positive
+// for tiny networks. It is the one lg n of the module: the broadcast
+// and application layers scale their windows and flood probabilities
+// by it too.
+func (p Params) Lg() float64 {
 	l := math.Log2(float64(p.N))
 	if l < 1 {
 		l = 1
@@ -154,14 +156,14 @@ func (p Params) Phases() int {
 }
 
 // DTLen returns the DensityTest segment length in rounds.
-func (p Params) DTLen() int { return int(math.Ceil(p.DTRounds * p.lg())) }
+func (p Params) DTLen() int { return int(math.Ceil(p.DTRounds * p.Lg())) }
 
 // POLen returns the Playoff segment length in rounds.
-func (p Params) POLen() int { return int(math.Ceil(p.PORounds * p.lg())) }
+func (p Params) POLen() int { return int(math.Ceil(p.PORounds * p.Lg())) }
 
 // DTNeed returns the reception count DensityTest requires to pass.
 func (p Params) DTNeed() int {
-	v := int(math.Ceil(p.DTThresh * p.lg()))
+	v := int(math.Ceil(p.DTThresh * p.Lg()))
 	if v < 1 {
 		v = 1
 	}
@@ -170,7 +172,7 @@ func (p Params) DTNeed() int {
 
 // PONeed returns the reception count Playoff requires to pass.
 func (p Params) PONeed() int {
-	v := int(math.Ceil(p.POThresh * p.lg()))
+	v := int(math.Ceil(p.POThresh * p.Lg()))
 	if v < 1 {
 		v = 1
 	}

@@ -11,15 +11,13 @@ func TestPropertyMachineColorAlwaysInPalette(t *testing.T) {
 	// Under arbitrary reception patterns the machine terminates with a
 	// palette color and never transmits after quitting.
 	par := testParams()
+	sched := mustSchedule(t, par)
 	valid := map[float64]bool{par.FinalColor(): true}
 	for ph := 0; ph < par.Phases(); ph++ {
 		valid[par.ColorOfPhase(ph)] = true
 	}
 	if err := quick.Check(func(seed uint64, pattern uint64) bool {
-		m, err := NewMachine(par, rng.New(seed))
-		if err != nil {
-			return false
-		}
+		m := NewMachine(sched, rng.New(seed))
 		for r := 0; r < par.TotalRounds(); r++ {
 			tx := m.Tick(r)
 			if m.Done() && tx {
@@ -40,11 +38,9 @@ func TestPropertyMachineColorAlwaysInPalette(t *testing.T) {
 func TestPropertyMachineMonotonePV(t *testing.T) {
 	// CurrentP never decreases while active and never exceeds 2·pmax.
 	par := testParams()
+	sched := mustSchedule(t, par)
 	if err := quick.Check(func(seed uint64) bool {
-		m, err := NewMachine(par, rng.New(seed))
-		if err != nil {
-			return false
-		}
+		m := NewMachine(sched, rng.New(seed))
 		prev := 0.0
 		for r := 0; r < par.TotalRounds(); r++ {
 			m.Tick(r)
@@ -75,10 +71,7 @@ func TestPropertyScheduleCoversAllSegments(t *testing.T) {
 	// Every (phase, iter, half) triple appears exactly DTLen or POLen
 	// times in the schedule.
 	par := testParams()
-	m, err := NewMachine(par, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(mustSchedule(t, par), rng.New(1))
 	counts := map[segment]int{}
 	for r := 0; r < par.TotalRounds(); r++ {
 		counts[m.segmentOf(r)]++

@@ -1,8 +1,6 @@
 package coloring
 
 import (
-	"fmt"
-
 	"sinrcast/internal/network"
 	"sinrcast/internal/rng"
 	"sinrcast/internal/sim"
@@ -45,7 +43,8 @@ type Result struct {
 // returns the resulting coloring. Participation of a subset (as in the
 // phased broadcast) is handled by the broadcast package, not here.
 func Run(net *network.Network, par Params, seed uint64) (*Result, error) {
-	if err := par.Validate(); err != nil {
+	sched, err := par.Schedule()
+	if err != nil {
 		return nil, err
 	}
 	phys, err := sinr.NewEngine(net.Space, net.Params)
@@ -57,10 +56,7 @@ func Run(net *network.Network, par Params, seed uint64) (*Result, error) {
 	protos := make([]sim.Protocol, n)
 	machines := make([]*Machine, n)
 	for i := 0; i < n; i++ {
-		m, err := NewMachine(par, root.Split(uint64(i)))
-		if err != nil {
-			return nil, fmt.Errorf("station %d: %w", i, err)
-		}
+		m := NewMachine(sched, root.Split(uint64(i)))
 		machines[i] = m
 		protos[i] = &stationProto{m: m}
 	}
@@ -68,7 +64,7 @@ func Run(net *network.Network, par Params, seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := par.TotalRounds()
+	total := sched.total
 	eng.Run(total, nil)
 
 	res := &Result{
@@ -81,7 +77,7 @@ func Run(net *network.Network, par Params, seed uint64) (*Result, error) {
 		m.Finish()
 		res.Colors[i] = m.Color()
 		res.QuitPhase[i] = -1
-		for ph := 0; ph < par.Phases(); ph++ {
+		for ph := 0; ph < sched.phases; ph++ {
 			if m.Color() == par.ColorOfPhase(ph) {
 				res.QuitPhase[i] = ph
 				break
