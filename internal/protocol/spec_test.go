@@ -2,13 +2,18 @@ package protocol
 
 import (
 	"errors"
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"sinrcast/internal/scenario"
 	"sinrcast/internal/sinr"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden catalogue under testdata/")
 
 // TestSpecStringGolden pins the canonical compact form: parameters
 // sorted by name, shortest float rendering, name alone when no
@@ -168,5 +173,90 @@ func TestRegistryCoversEveryMigratedAlgorithm(t *testing.T) {
 	}
 	if len(Names()) < 11 {
 		t.Errorf("registry has %d protocols, want >= 11", len(Names()))
+	}
+}
+
+// TestErrorTextVerbatim pins the full error text of every Parse and
+// Validate failure class: the substring checks above would not notice
+// a reworded message. Every integer protocol parameter declares the
+// size limit 1e9 as its Max, so values beyond it fail the range check.
+func TestErrorTextVerbatim(t *testing.T) {
+	const known = "(known: alert, consensus, daum, decay, leader, nos, nosmulti, oracle, s, tdma, wakeup)"
+	const nosParams = "(has: source, txrounds, cprob, maxtxprob, gamma, budgetmul)"
+	for _, tc := range []struct {
+		in   string
+		want string
+	}{
+		{"", `protocol: empty spec (want "name" or "name:param=value,...")`},
+		{"  ", `protocol: empty spec (want "name" or "name:param=value,...")`},
+		{"nosuchproto", `protocol: unknown protocol "nosuchproto" ` + known},
+		{"nosuchproto:x=1", `protocol: unknown protocol "nosuchproto" ` + known},
+		{"nos:", `protocol: nos: empty parameter list after ':'`},
+		{"nos: ", `protocol: nos: empty parameter list after ':'`},
+		{"nos:source", `protocol: nos: malformed parameter "source" (want param=value)`},
+		{"nos:source=", `protocol: nos: malformed parameter "source=" (want param=value)`},
+		{"nos:=3", `protocol: nos: malformed parameter "=3" (want param=value)`},
+		{"nos:source=3,", `protocol: nos: malformed parameter "" (want param=value)`},
+		{"nos:bogus=1", `protocol: nos has no parameter "bogus" ` + nosParams},
+		{"nos:source=abc", `protocol: nos: parameter source="abc" is not a number`},
+		{"nos:source=1e400", `protocol: nos: parameter source="1e400" is not a number`},
+		{"nos:source=1,source=2", `protocol: nos: parameter "source" given twice`},
+	} {
+		_, err := Parse(tc.in)
+		if err == nil {
+			t.Errorf("Parse(%q): want error %q, got nil", tc.in, tc.want)
+			continue
+		}
+		if err.Error() != tc.want {
+			t.Errorf("Parse(%q) error:\n got %q\nwant %q", tc.in, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Name: "nope"}, `protocol: unknown protocol "nope" ` + known},
+		{Spec{Name: "nos", Params: map[string]float64{"bogus": 1}}, `protocol: nos has no parameter "bogus" ` + nosParams},
+		{Spec{Name: "nos", Params: map[string]float64{"source": -1}}, `protocol: nos: parameter source=-1 outside [0, 1e+09]`},
+		{Spec{Name: "nos", Params: map[string]float64{"maxtxprob": 2}}, `protocol: nos: parameter maxtxprob=2 outside [1e-06, 1]`},
+		{Spec{Name: "nos", Params: map[string]float64{"maxtxprob": math.NaN()}}, `protocol: nos: parameter maxtxprob=NaN outside [1e-06, 1]`},
+		{Spec{Name: "nos", Params: map[string]float64{"maxtxprob": math.Inf(1)}}, `protocol: nos: parameter maxtxprob=+Inf outside [1e-06, 1]`},
+		{Spec{Name: "nos", Params: map[string]float64{"maxtxprob": math.Inf(-1)}}, `protocol: nos: parameter maxtxprob=-Inf outside [1e-06, 1]`},
+		{Spec{Name: "nos", Params: map[string]float64{"source": 2.5}}, `protocol: nos: parameter source=2.5 must be an integer`},
+		{Spec{Name: "nos", Params: map[string]float64{"source": 2e9}}, `protocol: nos: parameter source=2e+09 outside [0, 1e+09]`},
+		{Spec{Name: "consensus", Params: map[string]float64{"x": 1e300}}, `protocol: consensus: parameter x=1e+300 outside [1, 1e+09]`},
+	} {
+		err := Validate(tc.spec)
+		if err == nil {
+			t.Errorf("Validate(%v): want error %q, got nil", tc.spec, tc.want)
+			continue
+		}
+		if err.Error() != tc.want {
+			t.Errorf("Validate(%v) error:\n got %q\nwant %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
+// TestDescribeGolden pins the -list catalogue byte for byte.
+// Regenerate with `go test ./internal/protocol -run TestDescribeGolden
+// -update` after adding or documenting a protocol.
+func TestDescribeGolden(t *testing.T) {
+	path := filepath.Join("testdata", "describe.golden")
+	got := Describe()
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("Describe() differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }

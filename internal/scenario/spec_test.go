@@ -2,12 +2,17 @@ package scenario
 
 import (
 	"errors"
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"sinrcast/internal/sinr"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden catalogue under testdata/")
 
 // TestSpecStringGolden pins the canonical compact form: parameters
 // sorted by name, shortest float rendering, family alone when no
@@ -186,5 +191,89 @@ func TestBuilderSpecErrors(t *testing.T) {
 	var se *SpecError
 	if errors.As(err, &se) {
 		t.Errorf("static range violation classified as SpecError: %v", err)
+	}
+}
+
+// TestErrorTextVerbatim pins the full error text of every Parse and
+// Validate failure class: the substring checks above would not notice
+// a reworded message.
+func TestErrorTextVerbatim(t *testing.T) {
+	const known = "(known: annulus, clusteredpath, clusters, corridor, dumbbell, expchain, gaussian, gradient, grid, gridholes, path, starclusters, uniform)"
+	for _, tc := range []struct {
+		in   string
+		want string
+	}{
+		{"", `scenario: empty spec (want "family" or "family:name=value,...")`},
+		{"  ", `scenario: empty spec (want "family" or "family:name=value,...")`},
+		{"nosuchfamily", `scenario: unknown family "nosuchfamily" ` + known},
+		{"nosuchfamily:n=4", `scenario: unknown family "nosuchfamily" ` + known},
+		{"uniform:", `scenario: uniform: empty parameter list after ':'`},
+		{"uniform: ", `scenario: uniform: empty parameter list after ':'`},
+		{"uniform:n", `scenario: uniform: malformed parameter "n" (want name=value)`},
+		{"uniform:n=", `scenario: uniform: malformed parameter "n=" (want name=value)`},
+		{"uniform:=8", `scenario: uniform: malformed parameter "=8" (want name=value)`},
+		{"uniform:n=4,", `scenario: uniform: malformed parameter "" (want name=value)`},
+		{"uniform:bogus=1", `scenario: family uniform has no parameter "bogus" (has: n, density)`},
+		{"uniform:n=abc", `scenario: uniform: parameter n="abc" is not a number`},
+		{"uniform:n=1e400", `scenario: uniform: parameter n="1e400" is not a number`},
+		{"uniform:n=4,n=5", `scenario: uniform: parameter "n" given twice`},
+	} {
+		_, err := Parse(tc.in)
+		if err == nil {
+			t.Errorf("Parse(%q): want error %q, got nil", tc.in, tc.want)
+			continue
+		}
+		if err.Error() != tc.want {
+			t.Errorf("Parse(%q) error:\n got %q\nwant %q", tc.in, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Family: "nope"}, `scenario: unknown family "nope" ` + known},
+		{Spec{Family: "uniform", Params: map[string]float64{"bogus": 1}}, `scenario: family uniform has no parameter "bogus" (has: n, density)`},
+		{Spec{Family: "uniform", Params: map[string]float64{"n": 0}}, `scenario: uniform: parameter n=0 outside [1, +Inf]`},
+		{Spec{Family: "path", Params: map[string]float64{"frac": 1.5}}, `scenario: path: parameter frac=1.5 outside [0, 1]`},
+		{Spec{Family: "uniform", Params: map[string]float64{"density": math.NaN()}}, `scenario: uniform: parameter density=NaN outside [0, +Inf]`},
+		{Spec{Family: "uniform", Params: map[string]float64{"density": math.Inf(1)}}, `scenario: uniform: parameter density=+Inf outside [0, +Inf]`},
+		{Spec{Family: "uniform", Params: map[string]float64{"density": math.Inf(-1)}}, `scenario: uniform: parameter density=-Inf outside [0, +Inf]`},
+		{Spec{Family: "uniform", Params: map[string]float64{"n": math.Inf(1)}}, `scenario: uniform: parameter n=+Inf outside [1, +Inf]`},
+		{Spec{Family: "uniform", Params: map[string]float64{"n": 2.5}}, `scenario: uniform: parameter n=2.5 must be an integer`},
+		{Spec{Family: "uniform", Params: map[string]float64{"n": 2e9}}, `scenario: uniform: parameter n=2e+09 exceeds the size limit 1e+09`},
+		{Spec{Family: "uniform", Params: map[string]float64{"n": 1e300}}, `scenario: uniform: parameter n=1e+300 exceeds the size limit 1e+09`},
+	} {
+		err := Validate(tc.spec)
+		if err == nil {
+			t.Errorf("Validate(%v): want error %q, got nil", tc.spec, tc.want)
+			continue
+		}
+		if err.Error() != tc.want {
+			t.Errorf("Validate(%v) error:\n got %q\nwant %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
+// TestDescribeGolden pins the -list catalogue byte for byte.
+// Regenerate with `go test ./internal/scenario -run TestDescribeGolden
+// -update` after adding or documenting a family.
+func TestDescribeGolden(t *testing.T) {
+	path := filepath.Join("testdata", "describe.golden")
+	got := Describe()
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("Describe() differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
