@@ -22,10 +22,11 @@
 //     election;
 //   - baseline algorithms (Decay, a Daum-et-al-style granularity-
 //     sensitive sweep, density-oracle flooding, GPS grid TDMA);
-//   - a protocol registry mirroring the scenario registry: every
-//     algorithm above is a named, self-describing entry runnable from
-//     a declarative ProtocolSpec ("nos:budgetmul=2,source=5" — see
-//     ParseProtocol, RunProtocol, ProtocolCatalogue).
+//   - a protocol registry built on the same generic registry as the
+//     scenario one: every algorithm above is a named, self-describing
+//     entry runnable from a declarative ProtocolSpec
+//     ("nos:budgetmul=2,source=5" — see ParseProtocol, RunProtocol,
+//     ProtocolCatalogue).
 //
 // Quick start:
 //
@@ -184,8 +185,8 @@
 //
 // # Protocol architecture
 //
-// The algorithm axis mirrors the scenario axis (internal/protocol):
-// every algorithm — NoS/S broadcast, the multi-source wake-up engine,
+// The algorithm axis (internal/protocol) is built like the scenario
+// axis: every algorithm — NoS/S broadcast, the multi-source wake-up engine,
 // the four baseline floods, and the §5 applications through a result
 // adapter — registers once with typed parameter declarations and a
 // deterministic runner from (Network, ProtocolSpec, Seed). The
@@ -198,6 +199,14 @@
 // racing every registered protocol over every registered family at
 // matched n, whose coverage grows automatically on both axes with
 // each Register call.
+//
+// Both axes are typed views over one generic registry
+// (internal/registry). It owns the parameter declarations, the
+// canonical "name:k=v,…" form and its parser, default filling and
+// range/integrality/size checks, registration, the sorted listing, the
+// -list catalogue and the SpecError type; each axis fixes only its
+// message wording ("family" vs "protocol") and what an entry builds or
+// runs. A third axis is one more Registry value, not a third copy.
 //
 // # Simulation as a service
 //

@@ -3,13 +3,15 @@
 // a declarative Spec (protocol name + parameter map, parseable from the
 // compact string form "nos:budgetmul=2,source=5").
 //
-// It mirrors internal/scenario, the registry of topology families: a
-// protocol declares its typed parameters (name, default, range, doc),
+// A protocol declares its typed parameters (name, default, range, doc),
 // so command-line tools list the full catalogue with -list and
 // experiments can sweep *every* registered protocol without naming any
 // of them (exp.E13ProtocolMatrix races every protocol over every
-// scenario family). The two registries are the two axes of the paper's
-// central comparison — algorithms against geometries.
+// scenario family). The package is the algorithm axis of the paper's
+// central comparison — algorithms against geometries — and, like
+// internal/scenario on the geometry axis, a typed view over
+// internal/registry, which owns parsing, validation, registration and
+// the catalogue for both; this package adds what a protocol runs.
 //
 // Every runner returns a *broadcast.Result: the paper's broadcast
 // algorithms and the baseline floods natively, the §5 applications
@@ -27,13 +29,10 @@ package protocol
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strings"
-	"sync"
 
 	"sinrcast/internal/broadcast"
 	"sinrcast/internal/network"
+	"sinrcast/internal/registry"
 	"sinrcast/internal/sim"
 	"sinrcast/internal/sinr"
 )
@@ -65,30 +64,38 @@ func NamedChannel(name string) (Channel, error) {
 	}
 }
 
-// Param describes one parameter of a protocol.
-type Param struct {
-	// Name is the key used in Spec.Params and the compact string form.
-	Name string
-	// Doc is a one-line description shown by -list.
-	Doc string
-	// Default is the value used when a Spec omits the parameter.
-	Default float64
-	// Min and Max bound the accepted values (inclusive). Runners may
-	// apply stricter, network-dependent checks (e.g. source < n) that
-	// static bounds cannot express.
-	Min, Max float64
-	// Int marks integer-valued parameters (station indices etc.).
-	Int bool
-}
+// Param describes one parameter of a protocol. Runners may apply
+// stricter, network-dependent checks (e.g. source < n) than its static
+// bounds.
+type Param = registry.Param
+
+// SpecError marks a spec-vs-network mismatch: the parameters are
+// statically valid (Validate passes) but disagree with the concrete
+// network — a source index or waker count beyond n. CLIs classify it
+// as a usage error (exit 2), not a runtime failure. It is the same
+// type as scenario.SpecError.
+type SpecError = registry.SpecError
+
+// protocols is the protocol registry; its wording is fixed here.
+var protocols = registry.New(registry.Words{
+	Pkg: "protocol", Kind: "protocol", Owner: "",
+	Head: "name", Key: "param", Func: "Run", Reader: "runner",
+}, func(p *Protocol) registry.Decl {
+	return registry.Decl{Name: p.Name, Doc: p.Doc, Params: p.Params, HasFunc: p.Run != nil}
+})
+
+// values lets Build embed registry.Values under an unexported name.
+type values = registry.Values
 
 // Build carries the resolved inputs of one execution: the seed and the
 // protocol's parameter values with defaults filled in and ranges
-// checked.
+// checked. Float and Int return a resolved value; they panic on
+// undeclared names, a bug in the protocol definition.
 type Build struct {
 	// Seed drives all protocol randomness.
 	Seed uint64
 
-	params  map[string]float64
+	values
 	channel Channel
 }
 
@@ -96,20 +103,6 @@ type Build struct {
 // protocol's default engine). Runners thread it into their entry
 // points; see RunOn.
 func (b Build) Channel() Channel { return b.channel }
-
-// Float returns the resolved value of a declared parameter. It panics
-// on undeclared names: that is a bug in the protocol definition, not a
-// user error (user input is validated before Build is constructed).
-func (b Build) Float(name string) float64 {
-	v, ok := b.params[name]
-	if !ok {
-		panic(fmt.Sprintf("protocol: runner read undeclared parameter %q", name))
-	}
-	return v
-}
-
-// Int returns a declared integer parameter.
-func (b Build) Int(name string) int { return int(b.Float(name)) }
 
 // Protocol is one registered algorithm.
 type Protocol struct {
@@ -125,105 +118,80 @@ type Protocol struct {
 	Run func(net *network.Network, b Build) (*broadcast.Result, error)
 }
 
-// param looks up a declared parameter by name.
-func (p *Protocol) param(name string) (Param, bool) {
-	for _, q := range p.Params {
-		if q.Name == name {
-			return q, true
-		}
-	}
-	return Param{}, false
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]*Protocol{}
-)
-
 // Register adds a protocol to the registry. It panics on an empty or
 // duplicate name, a missing Run function, or a Param whose default
 // violates its own bounds — all programming errors caught at init.
-func Register(p Protocol) {
-	if p.Name == "" {
-		panic("protocol: Register with empty protocol name")
-	}
-	if p.Run == nil {
-		panic(fmt.Sprintf("protocol: %q has no Run function", p.Name))
-	}
-	seen := map[string]bool{}
-	for _, q := range p.Params {
-		if q.Name == "" || seen[q.Name] {
-			panic(fmt.Sprintf("protocol: %q declares empty or duplicate parameter %q", p.Name, q.Name))
-		}
-		seen[q.Name] = true
-		if q.Default < q.Min || q.Default > q.Max {
-			panic(fmt.Sprintf("protocol: %q parameter %q default %v outside [%v, %v]",
-				p.Name, q.Name, q.Default, q.Min, q.Max))
-		}
-		if q.Int && q.Default != math.Trunc(q.Default) {
-			panic(fmt.Sprintf("protocol: %q integer parameter %q has fractional default %v",
-				p.Name, q.Name, q.Default))
-		}
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[p.Name]; dup {
-		panic(fmt.Sprintf("protocol: %q registered twice", p.Name))
-	}
-	cp := p
-	registry[p.Name] = &cp
-}
+func Register(p Protocol) { protocols.Register(p) }
 
 // Lookup returns the named protocol.
-func Lookup(name string) (*Protocol, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	p, ok := registry[name]
-	return p, ok
-}
+func Lookup(name string) (*Protocol, bool) { return protocols.Lookup(name) }
 
 // Protocols returns every registered protocol sorted by name.
-func Protocols() []*Protocol {
-	regMu.RLock()
-	out := make([]*Protocol, 0, len(registry))
-	for _, p := range registry {
-		out = append(out, p)
-	}
-	regMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+func Protocols() []*Protocol { return protocols.All() }
 
 // Names returns the sorted names of all registered protocols.
-func Names() []string {
-	ps := Protocols()
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Name
-	}
-	return out
-}
+func Names() []string { return protocols.Names() }
 
 // Describe renders the catalogue of registered protocols with their
 // parameter docs — the text behind the CLI's -list flag.
-func Describe() string {
-	var sb strings.Builder
-	for _, p := range Protocols() {
-		fmt.Fprintf(&sb, "%s — %s\n", p.Name, p.Doc)
-		width := 0
-		for _, q := range p.Params {
-			if len(q.Name) > width {
-				width = len(q.Name)
-			}
-		}
-		for _, q := range p.Params {
-			def := formatValue(q.Default)
-			kind := ""
-			if q.Int {
-				kind = ", int"
-			}
-			fmt.Fprintf(&sb, "    %-*s  %s (default %s%s)\n", width, q.Name, q.Doc, def, kind)
-		}
+func Describe() string { return protocols.Describe() }
+
+// Spec is a declarative protocol selection: a registered protocol name
+// plus parameter overrides. The zero value of Params means "all
+// defaults". A Spec, a network, and a seed fully determine the
+// execution (see Run).
+type Spec struct {
+	Name   string
+	Params map[string]float64
+}
+
+// String renders the canonical compact form "name:k=v,k=v" with
+// parameters sorted by name; Parse(s.String()) reproduces s exactly.
+func (s Spec) String() string { return registry.Format(s.Name, s.Params) }
+
+// Parse reads the compact spec form "name" or
+// "name:param=value,param=value". The protocol must be registered and
+// every parameter declared by it; values must parse as numbers. (Range
+// and integrality are checked by Run, so specs built programmatically
+// get the same validation.)
+func Parse(s string) (Spec, error) {
+	name, params, err := protocols.Parse(s)
+	if err != nil {
+		return Spec{}, err
 	}
-	return sb.String()
+	return Spec{Name: name, Params: params}, nil
+}
+
+// Validate checks a spec against the registry without running it:
+// the protocol must exist and every override must be declared,
+// in range, and integral where required. CLIs use it to classify
+// bad specs as usage errors before any network is built.
+func Validate(spec Spec) error {
+	_, _, err := protocols.Resolve(spec.Name, spec.Params)
+	return err
+}
+
+// Run executes the protocol described by spec on the network under the
+// given seed. Defaults fill omitted parameters; unknown names,
+// out-of-range values, and fractional values for integer parameters
+// are rejected. The execution is deterministic in (net, spec, seed).
+// The physical layer is each protocol's default — the exact SINR
+// engine, the paper's model; RunOn selects a different one.
+func Run(net *network.Network, spec Spec, seed uint64) (*broadcast.Result, error) {
+	return RunOn(net, spec, seed, nil)
+}
+
+// RunOn is Run with an explicit physical-layer factory. Every runner
+// threads it into its underlying entry point (broadcast.Config.Channel,
+// baseline.RunFloodOn, the app configs), so one -engine flag selects
+// the engine for any registered protocol. nil keeps the default exact
+// engine. Approximate engines (grid/hier/auto on large n) change
+// physics slightly — results are deterministic but not comparable
+// bit-for-bit with exact-engine runs.
+func RunOn(net *network.Network, spec Spec, seed uint64, ch Channel) (*broadcast.Result, error) {
+	p, v, err := protocols.Resolve(spec.Name, spec.Params)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(net, Build{Seed: seed, values: v, channel: ch})
 }

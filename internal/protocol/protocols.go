@@ -10,6 +10,7 @@ import (
 	"sinrcast/internal/baseline"
 	"sinrcast/internal/broadcast"
 	"sinrcast/internal/network"
+	"sinrcast/internal/registry"
 	"sinrcast/internal/sim"
 	"sinrcast/internal/sinr"
 )
@@ -24,7 +25,7 @@ import (
 // sourceParam declares the broadcasting-station index shared by all
 // single-source protocols.
 func sourceParam() Param {
-	return Param{Name: "source", Doc: "broadcasting station index", Default: 0, Min: 0, Max: maxIntParam, Int: true}
+	return Param{Name: "source", Doc: "broadcasting station index", Default: 0, Min: 0, Max: registry.MaxInt, Int: true}
 }
 
 // source resolves and checks the source parameter against the network
@@ -33,7 +34,7 @@ func sourceParam() Param {
 func source(net *network.Network, b Build) (int, error) {
 	s := b.Int("source")
 	if s >= net.N() {
-		return 0, specErrorf("protocol: source=%d outside [0,%d)", s, net.N())
+		return 0, registry.SpecErrorf("protocol: source=%d outside [0,%d)", s, net.N())
 	}
 	return s, nil
 }
@@ -58,7 +59,7 @@ func tuningParams() []Param {
 // budgetParam declares the explicit round budget of the flood
 // baselines (RunFlood's budget argument).
 func budgetParam() Param {
-	return Param{Name: "budget", Doc: "round budget (0 = derived default)", Default: 0, Min: 0, Max: maxIntParam, Int: true}
+	return Param{Name: "budget", Doc: "round budget (0 = derived default)", Default: 0, Min: 0, Max: registry.MaxInt, Int: true}
 }
 
 // bcastConfig maps the tuning parameters onto a calibrated
@@ -129,12 +130,12 @@ func init() {
 		Name: "nosmulti",
 		Doc:  "multi-source NoSBroadcast: k evenly spread stations hold the message at round 0",
 		Params: append([]Param{
-			{Name: "sources", Doc: "number of initially informed stations", Default: 2, Min: 1, Max: maxIntParam, Int: true},
+			{Name: "sources", Doc: "number of initially informed stations", Default: 2, Min: 1, Max: registry.MaxInt, Int: true},
 		}, tuningParams()...),
 		Run: func(net *network.Network, b Build) (*broadcast.Result, error) {
 			k := b.Int("sources")
 			if k > net.N() {
-				return nil, specErrorf("protocol: nosmulti sources=%d exceeds n=%d", k, net.N())
+				return nil, registry.SpecErrorf("protocol: nosmulti sources=%d exceeds n=%d", k, net.N())
 			}
 			wakeAt := make([]int, net.N())
 			for i := range wakeAt {
@@ -151,14 +152,14 @@ func init() {
 		Name: "wakeup",
 		Doc:  "ad hoc wake-up (§5): staggered adversarial wake-ups, rounds = span from first wake-up to all awake",
 		Params: append([]Param{
-			{Name: "wakers", Doc: "number of spontaneously woken stations", Default: 3, Min: 1, Max: maxIntParam, Int: true},
+			{Name: "wakers", Doc: "number of spontaneously woken stations", Default: 3, Min: 1, Max: registry.MaxInt, Int: true},
 			{Name: "stagger", Doc: "wake-up spacing in phase lengths (waker k wakes at k·stagger·phase)", Default: 0.5, Min: 0, Max: 100},
 		}, tuningParams()...),
 		Run: func(net *network.Network, b Build) (*broadcast.Result, error) {
 			cfg := bcastConfig(net, b)
 			k := b.Int("wakers")
 			if k > net.N() {
-				return nil, specErrorf("protocol: wakeup wakers=%d exceeds n=%d", k, net.N())
+				return nil, registry.SpecErrorf("protocol: wakeup wakers=%d exceeds n=%d", k, net.N())
 			}
 			wakeAt := make([]int, net.N())
 			for i := range wakeAt {
@@ -263,7 +264,7 @@ func init() {
 		// — the canonical calibration — for the same no-drift reason as
 		// tuningParams.
 		Params: []Param{
-			{Name: "x", Doc: "message-domain bound (messages are (37i+100) mod (x+1))", Default: 255, Min: 1, Max: maxIntParam, Int: true},
+			{Name: "x", Doc: "message-domain bound (messages are (37i+100) mod (x+1))", Default: 255, Min: 1, Max: registry.MaxInt, Int: true},
 			{Name: "windowfactor", Doc: "per-bit flood-window scale",
 				Default: consensus.DefaultConfig(16, 2, sinr.DefaultParams().Eps, 1).WindowFactor, Min: 1, Max: 1e4},
 		},
@@ -310,12 +311,12 @@ func init() {
 		Name: "alert",
 		Doc:  "alert protocol (§1.3): k stations raise an alert (0 = negative case, must stay silent); informed = all verdicts correct",
 		Params: []Param{
-			{Name: "raised", Doc: "number of stations at which the alert is raised", Default: 1, Min: 0, Max: maxIntParam, Int: true},
+			{Name: "raised", Doc: "number of stations at which the alert is raised", Default: 1, Min: 0, Max: registry.MaxInt, Int: true},
 		},
 		Run: func(net *network.Network, b Build) (*broadcast.Result, error) {
 			k := b.Int("raised")
 			if k > net.N() {
-				return nil, specErrorf("protocol: alert raised=%d exceeds n=%d", k, net.N())
+				return nil, registry.SpecErrorf("protocol: alert raised=%d exceeds n=%d", k, net.N())
 			}
 			cfg := alert.DefaultConfig(net.N(), net.Space.Growth(), net.Params.Eps)
 			cfg.Channel = b.Channel()

@@ -6,6 +6,7 @@ import (
 
 	"sinrcast/internal/geom"
 	"sinrcast/internal/network"
+	"sinrcast/internal/registry"
 )
 
 // This file registers the families that exist only in the registry
@@ -79,10 +80,10 @@ func init() {
 func buildAnnulus(b Build) (*network.Network, error) {
 	n, density, t := b.Int("n"), b.Float("density"), b.Float("thickness")
 	if density <= 0 {
-		return nil, specErrorf("scenario: annulus: density %v must be positive", density)
+		return nil, registry.SpecErrorf("scenario: annulus: density %v must be positive", density)
 	}
 	if t <= 0 || t >= 2 {
-		return nil, specErrorf("scenario: annulus: thickness %v must be in (0,2)", t)
+		return nil, registry.SpecErrorf("scenario: annulus: thickness %v must be in (0,2)", t)
 	}
 	r := b.Rng()
 	rad := b.Phys.CommRadius()
@@ -118,10 +119,10 @@ func buildDumbbell(b Build) (*network.Network, error) {
 	n, radius, bridge := b.Int("n"), b.Float("radius"), b.Float("bridge")
 	rc := b.Phys.CommRadius()
 	if radius <= 0 || radius > rc {
-		return nil, specErrorf("scenario: dumbbell: radius %v must be in (0, %v]", radius, rc)
+		return nil, registry.SpecErrorf("scenario: dumbbell: radius %v must be in (0, %v]", radius, rc)
 	}
 	if bridge <= 0 {
-		return nil, specErrorf("scenario: dumbbell: bridge %v must be positive", bridge)
+		return nil, registry.SpecErrorf("scenario: dumbbell: bridge %v must be positive", bridge)
 	}
 	bridgeLen := bridge * rc
 	// Interior relay stations spaced ≤ 0.9·rc keep the bridge connected.
@@ -130,7 +131,7 @@ func buildDumbbell(b Build) (*network.Network, error) {
 		hops = 0
 	}
 	if n < hops+2 {
-		return nil, specErrorf("scenario: dumbbell: n=%d too small for a bridge of %d relays plus two blobs", n, hops)
+		return nil, registry.SpecErrorf("scenario: dumbbell: n=%d too small for a bridge of %d relays plus two blobs", n, hops)
 	}
 	blob := n - hops
 	left, right := blob/2, blob-blob/2
@@ -159,7 +160,7 @@ func buildDumbbell(b Build) (*network.Network, error) {
 func buildGridHoles(b Build) (*network.Network, error) {
 	n, spacing, hole := b.Int("n"), b.Float("spacing"), b.Int("hole")
 	if spacing <= 0 || spacing > b.Phys.CommRadius() {
-		return nil, specErrorf("scenario: gridholes: spacing %v must be in (0, %v]", spacing, b.Phys.CommRadius())
+		return nil, registry.SpecErrorf("scenario: gridholes: spacing %v must be in (0, %v]", spacing, b.Phys.CommRadius())
 	}
 	// Holes are h×h blocks tiled with period 2h: cells with both
 	// coordinates mod 2h below h are carved, removing 1/4 of the
@@ -167,7 +168,7 @@ func buildGridHoles(b Build) (*network.Network, error) {
 	// the remainder is connected whenever spacing ≤ comm radius.
 	cols := int(math.Ceil(math.Sqrt(float64(n) / 0.75)))
 	if cols < 2*hole {
-		return nil, specErrorf("scenario: gridholes: hole=%d too large for n=%d (the %d×%d lattice needs ≥ %d columns)",
+		return nil, registry.SpecErrorf("scenario: gridholes: hole=%d too large for n=%d (the %d×%d lattice needs ≥ %d columns)",
 			hole, n, cols, cols, 2*hole)
 	}
 	pts := make([]geom.Point, 0, n)
@@ -192,10 +193,10 @@ func buildGridHoles(b Build) (*network.Network, error) {
 func buildGradient(b Build) (*network.Network, error) {
 	n, density, grad := b.Int("n"), b.Float("density"), b.Float("grad")
 	if density <= 0 {
-		return nil, specErrorf("scenario: gradient: density %v must be positive", density)
+		return nil, registry.SpecErrorf("scenario: gradient: density %v must be positive", density)
 	}
 	if grad < 1 {
-		return nil, specErrorf("scenario: gradient: grad %v must be ≥ 1", grad)
+		return nil, registry.SpecErrorf("scenario: gradient: grad %v must be ≥ 1", grad)
 	}
 	r := b.Rng()
 	rc := b.Phys.CommRadius()
@@ -232,7 +233,7 @@ func buildStarClusters(b Build) (*network.Network, error) {
 	arms, m, hops, radius := b.Int("arms"), b.Int("m"), b.Int("hops"), b.Float("radius")
 	rc := b.Phys.CommRadius()
 	if radius <= 0 || radius > rc/2 {
-		return nil, specErrorf("scenario: starclusters: radius %v must be in (0, %v]", radius, rc/2)
+		return nil, registry.SpecErrorf("scenario: starclusters: radius %v must be in (0, %v]", radius, rc/2)
 	}
 	r := b.Rng()
 	// Every cluster anchors its first station exactly at its center, so

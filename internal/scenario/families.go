@@ -6,6 +6,7 @@ import (
 
 	"sinrcast/internal/geom"
 	"sinrcast/internal/network"
+	"sinrcast/internal/registry"
 	"sinrcast/internal/rng"
 )
 
@@ -151,7 +152,7 @@ func buildUniform(b Build) (*network.Network, error) {
 func buildGrid(b Build) (*network.Network, error) {
 	n, spacing := b.Int("n"), b.Float("spacing")
 	if spacing <= 0 || spacing > b.Phys.CommRadius() {
-		return nil, specErrorf("scenario: grid: spacing %v must be in (0, %v]", spacing, b.Phys.CommRadius())
+		return nil, registry.SpecErrorf("scenario: grid: spacing %v must be in (0, %v]", spacing, b.Phys.CommRadius())
 	}
 	cols := int(math.Ceil(math.Sqrt(float64(n))))
 	pts := make([]geom.Point, 0, n)
@@ -167,7 +168,7 @@ func buildGrid(b Build) (*network.Network, error) {
 func buildPath(b Build) (*network.Network, error) {
 	n, fraction := b.Int("n"), b.Float("frac")
 	if fraction <= 0 || fraction > 1 {
-		return nil, specErrorf("scenario: path: fraction %v must be in (0,1]", fraction)
+		return nil, registry.SpecErrorf("scenario: path: fraction %v must be in (0,1]", fraction)
 	}
 	gap := b.Phys.CommRadius() * fraction
 	coords := make([]float64, n)
@@ -180,10 +181,10 @@ func buildPath(b Build) (*network.Network, error) {
 func buildExpChain(b Build) (*network.Network, error) {
 	n, first, ratio := b.Int("n"), b.Float("first"), b.Float("ratio")
 	if ratio <= 0 || ratio >= 1 {
-		return nil, specErrorf("scenario: expchain: ratio %v must be in (0,1)", ratio)
+		return nil, registry.SpecErrorf("scenario: expchain: ratio %v must be in (0,1)", ratio)
 	}
 	if first <= 0 || first > b.Phys.CommRadius() {
-		return nil, specErrorf("scenario: expchain: first gap %v must be in (0, %v]", first, b.Phys.CommRadius())
+		return nil, registry.SpecErrorf("scenario: expchain: first gap %v must be in (0, %v]", first, b.Phys.CommRadius())
 	}
 	coords := make([]float64, n)
 	gap := first
@@ -203,10 +204,10 @@ func buildClusters(b Build) (*network.Network, error) {
 	k, m := b.Int("k"), b.Int("m")
 	clusterRadius, bridgeGap := b.Float("radius"), b.Float("gap")
 	if clusterRadius <= 0 || clusterRadius > b.Phys.CommRadius()/2 {
-		return nil, specErrorf("scenario: clusters: radius %v out of range (0, %v]", clusterRadius, b.Phys.CommRadius()/2)
+		return nil, registry.SpecErrorf("scenario: clusters: radius %v out of range (0, %v]", clusterRadius, b.Phys.CommRadius()/2)
 	}
 	if bridgeGap <= 0 || bridgeGap > b.Phys.CommRadius() {
-		return nil, specErrorf("scenario: clusters: gap %v out of range (0, %v]", bridgeGap, b.Phys.CommRadius())
+		return nil, registry.SpecErrorf("scenario: clusters: gap %v out of range (0, %v]", bridgeGap, b.Phys.CommRadius())
 	}
 	r := b.Rng()
 	pts := make([]geom.Point, 0, k*m)
@@ -236,7 +237,7 @@ func discCluster(r *rng.Source, pts []geom.Point, cx, cy, radius float64, count 
 func buildGaussian(b Build) (*network.Network, error) {
 	n, sigma := b.Int("n"), b.Float("sigma")
 	if sigma <= 0 {
-		return nil, specErrorf("scenario: gaussian: sigma %v must be positive", sigma)
+		return nil, registry.SpecErrorf("scenario: gaussian: sigma %v must be positive", sigma)
 	}
 	r := b.Rng()
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -261,7 +262,7 @@ func buildGaussian(b Build) (*network.Network, error) {
 func buildCorridor(b Build) (*network.Network, error) {
 	n, step := b.Int("n"), b.Float("step")
 	if step <= 0 || step > b.Phys.CommRadius() {
-		return nil, specErrorf("scenario: corridor: step %v out of (0, comm radius]", step)
+		return nil, registry.SpecErrorf("scenario: corridor: step %v out of (0, comm radius]", step)
 	}
 	r := b.Rng()
 	pts := make([]geom.Point, n)
@@ -279,7 +280,7 @@ func buildCorridor(b Build) (*network.Network, error) {
 func buildClusteredPath(b Build) (*network.Network, error) {
 	pathLen, clusterSize, ratio := b.Int("pathlen"), b.Int("cluster"), b.Float("ratio")
 	if ratio <= 0 || ratio >= 1 {
-		return nil, specErrorf("scenario: clusteredpath: ratio %v must be in (0,1)", ratio)
+		return nil, registry.SpecErrorf("scenario: clusteredpath: ratio %v must be in (0,1)", ratio)
 	}
 	gap := b.Phys.CommRadius() * 0.9
 	coords := make([]float64, 0, pathLen+clusterSize)
