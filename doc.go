@@ -137,6 +137,14 @@
 // paying O(n) per round for settled receivers. Experiment E14 measures
 // the resulting large-n throughput at 10⁴–10⁶ stations.
 //
+// There is one round loop: every runner — the paper's algorithms, the
+// four baseline floods (baseline.RunFloodOn) and the §5 applications —
+// drives sim.Engine.Step, so phase labels, metrics and the
+// receiver-activity hook apply to all of them. Flood stations are plain
+// Protocols, not Sleepers: an informed station draws every round, and
+// an uninformed station's tick is one comparison, cheaper than the
+// calendar churn a sleep hint would cost.
+//
 // The round loop around the engines is amortized the same way. A
 // protocol that knows its next acting round can implement the opt-in
 // sim.Sleeper capability (TickWake returns the transmit decision plus

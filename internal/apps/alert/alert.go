@@ -145,11 +145,6 @@ func (s *station) Recv(t int, msg sim.Message) {
 	}
 }
 
-// tracerFunc adapts a function to sim.Tracer.
-type tracerFunc func(t int, tx []int, rec []sinr.Reception)
-
-func (f tracerFunc) OnRound(t int, tx []int, rec []sinr.Reception) { f(t, tx, rec) }
-
 // Result reports an alert execution.
 type Result struct {
 	// Outputs[i] is station i's verdict at the deadline.
@@ -224,7 +219,7 @@ func Run(net *network.Network, cfg Config, seed uint64, raised []bool) (*Result,
 			eng.SetReceiverActive(i, false)
 		}
 	}
-	eng.SetTracer(tracerFunc(func(_ int, _ []int, rec []sinr.Reception) {
+	eng.SetTracer(sim.TracerFunc(func(_ int, _ []int, rec []sinr.Reception) {
 		for _, rc := range rec {
 			if stations[rc.Receiver].alerted {
 				eng.SetReceiverActive(rc.Receiver, false)

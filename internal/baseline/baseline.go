@@ -20,6 +20,10 @@
 //
 // Oracle knowledge is deliberate (DESIGN.md substitutions 3-4): these
 // baselines bound what position/density knowledge buys.
+//
+// Every policy floods through RunFloodOn, a thin runner over sim.Engine:
+// the same round loop, metrics and phase labels as the paper's
+// algorithms.
 package baseline
 
 import (
@@ -35,18 +39,19 @@ import (
 )
 
 // Policy decides per-round transmission probabilities for a flooding
-// protocol: every informed station consults its policy each round.
+// protocol: every informed station consults its policy each round. A
+// Policy value carries the oracle state of one run; use a fresh one per
+// flood.
 type Policy interface {
 	// Name identifies the policy in experiment tables.
 	Name() string
-	// Prepare is called once per round, before TxProb, with the current
-	// informed flags. Oracle policies update their state here (the
-	// density oracle incrementally, from the flags that changed since
-	// the previous call; any informed set is accepted); distributed
-	// policies ignore it.
-	Prepare(t int, informed []bool)
-	// TxProb returns the transmission probability of station i in round
-	// t, given i was informed in round at.
+	// Inform is called once as station i becomes informed: for the
+	// source before round 0, for every other station after the round it
+	// first received in and before the next round's TxProb calls. Oracle
+	// policies update their state here; distributed policies ignore it.
+	Inform(i int)
+	// TxProb returns the transmission probability of informed station i
+	// in round t, given i was informed in round at.
 	TxProb(i, t, at int) float64
 }
 
@@ -59,14 +64,15 @@ func RunFlood(net *network.Network, pol Policy, seed uint64, source, budget int)
 }
 
 // RunFloodOn is RunFlood with an explicit physical layer (nil selects
-// the exact engine). A flood's semantics make reception relevant only
-// to uninformed stations — an informed station's reception changes
-// nothing — so when the engine supports subset resolution
-// (sim.SubsetResolver) each round resolves only the uninformed
-// receivers: inform times, round counts and completion are identical to
-// the full resolution, and late rounds stop paying O(n) for stations
-// whose state is settled. (Metrics.Receptions counts the receptions
-// actually resolved, i.e. those at uninformed stations.)
+// the exact engine). The flood runs on sim.Engine, one floodStation per
+// station. A flood's semantics make reception relevant only to
+// uninformed stations — an informed station's reception changes
+// nothing — so each station is dropped from reception resolution as it
+// is informed (sim.Engine.SetReceiverActive): inform times, round counts
+// and completion are identical to the full resolution, and late rounds
+// stop paying O(n) for stations whose state is settled. On a subset
+// resolver (sim.SubsetResolver) Metrics.Receptions therefore counts the
+// receptions at uninformed stations only.
 func RunFloodOn(net *network.Network, pol Policy, seed uint64, source, budget int, phys sim.Resolver) (*broadcast.Result, error) {
 	n := net.N()
 	if source < 0 || source >= n {
@@ -76,9 +82,7 @@ func RunFloodOn(net *network.Network, pol Policy, seed uint64, source, budget in
 		return nil, errors.New("baseline: negative budget")
 	}
 	if budget == 0 {
-		d, _ := net.DiameterApprox()
-		lg := math.Log2(float64(n)) + 1
-		budget = int(float64(2*d+10) * lg * lg * 40)
+		budget = defaultBudget(net)
 	}
 	if phys == nil {
 		eng, err := sinr.NewEngine(net.Space, net.Params)
@@ -89,107 +93,109 @@ func RunFloodOn(net *network.Network, pol Policy, seed uint64, source, budget in
 	} else if phys.N() != n {
 		return nil, fmt.Errorf("baseline: engine has %d stations, network has %d", phys.N(), n)
 	}
-	subset, _ := phys.(sim.SubsetResolver)
 	root := rng.New(seed)
-	rnds := make([]*rng.Source, n)
-	for i := range rnds {
-		rnds[i] = root.Split(uint64(i))
+	stations := make([]floodStation, n)
+	protos := make([]sim.Protocol, n)
+	for i := range stations {
+		stations[i] = floodStation{id: i, at: -1, pol: pol, rnd: root.Split(uint64(i))}
+		protos[i] = &stations[i]
 	}
-	informed := make([]bool, n)
-	informedAt := make([]int, n)
-	for i := range informedAt {
-		informedAt[i] = -1
+	eng, err := sim.NewEngine(phys, protos)
+	if err != nil {
+		return nil, err
 	}
-	informed[source] = true
-	informedAt[source] = 0
+	stations[source].inform(0)
+	eng.SetReceiverActive(source, false)
 
-	res := &broadcast.Result{InformTime: informedAt}
-	count := 1
-	tx := make([]int, 0, n)
-	// infList is the ascending list of informed stations: only they draw
-	// and transmit, so the per-round tick cost is O(informed), not O(n).
-	// The reference loop scanned all n and short-circuited on the
-	// informed flag; iterating the list makes the identical TxProb and
-	// Bernoulli calls in the identical (ascending) order.
-	infList := make([]int, 1, n)
-	infList[0] = source
-	var newInf []int
-	var listeners []int
-	listenersStale := true
+	remaining := n - 1
 	lastInform := 0
-	var metrics sim.Metrics
-	for t := 0; t < budget && count < n; t++ {
-		pol.Prepare(t, informed)
-		tx = tx[:0]
-		for _, i := range infList {
-			if rnds[i].Bernoulli(pol.TxProb(i, t, informedAt[i])) {
-				tx = append(tx, i)
-			}
-		}
-		var rec []sinr.Reception
-		if subset != nil {
-			if listenersStale {
-				listeners = listeners[:0]
-				for i := 0; i < n; i++ {
-					if !informed[i] {
-						listeners = append(listeners, i)
-					}
-				}
-				listenersStale = false
-			}
-			rec = subset.ResolveFor(tx, listeners)
-		} else {
-			rec = phys.Resolve(tx)
-		}
-		newInf = newInf[:0]
+	// A station whose inform round is this round was informed by this
+	// reception. The source's at == 0 cannot match: it is round 0's only
+	// possible transmitter, so it hears nothing then.
+	eng.SetTracer(sim.TracerFunc(func(t int, _ []int, rec []sinr.Reception) {
 		for _, rc := range rec {
-			if !informed[rc.Receiver] {
-				informed[rc.Receiver] = true
-				informedAt[rc.Receiver] = t
-				newInf = append(newInf, rc.Receiver)
-				count++
+			if stations[rc.Receiver].at == t {
+				remaining--
 				lastInform = t + 1
-				listenersStale = true
+				eng.SetReceiverActive(rc.Receiver, false)
 			}
 		}
-		if len(newInf) > 0 {
-			// Receptions arrive in ascending receiver order; merge them
-			// into the (ascending, disjoint) informed list from the back.
-			oldLen := len(infList)
-			infList = infList[:oldLen+len(newInf)]
-			oi, ni := oldLen-1, len(newInf)-1
-			for k := len(infList) - 1; ni >= 0; k-- {
-				if oi >= 0 && infList[oi] > newInf[ni] {
-					infList[k] = infList[oi]
-					oi--
-				} else {
-					infList[k] = newInf[ni]
-					ni--
-				}
-			}
-		}
-		metrics.Rounds++
-		metrics.Transmissions += int64(len(tx))
-		metrics.Receptions += int64(len(rec))
-		if len(tx) > 0 {
-			metrics.BusyRounds++
-		}
+	}))
+	eng.Run(budget, func() bool { return remaining == 0 })
+
+	res := &broadcast.Result{
+		AllInformed: remaining == 0,
+		InformTime:  make([]int, n),
+		Metrics:     eng.Metrics,
 	}
-	res.AllInformed = count == n
-	res.Metrics = metrics
 	if res.AllInformed {
 		res.Rounds = lastInform
 	} else {
-		res.Rounds = metrics.Rounds
+		res.Rounds = eng.Metrics.Rounds
+	}
+	for i := range stations {
+		res.InformTime[i] = stations[i].at
 	}
 	return res, nil
 }
 
-// Decay is the classic probability-sweep policy: in the k-th round since
-// being informed, transmit with probability 2^-(1 + k mod L) where
-// L = ceil(log2 n) + 1.
-type Decay struct {
+// defaultBudget is RunFlood's budget for budget 0: generous in the
+// network diameter and n.
+func defaultBudget(net *network.Network) int {
+	d, _ := net.DiameterApprox()
+	lg := math.Log2(float64(net.N())) + 1
+	return int(float64(2*d+10) * lg * lg * 40)
+}
+
+// floodStation is one station of a flood: silent until informed, then
+// transmitting each round with its policy's probability. It is a plain
+// sim.Protocol, not a sim.Sleeper: informed stations draw every round,
+// and an uninformed station's tick is a single comparison, cheaper than
+// the calendar bookkeeping a sleep hint would cost.
+type floodStation struct {
+	id  int
+	at  int // round the station was informed in, -1 while uninformed
+	pol Policy
+	rnd *rng.Source
+}
+
+var _ sim.Protocol = (*floodStation)(nil)
+
+// Tick implements sim.Protocol.
+func (s *floodStation) Tick(t int) (bool, sim.Message) {
+	return s.at >= 0 && s.rnd.Bernoulli(s.pol.TxProb(s.id, t, s.at)), sim.Message{}
+}
+
+// Recv implements sim.Protocol: the first reception informs.
+func (s *floodStation) Recv(t int, _ sim.Message) {
+	if s.at < 0 {
+		s.inform(t)
+	}
+}
+
+func (s *floodStation) inform(t int) {
+	s.at = t
+	s.pol.Inform(s.id)
+}
+
+// sweep is the Decay-family schedule shared by Decay and DaumStyle: in
+// the k-th round since being informed, transmit with probability
+// 2^-(1 + k mod L). Distributed, so Inform is a no-op.
+type sweep struct {
 	L int
+}
+
+// Inform implements Policy (no oracle state).
+func (sweep) Inform(int) {}
+
+// TxProb implements Policy.
+func (s sweep) TxProb(_, t, at int) float64 {
+	return math.Ldexp(1, -(1 + (t-at)%s.L))
+}
+
+// Decay is the classic probability-sweep policy with L = ceil(log2 n) + 1.
+type Decay struct {
+	sweep
 }
 
 var _ Policy = (*Decay)(nil)
@@ -200,26 +206,17 @@ func NewDecay(n int) *Decay {
 	if l < 2 {
 		l = 2
 	}
-	return &Decay{L: l}
+	return &Decay{sweep{L: l}}
 }
 
 // Name implements Policy.
 func (d *Decay) Name() string { return "decay" }
 
-// Prepare implements Policy (no oracle state).
-func (d *Decay) Prepare(int, []bool) {}
-
-// TxProb implements Policy.
-func (d *Decay) TxProb(_, t, at int) float64 {
-	k := (t - at) % d.L
-	return math.Pow(2, -float64(1+k))
-}
-
 // DaumStyle sweeps Θ(log n + α·log Rs) probability levels, modelling the
 // granularity dependence of [5]: with no geometry knowledge the sweep
 // must cover every distance scale of the network.
 type DaumStyle struct {
-	L int
+	sweep
 }
 
 var _ Policy = (*DaumStyle)(nil)
@@ -233,32 +230,21 @@ func NewDaumStyle(net *network.Network) *DaumStyle {
 		rs = 2
 	}
 	l := int(math.Ceil(math.Log2(n))) + int(math.Ceil(net.Params.Alpha*math.Log2(rs))) + 1
-	return &DaumStyle{L: l}
+	return &DaumStyle{sweep{L: l}}
 }
 
 // Name implements Policy.
 func (d *DaumStyle) Name() string { return "daum-style" }
 
-// Prepare implements Policy (no oracle state).
-func (d *DaumStyle) Prepare(int, []bool) {}
-
-// TxProb implements Policy.
-func (d *DaumStyle) TxProb(_, t, at int) float64 {
-	k := (t - at) % d.L
-	return math.Pow(2, -float64(1+k))
-}
-
 // DensityOracle transmits with probability c/(number of informed
 // stations within distance 1) — an idealized local-broadcast flood with
 // perfect density knowledge. The counts are kept incrementally: each
-// station's unit ball is computed once at construction, and Prepare
-// moves only the counts around stations whose informed flag changed
-// since the previous call, so a round costs O(n + changes·ball) rather
-// than O(n²).
+// station's unit ball is computed once at construction, and Inform
+// bumps the counts around the newly informed station, so a flood costs
+// O(n·ball) in total rather than O(n²) per round.
 type DensityOracle struct {
 	C    float64
 	ball [][]int32 // ball[j]: stations i ≠ j with Dist(i, j) <= 1
-	seen []bool    // informed flags as of the last Prepare
 	dens []int     // informed stations within distance 1, self included
 }
 
@@ -270,46 +256,24 @@ func NewDensityOracle(net *network.Network, c float64) *DensityOracle {
 	if c <= 0 {
 		c = 0.5
 	}
-	n := net.N()
-	return &DensityOracle{C: c, ball: net.Balls(1), seen: make([]bool, n), dens: make([]int, n)}
+	return &DensityOracle{C: c, ball: net.Balls(1), dens: make([]int, net.N())}
 }
 
 // Name implements Policy.
 func (o *DensityOracle) Name() string { return "density-oracle" }
 
-// Prepare implements Policy: diff informed against the flags of the
-// previous call and move the unit-ball counts of every station whose
-// flag flipped. Any informed set is accepted — it may grow, shrink or
-// change arbitrarily between calls — and the counts always equal a
-// full recount.
-func (o *DensityOracle) Prepare(_ int, informed []bool) {
-	for j, inf := range informed {
-		if inf == o.seen[j] {
-			continue
-		}
-		o.seen[j] = inf
-		d := 1
-		if !inf {
-			d = -1
-		}
-		o.dens[j] += d
-		for _, i := range o.ball[j] {
-			o.dens[i] += d
-		}
+// Inform implements Policy: station j now counts towards its own
+// density and that of every station in its unit ball.
+func (o *DensityOracle) Inform(j int) {
+	o.dens[j]++
+	for _, i := range o.ball[j] {
+		o.dens[i]++
 	}
 }
 
-// TxProb implements Policy. Only informed stations have a density;
-// an uninformed one reads as 0, exactly as a recount leaves it.
+// TxProb implements Policy.
 func (o *DensityOracle) TxProb(i, _, _ int) float64 {
-	d := 0
-	if o.seen[i] {
-		d = o.dens[i]
-	}
-	if d < 1 {
-		d = 1
-	}
-	p := o.C / float64(d)
+	p := o.C / float64(max(o.dens[i], 1))
 	if p > 1 {
 		return 1
 	}
@@ -323,13 +287,11 @@ func (o *DensityOracle) TxProb(i, _, _ int) float64 {
 // within a cell exactly one informed station (the lowest-indexed,
 // standing in for perfect local coordination) transmits.
 type GridTDMA struct {
-	net    *network.Network
-	cell   []int64 // packed cell coordinates per station
-	slot   []int   // schedule slot per station
+	cell   []int32 // dense cell index per station
+	slot   []int   // schedule slot per station (shared by its cell)
 	period int
-	// leader[s] is the designated transmitter of station s's cell in
-	// the current round, or -1.
-	leader map[int64]int32
+	// leader[c] is the lowest informed station of cell c, or -1.
+	leader []int32
 }
 
 var _ Policy = (*GridTDMA)(nil)
@@ -340,17 +302,22 @@ func NewGridTDMA(net *network.Network) (*GridTDMA, error) {
 	// K·side >= 2 + comm radius keeps co-slot interferers far away.
 	k := int(math.Ceil((2 + net.Params.CommRadius()) / side))
 	g := &GridTDMA{
-		net:    net,
-		cell:   make([]int64, net.N()),
+		cell:   make([]int32, net.N()),
 		slot:   make([]int, net.N()),
 		period: k * k,
-		leader: make(map[int64]int32),
 	}
+	index := make(map[[2]int64]int32)
 	for i := 0; i < net.N(); i++ {
 		p := net.Space.Position(i)
 		cx := int64(math.Floor(p.X / side))
 		cy := int64(math.Floor(p.Y / side))
-		g.cell[i] = cx<<32 | (cy & 0xffffffff)
+		c, ok := index[[2]int64{cx, cy}]
+		if !ok {
+			c = int32(len(index))
+			index[[2]int64{cx, cy}] = c
+			g.leader = append(g.leader, -1)
+		}
+		g.cell[i] = c
 		sx := int(((cx % int64(k)) + int64(k)) % int64(k))
 		sy := int(((cy % int64(k)) + int64(k)) % int64(k))
 		g.slot[i] = sx*k + sy
@@ -364,28 +331,19 @@ func (g *GridTDMA) Name() string { return "grid-tdma" }
 // Period returns the TDMA schedule period (number of slots).
 func (g *GridTDMA) Period() int { return g.period }
 
-// Prepare implements Policy: elect the informed leader of every cell
-// whose slot is due this round.
-func (g *GridTDMA) Prepare(t int, informed []bool) {
-	clear(g.leader)
-	due := t % g.period
-	for i := 0; i < g.net.N(); i++ {
-		if !informed[i] || g.slot[i] != due {
-			continue
-		}
-		if _, ok := g.leader[g.cell[i]]; !ok {
-			g.leader[g.cell[i]] = int32(i)
-		}
+// Inform implements Policy: keep each cell's leader the lowest informed
+// station in it. A cell's stations share its slot, so this is the
+// leader of every round the cell is due.
+func (g *GridTDMA) Inform(i int) {
+	if l := &g.leader[g.cell[i]]; *l < 0 || int32(i) < *l {
+		*l = int32(i)
 	}
 }
 
-// TxProb implements Policy: the elected leader transmits with
-// certainty; everyone else is silent.
+// TxProb implements Policy: in its cell's slot the leader transmits
+// with certainty; everyone else is silent.
 func (g *GridTDMA) TxProb(i, t, _ int) float64 {
-	if due := t % g.period; g.slot[i] != due {
-		return 0
-	}
-	if l, ok := g.leader[g.cell[i]]; ok && int(l) == i {
+	if g.slot[i] == t%g.period && int(g.leader[g.cell[i]]) == i {
 		return 1
 	}
 	return 0

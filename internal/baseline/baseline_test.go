@@ -2,10 +2,12 @@ package baseline
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sinrcast/internal/netgen"
 	"sinrcast/internal/network"
+	"sinrcast/internal/rng"
 	"sinrcast/internal/sinr"
 )
 
@@ -107,6 +109,9 @@ func TestRunFloodGridTDMA(t *testing.T) {
 	}
 }
 
+// TestGridTDMAOneTransmitterPerCell informs the stations in a random
+// order and checks after each Inform that, in every slot, exactly the
+// lowest informed station of each due cell transmits.
 func TestGridTDMAOneTransmitterPerCell(t *testing.T) {
 	net := genUniform(t, 64, 8, 6)
 	g, err := NewGridTDMA(net)
@@ -114,38 +119,45 @@ func TestGridTDMAOneTransmitterPerCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	informed := make([]bool, net.N())
-	for i := range informed {
-		informed[i] = true
-	}
-	for tr := 0; tr < g.Period(); tr++ {
-		g.Prepare(tr, informed)
-		perCell := map[int64]int{}
-		for i := 0; i < net.N(); i++ {
-			if g.TxProb(i, tr, 0) == 1 {
-				perCell[g.cell[i]]++
+	for _, j := range rng.New(6).Perm(net.N()) {
+		g.Inform(j)
+		informed[j] = true
+		for tr := 0; tr < g.Period(); tr++ {
+			want := map[int32]int{} // due cell -> lowest informed station
+			for i := net.N() - 1; i >= 0; i-- {
+				if informed[i] && g.slot[i] == tr {
+					want[g.cell[i]] = i
+				}
 			}
-		}
-		for c, cnt := range perCell {
-			if cnt != 1 {
-				t.Fatalf("cell %d has %d transmitters in slot %d", c, cnt, tr)
+			got := map[int32]int{}
+			for i := 0; i < net.N(); i++ {
+				if p := g.TxProb(i, tr, 0); p == 1 {
+					if _, dup := got[g.cell[i]]; dup {
+						t.Fatalf("cell %d has two transmitters in slot %d", g.cell[i], tr)
+					}
+					got[g.cell[i]] = i
+				} else if p != 0 {
+					t.Fatalf("station %d: TxProb %v, want 0 or 1", i, p)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("slot %d after informing %d: transmitters %v, want %v", tr, j, got, want)
 			}
 		}
 	}
 }
 
-func TestDensityOraclePrepare(t *testing.T) {
+func TestDensityOracleInform(t *testing.T) {
 	net := genUniform(t, 32, 8, 7)
 	o := NewDensityOracle(net, 0.5)
-	informed := make([]bool, net.N())
-	informed[0] = true
-	o.Prepare(0, informed)
-	// Only station 0 informed: its density is 1, others 0.
+	o.Inform(0)
+	// Only station 0 informed: its density is 1.
 	if p := o.TxProb(0, 0, 0); p != 0.5 {
 		t.Fatalf("lone station prob = %v, want 0.5", p)
 	}
 	// Probability never exceeds 1 even with C > density.
 	o2 := NewDensityOracle(net, 10)
-	o2.Prepare(0, informed)
+	o2.Inform(0)
 	if p := o2.TxProb(0, 0, 0); p != 1 {
 		t.Fatalf("capped prob = %v", p)
 	}

@@ -12,43 +12,33 @@ import (
 	"sinrcast/internal/sinr"
 )
 
-// recountOracle is the reference density oracle: every Prepare
-// recounts the informed stations in every informed station's unit ball
-// from scratch, O(n²) per round.
+// recountOracle is the reference density oracle: every TxProb
+// recounts the informed stations in the station's unit ball from
+// scratch, O(n) per call.
 type recountOracle struct {
-	net  *network.Network
-	C    float64
-	dens []int
+	net      *network.Network
+	C        float64
+	informed []bool
 }
 
 func newRecountOracle(net *network.Network, c float64) *recountOracle {
 	if c <= 0 {
 		c = 0.5
 	}
-	return &recountOracle{net: net, C: c, dens: make([]int, net.N())}
+	return &recountOracle{net: net, C: c, informed: make([]bool, net.N())}
 }
 
 func (o *recountOracle) Name() string { return "density-oracle" }
 
-func (o *recountOracle) Prepare(_ int, informed []bool) {
-	n := o.net.N()
-	for i := 0; i < n; i++ {
-		o.dens[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		if !informed[i] {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if informed[j] && o.net.Space.Dist(i, j) <= 1 {
-				o.dens[i]++
-			}
-		}
-	}
-}
+func (o *recountOracle) Inform(i int) { o.informed[i] = true }
 
 func (o *recountOracle) TxProb(i, _, _ int) float64 {
-	d := o.dens[i]
+	d := 0
+	for j, inf := range o.informed {
+		if inf && o.net.Space.Dist(i, j) <= 1 {
+			d++
+		}
+	}
 	if d < 1 {
 		d = 1
 	}
@@ -89,9 +79,9 @@ func TestDensityOracleFloodMatchesRecount(t *testing.T) {
 	}
 }
 
-// TestDensityOracleTxProbMatchesRecount drives both oracles through a
-// sequence of arbitrary informed sets — growing, shrinking and
-// unrelated — and compares every station's TxProb after each Prepare.
+// TestDensityOracleTxProbMatchesRecount informs both oracles of the
+// stations in a random order, in batches, and compares every informed
+// station's TxProb after each batch.
 func TestDensityOracleTxProbMatchesRecount(t *testing.T) {
 	coords := make([]float64, 50)
 	r := rng.New(4)
@@ -111,32 +101,18 @@ func TestDensityOracleTxProbMatchesRecount(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			n := net.N()
 			inc, ref := NewDensityOracle(net, 0.7), newRecountOracle(net, 0.7)
-			informed := make([]bool, n)
 			r := rng.New(11)
-			for step := 0; step < 60; step++ {
-				switch step % 4 {
-				case 0: // unrelated set
-					for i := range informed {
-						informed[i] = r.Bernoulli(0.4)
-					}
-				case 1: // grow
-					for i := range informed {
-						informed[i] = informed[i] || r.Bernoulli(0.2)
-					}
-				case 2: // shrink
-					for i := range informed {
-						informed[i] = informed[i] && r.Bernoulli(0.7)
-					}
-				case 3: // unchanged
+			order := r.Perm(n)
+			for k := 0; k < n; {
+				batch := 1 + r.Intn(5)
+				for ; batch > 0 && k < n; batch-- {
+					inc.Inform(order[k])
+					ref.Inform(order[k])
+					k++
 				}
-				if step == 30 {
-					clear(informed)
-				}
-				inc.Prepare(step, informed)
-				ref.Prepare(step, informed)
-				for i := 0; i < n; i++ {
-					if g, w := inc.TxProb(i, step, 0), ref.TxProb(i, step, 0); g != w {
-						t.Fatalf("step %d station %d (informed=%v): TxProb %v, recount %v", step, i, informed[i], g, w)
+				for _, i := range order[:k] {
+					if g, w := inc.TxProb(i, k, 0), ref.TxProb(i, k, 0); g != w {
+						t.Fatalf("after %d informs, station %d: TxProb %v, recount %v", k, i, g, w)
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -24,18 +25,21 @@ func TestPropertyPoliciesReturnValidProbabilities(t *testing.T) {
 		NewDensityOracle(net, 0),
 		gtd,
 	}
-	informed := make([]bool, net.N())
+	var informed []int
 	r := rng.New(9)
-	for i := range informed {
-		informed[i] = r.Bernoulli(0.5)
+	for i := 0; i < net.N(); i++ {
+		if r.Bernoulli(0.5) {
+			informed = append(informed, i)
+		}
 	}
 	for _, pol := range policies {
-		pol := pol
+		for _, i := range informed {
+			pol.Inform(i)
+		}
 		if err := quick.Check(func(tRaw, atRaw uint16, iRaw uint8) bool {
 			tt := int(tRaw) % 10000
 			at := int(atRaw) % (tt + 1)
-			i := int(iRaw) % net.N()
-			pol.Prepare(tt, informed)
+			i := informed[int(iRaw)%len(informed)]
 			p := pol.TxProb(i, tt, at)
 			return p >= 0 && p <= 1
 		}, &quick.Config{MaxCount: 200}); err != nil {
@@ -56,6 +60,17 @@ func TestPropertyDecaySweepCoversAllLevels(t *testing.T) {
 	for p := range seen {
 		if p <= 0 || p > 0.5 {
 			t.Fatalf("level %v out of (0, 0.5]", p)
+		}
+	}
+}
+
+// TestSweepMatchesPow pins the sweep's Ldexp form to the 2^-(1+k) it
+// stands for, bit for bit, over every level any realistic L reaches.
+func TestSweepMatchesPow(t *testing.T) {
+	s := sweep{L: 1200}
+	for k := 0; k < s.L; k++ {
+		if got, want := s.TxProb(0, k, 0), math.Pow(2, -float64(1+k)); got != want {
+			t.Fatalf("level %d: %v, want %v", k, got, want)
 		}
 	}
 }

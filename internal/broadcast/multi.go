@@ -82,7 +82,7 @@ func RunNoSMulti(net *network.Network, cfg Config, seed uint64, wakeAt []int, pa
 			}
 		}
 	}
-	eng.SetTracer(tracerFunc(func(t int, _ []int, rec []sinr.Reception) {
+	eng.SetTracer(sim.TracerFunc(func(t int, _ []int, rec []sinr.Reception) {
 		for _, rc := range rec {
 			if stations[rc.Receiver].informedAt == t {
 				markInformed(rc.Receiver, t)

@@ -174,7 +174,7 @@ func RunNoS(net *network.Network, cfg Config, seed uint64, source int, payload i
 	remaining := n - 1
 	budget := defaultBudget(cfg, net)
 	lastInformRound := 0
-	eng.SetTracer(tracerFunc(func(t int, _ []int, rec []sinr.Reception) {
+	eng.SetTracer(sim.TracerFunc(func(t int, _ []int, rec []sinr.Reception) {
 		for _, rc := range rec {
 			if stations[rc.Receiver].informedAt == t {
 				remaining--
@@ -200,8 +200,3 @@ func RunNoS(net *network.Network, cfg Config, seed uint64, source int, payload i
 	}
 	return res, nil
 }
-
-// tracerFunc adapts a function to sim.Tracer.
-type tracerFunc func(t int, tx []int, rec []sinr.Reception)
-
-func (f tracerFunc) OnRound(t int, tx []int, rec []sinr.Reception) { f(t, tx, rec) }

@@ -147,7 +147,7 @@ func RunS(net *network.Network, cfg Config, seed uint64, source int, payload int
 
 	remaining := n - 1
 	lastInformRound := 0
-	eng.SetTracer(tracerFunc(func(t int, _ []int, rec []sinr.Reception) {
+	eng.SetTracer(sim.TracerFunc(func(t int, _ []int, rec []sinr.Reception) {
 		for _, rc := range rec {
 			if stations[rc.Receiver].informedAt == t {
 				remaining--

@@ -81,7 +81,9 @@ func bcastConfig(net *network.Network, b Build) broadcast.Config {
 }
 
 // floodPhys builds the flood baselines' physical layer from the run's
-// channel (nil = RunFloodOn's default exact engine).
+// channel (nil = RunFloodOn's default exact engine). RunFloodOn drives
+// it through sim.Engine like every other protocol, so a traced or
+// observed channel sees only the busy rounds of a subset resolver.
 func floodPhys(net *network.Network, b Build) (sim.Resolver, error) {
 	if ch := b.Channel(); ch != nil {
 		return ch(net)

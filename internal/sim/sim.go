@@ -104,6 +104,12 @@ type Tracer interface {
 	OnRound(t int, tx []int, rec []sinr.Reception)
 }
 
+// TracerFunc adapts a function to Tracer.
+type TracerFunc func(t int, tx []int, rec []sinr.Reception)
+
+// OnRound implements Tracer.
+func (f TracerFunc) OnRound(t int, tx []int, rec []sinr.Reception) { f(t, tx, rec) }
+
 // Metrics accumulates counters over a run.
 type Metrics struct {
 	// Rounds is the number of rounds executed.

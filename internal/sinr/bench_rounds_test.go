@@ -9,7 +9,9 @@
 //
 //   - trace=decay: a recorded decay-flood round trace (tx sets and
 //     shrinking uninformed-receiver subsets captured via
-//     sim.RecordRounds from a real baseline.RunFloodOn run). Decay
+//     sim.RecordRounds from a real baseline.RunFloodOn run; only busy
+//     rounds reach the resolver, since sim.Engine skips the
+//     transmitter-free ones). Decay
 //     resweeps probabilities every round, so consecutive transmitter
 //     sets churn heavily and the engine mostly falls back to full
 //     rebuilds — this series pins that the fallback costs nothing.
@@ -51,8 +53,10 @@ var (
 )
 
 // decayRoundTrace records one decay flood on the shared bench scene:
-// every physical round's transmitter set and uninformed-receiver
-// subset, captured through the production recording path.
+// the transmitter set and uninformed-receiver subset of every round
+// that reaches the resolver — the busy rounds, as sim.Engine skips
+// transmitter-free ones on a subset resolver — captured through the
+// production recording path.
 func decayRoundTrace(b *testing.B) (*geom.Euclidean, *sim.RoundLog) {
 	roundsOnce.Do(func() {
 		scene := sinr.BenchSceneForTest(uint64(roundsBenchN)+1, roundsBenchN)

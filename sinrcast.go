@@ -49,7 +49,8 @@ type (
 	AlertResult = alert.Result
 	// HopProgress summarizes a broadcast's sweep through BFS layers.
 	HopProgress = broadcast.HopProgress
-	// FloodPolicy is a pluggable baseline transmission policy.
+	// FloodPolicy is a pluggable baseline transmission policy: Name,
+	// Inform (called once as each station is informed) and TxProb.
 	FloodPolicy = baseline.Policy
 	// Spec is a declarative scenario: a registered topology family
 	// plus parameter overrides, parseable from the compact form
