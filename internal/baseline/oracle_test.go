@@ -80,8 +80,8 @@ func TestDensityOracleFloodMatchesRecount(t *testing.T) {
 }
 
 // TestDensityOracleTxProbMatchesRecount informs both oracles of the
-// stations in a random order, in batches, and compares every informed
-// station's TxProb after each batch.
+// stations in a random order and compares every informed station's
+// TxProb after each Inform.
 func TestDensityOracleTxProbMatchesRecount(t *testing.T) {
 	coords := make([]float64, 50)
 	r := rng.New(4)
@@ -101,18 +101,13 @@ func TestDensityOracleTxProbMatchesRecount(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			n := net.N()
 			inc, ref := NewDensityOracle(net, 0.7), newRecountOracle(net, 0.7)
-			r := rng.New(11)
-			order := r.Perm(n)
-			for k := 0; k < n; {
-				batch := 1 + r.Intn(5)
-				for ; batch > 0 && k < n; batch-- {
-					inc.Inform(order[k])
-					ref.Inform(order[k])
-					k++
-				}
-				for _, i := range order[:k] {
+			order := rng.New(11).Perm(n)
+			for k, j := range order {
+				inc.Inform(j)
+				ref.Inform(j)
+				for _, i := range order[:k+1] {
 					if g, w := inc.TxProb(i, k, 0), ref.TxProb(i, k, 0); g != w {
-						t.Fatalf("after %d informs, station %d: TxProb %v, recount %v", k, i, g, w)
+						t.Fatalf("after %d informs, station %d: TxProb %v, recount %v", k+1, i, g, w)
 					}
 				}
 			}
