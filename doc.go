@@ -148,14 +148,24 @@
 // The round loop around the engines is amortized the same way. A
 // protocol that knows its next acting round can implement the opt-in
 // sim.Sleeper capability (TickWake returns the transmit decision plus
-// a wake round); the engine then parks it in a bucketed calendar
-// queue and ticks only the stations due each round, waking same-round
-// stations in ascending id so RNG draws and outputs stay byte-exact
-// against the tick-everyone loop (sim.SetWakeSchedulingDefault and
-// Engine.SetWakeScheduling keep the naive loop as the reference
-// path). In NoSBroadcast's coloring preamble — where all but the
-// source sleep — this takes the n=65536 round loop from ~1.2k to
-// ~420k rounds/s, allocation-free in steady state. On the trial side,
+// a wake round, RecvWake the earliest round a reception makes it act,
+// or NeverWake to keep its hint); the engine then parks it in a
+// bucketed calendar queue and ticks only the stations due each round,
+// waking same-round stations in ascending id so RNG draws and outputs
+// stay byte-exact against the tick-everyone loop
+// (sim.SetWakeSchedulingDefault and Engine.SetWakeScheduling keep the
+// naive loop as the reference path). In NoSBroadcast's coloring
+// preamble — where all but the source sleep — this takes the n=65536
+// round loop from ~1.2k to ~420k rounds/s, allocation-free in steady
+// state. Stations that gamble every round sleep too: a coloring
+// Machine and the NoS, S, consensus and alert flooders draw their
+// per-round Bernoulli trials ahead with an rng.Cursor, in the same
+// stream and order, up to the first success or the end of the span
+// over which their probability is fixed, and sleep until that round.
+// Receptions that change nothing the station draws (coloring feedback,
+// a message it already holds) keep its hint, so a consensus token
+// holder is ticked only when it transmits or its window ends. On the
+// trial side,
 // engine state is split into an immutable topology slab shared by
 // pointer and lazily-allocated run state, so Engine/GridEngine/
 // HierEngine Clone() costs ~350 ns against milliseconds of fresh

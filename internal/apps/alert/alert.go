@@ -74,6 +74,7 @@ type plan struct {
 	cfg      *Config
 	sched    *coloring.Schedule
 	colorLen int // sched.TotalRounds(): the backbone coloring
+	end      int // colorLen + the flood window: the run's length
 }
 
 // station is the per-station alert state machine.
@@ -83,6 +84,7 @@ type station struct {
 	rnd     *rng.Source
 	alerted bool // raised or received the alert
 	txProb  float64
+	draws   rng.Cursor // the alerted station's batched flood trials
 }
 
 var _ sim.Protocol = (*station)(nil)
@@ -100,7 +102,7 @@ func (s *station) Tick(t int) (bool, sim.Message) {
 		s.machine.Finish()
 		s.txProb = s.p.sched.FloodProb(s.machine.Color(), s.p.cfg.CProb, s.p.cfg.MaxTxProb)
 	}
-	if s.alerted && s.rnd.Bernoulli(s.txProb) {
+	if s.alerted && s.draws.Fire(s.rnd, s.txProb, t, s.p.end) {
 		return true, sim.Message{Kind: KindAlert}
 	}
 	return false, sim.Message{}
@@ -115,34 +117,37 @@ func (s *station) TickWake(t int) (bool, sim.Message, int) {
 }
 
 // nextWake derives the sleep window from the post-Tick state: a colorer
-// that quit sleeps to the backbone boundary (everyone ticks there to
-// fix its flood probability), and in the flood window a non-alerted
-// station draws nothing until a reception alerts it — in the negative
-// case the whole window runs without a single Tick, matching the
-// protocol's mandated silence.
+// sleeps to its next drawn transmission or half-segment end, and once
+// it quit to the backbone boundary (everyone ticks there to fix its
+// flood probability); in the flood window an alerted station sleeps to
+// its next drawn transmission, and a non-alerted one draws nothing
+// until a reception alerts it — in the negative case the whole window
+// runs without a single Tick, matching the protocol's mandated silence.
 func (s *station) nextWake(t int) int {
-	colorLen := s.p.colorLen
-	if t < colorLen {
-		if s.machine.Done() {
-			return colorLen
-		}
-		return t + 1
+	if t < s.p.colorLen {
+		return s.machine.NextTick(t)
 	}
 	if s.alerted {
-		return t + 1
+		return s.draws.Wake(t)
 	}
 	return sim.NeverWake
 }
 
 // Recv implements sim.Protocol.
-func (s *station) Recv(t int, msg sim.Message) {
+func (s *station) Recv(t int, msg sim.Message) { s.RecvWake(t, msg) }
+
+// RecvWake implements sim.Sleeper: only becoming alerted changes what
+// the station draws.
+func (s *station) RecvWake(t int, msg sim.Message) int {
 	if t < s.p.colorLen {
 		s.machine.OnRecv(t)
-		return
+		return sim.NeverWake
 	}
-	if msg.Kind == KindAlert {
-		s.alerted = true
+	if msg.Kind != KindAlert || s.alerted {
+		return sim.NeverWake
 	}
+	s.alerted = true
+	return t + 1
 }
 
 // Result reports an alert execution.
@@ -191,7 +196,9 @@ func Run(net *network.Network, cfg Config, seed uint64, raised []bool) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{cfg: &cfg, sched: sched, colorLen: sched.TotalRounds()}
+	colorLen := sched.TotalRounds()
+	window := sched.FloodWindow(cfg.WindowRounds, cfg.WindowFactor, d)
+	p := &plan{cfg: &cfg, sched: sched, colorLen: colorLen, end: colorLen + window}
 	root := rng.New(seed)
 	stations := make([]*station, n)
 	protos := make([]sim.Protocol, n)
@@ -226,7 +233,7 @@ func Run(net *network.Network, cfg Config, seed uint64, raised []bool) (*Result,
 			}
 		}
 	}))
-	eng.Run(sched.FloodWindow(cfg.WindowRounds, cfg.WindowFactor, d), nil)
+	eng.Run(window, nil)
 
 	any := false
 	for _, r := range raised {

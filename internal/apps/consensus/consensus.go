@@ -104,7 +104,8 @@ type station struct {
 	rnd     *rng.Source
 	msg     int64
 
-	txProb float64 // backbone flood probability, fixed after coloring
+	txProb float64    // backbone flood probability, fixed after coloring
+	draws  rng.Cursor // the token holder's batched trials of the window
 
 	prefix   int64 // agreed bits so far (most significant first)
 	nbits    int   // number of agreed bits
@@ -149,7 +150,8 @@ func (s *station) Tick(t int) (bool, sim.Message) {
 		}
 		s.hasToken = s.initiates(bitIdx, total)
 	}
-	if s.hasToken && s.rnd.Bernoulli(s.txProb) {
+	windowEnd := colorLen + (bitIdx+1)*s.p.window
+	if s.hasToken && s.draws.Fire(s.rnd, s.txProb, t, windowEnd) {
 		return true, sim.Message{Kind: KindToken, A: int64(bitIdx)}
 	}
 	return false, sim.Message{}
@@ -164,18 +166,18 @@ func (s *station) TickWake(t int) (bool, sim.Message, int) {
 }
 
 // nextWake derives the sleep window from the post-Tick state: a colorer
-// that quit sleeps to the backbone boundary (everyone must tick there
-// to fix its flood probability), a station without the current window's
-// token draws nothing until the next window opens (closeWindow runs on
-// that tick), and a station past the last window is done for good —
-// the final closeWindow happens in finalize, not in a Tick.
+// sleeps to its next drawn transmission or half-segment end, and once
+// it quit to the backbone boundary (everyone must tick there to fix its
+// flood probability); a token holder sleeps to its next drawn
+// transmission, or to the next window if it drew none; a station
+// without the current window's token draws nothing until the next
+// window opens (closeWindow runs on that tick), and a station past the
+// last window is done for good — the final closeWindow happens in
+// finalize, not in a Tick.
 func (s *station) nextWake(t int) int {
 	colorLen := s.p.colorLen
 	if t < colorLen {
-		if s.machine.Done() {
-			return colorLen
-		}
-		return t + 1
+		return s.machine.NextTick(t)
 	}
 	total := s.p.bits
 	bitIdx := (t - colorLen) / s.p.window
@@ -183,7 +185,7 @@ func (s *station) nextWake(t int) int {
 		return sim.NeverWake
 	}
 	if s.hasToken {
-		return t + 1
+		return s.draws.Wake(t)
 	}
 	if bitIdx+1 >= total {
 		return sim.NeverWake
@@ -203,19 +205,26 @@ func (s *station) closeWindow() {
 }
 
 // Recv implements sim.Protocol.
-func (s *station) Recv(t int, msg sim.Message) {
+func (s *station) Recv(t int, msg sim.Message) { s.RecvWake(t, msg) }
+
+// RecvWake implements sim.Sleeper. Only picking up the current window's
+// token changes what the station draws; coloring feedback and repeated
+// tokens leave its wake hint standing.
+func (s *station) RecvWake(t int, msg sim.Message) int {
 	colorLen := s.p.colorLen
 	if t < colorLen {
 		s.machine.OnRecv(t)
-		return
+		return sim.NeverWake
 	}
-	if msg.Kind != KindToken {
-		return
+	if msg.Kind != KindToken || s.hasToken {
+		return sim.NeverWake
 	}
 	bitIdx := (t - colorLen) / s.p.window
-	if int64(bitIdx) == msg.A {
-		s.hasToken = true
+	if int64(bitIdx) != msg.A {
+		return sim.NeverWake
 	}
+	s.hasToken = true
+	return t + 1
 }
 
 // finalize closes the last window (the engine stops before another

@@ -40,12 +40,13 @@ func benchSimScene(b *testing.B, n int) (*network.Network, sim.Resolver) {
 // benchProtos builds the per-station state machines of one protocol,
 // mirroring the corresponding runner's construction (RunNoS / RunS)
 // so the benchmark drives production Tick/TickWake code.
-func benchProtos(b *testing.B, proto string, cfg *Config, n int, seed uint64) []sim.Protocol {
+func benchProtos(b *testing.B, proto string, cfg *Config, net *network.Network, seed uint64) []sim.Protocol {
 	b.Helper()
 	p, err := newPlan(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	n, budget := net.N(), defaultBudget(*cfg, net)
 	root := rng.New(seed)
 	protos := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
@@ -53,7 +54,7 @@ func benchProtos(b *testing.B, proto string, cfg *Config, n int, seed uint64) []
 		case "nos":
 			protos[i] = newNOSStation(p, root.Split(uint64(i)), 7, i == 0)
 		case "s":
-			protos[i] = newSBStation(p, root.Split(uint64(i)), 7, i == 0)
+			protos[i] = newSBStation(p, root.Split(uint64(i)), 7, i == 0, budget)
 		default:
 			b.Fatalf("unknown protocol %q", proto)
 		}
@@ -98,7 +99,7 @@ func BenchmarkSimRounds(b *testing.B) {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
-						protos := benchProtos(b, proto, &cfg, n, uint64(i)+5)
+						protos := benchProtos(b, proto, &cfg, net, uint64(i)+5)
 						eng, err := sim.NewEngine(phys, protos)
 						if err != nil {
 							b.Fatal(err)

@@ -32,6 +32,7 @@ type nosStation struct {
 	wakeAt int
 	active bool // participating in the current phase
 	txProb float64
+	draws  rng.Cursor // part 2's batched trials, up to the phase end
 }
 
 var _ sim.Protocol = (*nosStation)(nil)
@@ -85,7 +86,7 @@ func (s *nosStation) Tick(t int) (bool, sim.Message) {
 		s.machine.Finish()
 		s.txProb = s.p.txProb(s.machine.Color())
 	}
-	if s.rnd.Bernoulli(s.txProb) {
+	if s.draws.Fire(s.rnd, s.txProb, t, t-r+s.p.phaseLen) {
 		return true, sim.Message{Kind: KindData, A: s.payload}
 	}
 	return false, sim.Message{}
@@ -104,10 +105,10 @@ func (s *nosStation) TickWake(t int) (bool, sim.Message, int) {
 // no-op guarantees: an uninformed station's ticks change nothing (the
 // boundary Reset is an identity on a pristine machine) until its
 // spontaneous wake round, if any; an informed-but-inactive station does
-// nothing before the next phase boundary; an active station that quit
-// the coloring draws nothing until part 2 opens at colorLen. Everything
-// else — colorers, part-2 transmitters — draws randomness every round
-// and must tick every round.
+// nothing before the next phase boundary; an active colorer draws
+// nothing before its next drawn transmission or half-segment end, and
+// once it quit nothing until part 2 opens at colorLen; a part-2
+// transmitter sleeps to its next drawn transmission or the phase end.
 func (s *nosStation) nextWake(t int) int {
 	if !s.informed {
 		if s.wakeAt > t {
@@ -120,24 +121,30 @@ func (s *nosStation) nextWake(t int) int {
 	if !s.active {
 		return phaseStart + s.p.phaseLen
 	}
-	if r < s.p.colorLen && s.machine.Done() {
-		return phaseStart + s.p.colorLen
+	if r < s.p.colorLen {
+		return phaseStart + s.machine.NextTick(r)
 	}
-	return t + 1
+	return s.draws.Wake(t)
 }
 
 // Recv implements sim.Protocol.
-func (s *nosStation) Recv(t int, msg sim.Message) {
+func (s *nosStation) Recv(t int, msg sim.Message) { s.RecvWake(t, msg) }
+
+// RecvWake implements sim.Sleeper. Any reception informs; a newly
+// informed station joins at the next phase boundary, and nothing it
+// hears changes an active station's draws.
+func (s *nosStation) RecvWake(t int, _ sim.Message) int {
+	r := t % s.p.phaseLen
+	wake := sim.NeverWake
 	if !s.informed {
 		s.informed = true
 		s.informedAt = t
+		wake = t - r + s.p.phaseLen
 	}
-	if s.active {
-		if r := t % s.p.phaseLen; r < s.p.colorLen {
-			s.machine.OnRecv(r)
-		}
+	if s.active && r < s.p.colorLen {
+		s.machine.OnRecv(r)
 	}
-	_ = msg
+	return wake
 }
 
 // RunNoS executes NoSBroadcast from the given source station and returns

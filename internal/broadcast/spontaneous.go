@@ -28,11 +28,15 @@ type sbStation struct {
 	informed   bool
 	informedAt int
 	txProb     float64
+	// budget is the run's round budget; the informed flood draws its
+	// trials ahead up to it.
+	budget int
+	draws  rng.Cursor
 }
 
 var _ sim.Protocol = (*sbStation)(nil)
 
-func newSBStation(p *plan, rnd *rng.Source, payload int64, isSource bool) *sbStation {
+func newSBStation(p *plan, rnd *rng.Source, payload int64, isSource bool, budget int) *sbStation {
 	s := &sbStation{
 		p:          p,
 		machine:    coloring.NewMachine(p.sched, rnd.Split(1)),
@@ -40,6 +44,7 @@ func newSBStation(p *plan, rnd *rng.Source, payload int64, isSource bool) *sbSta
 		payload:    payload,
 		source:     isSource,
 		informedAt: -1,
+		budget:     budget,
 	}
 	if isSource {
 		s.informed = true
@@ -67,7 +72,7 @@ func (s *sbStation) Tick(t int) (bool, sim.Message) {
 		}
 		return false, sim.Message{}
 	default:
-		if s.informed && s.rnd.Bernoulli(s.txProb) {
+		if s.informed && s.draws.Fire(s.rnd, s.txProb, t, s.budget) {
 			return true, sim.Message{Kind: KindData, A: s.payload}
 		}
 		return false, sim.Message{}
@@ -83,34 +88,38 @@ func (s *sbStation) TickWake(t int) (bool, sim.Message, int) {
 }
 
 // nextWake derives the sleep window from the post-Tick state: a colorer
-// that quit draws nothing until the dedicated source round at colorLen
-// (where everyone must tick to fix its Fact 11 probability), and past
-// the coloring an uninformed station draws nothing until a reception
-// informs it. Informed stations gamble every round.
+// sleeps to its next drawn transmission or half-segment end, and once
+// it quit until the dedicated source round at colorLen (where everyone
+// must tick to fix its Fact 11 probability); past the coloring an
+// informed station sleeps to its next drawn transmission, and an
+// uninformed one draws nothing until a reception informs it.
 func (s *sbStation) nextWake(t int) int {
 	if t < s.p.colorLen {
-		if s.machine.Done() {
-			return s.p.colorLen
-		}
-		return t + 1
+		return s.machine.NextTick(t)
 	}
 	if s.informed {
-		return t + 1
+		return s.draws.Wake(t)
 	}
 	return sim.NeverWake
 }
 
 // Recv implements sim.Protocol.
-func (s *sbStation) Recv(t int, msg sim.Message) {
+func (s *sbStation) Recv(t int, msg sim.Message) { s.RecvWake(t, msg) }
+
+// RecvWake implements sim.Sleeper: only becoming informed changes what
+// the station draws.
+func (s *sbStation) RecvWake(t int, msg sim.Message) int {
 	if t < s.p.colorLen {
 		s.machine.OnRecv(t)
-		return
+		return sim.NeverWake
 	}
 	// Dissemination traffic informs; coloring is already over.
-	if msg.Kind == KindData && !s.informed {
-		s.informed = true
-		s.informedAt = t
+	if msg.Kind != KindData || s.informed {
+		return sim.NeverWake
 	}
+	s.informed = true
+	s.informedAt = t
+	return t + 1
 }
 
 // RunS executes SBroadcast from the given source and returns the result.
@@ -132,11 +141,12 @@ func RunS(net *network.Network, cfg Config, seed uint64, source int, payload int
 	if err != nil {
 		return nil, err
 	}
+	budget := defaultBudget(cfg, net)
 	root := rng.New(seed)
 	stations := make([]*sbStation, n)
 	protos := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
-		st := newSBStation(p, root.Split(uint64(i)), payload, i == source)
+		st := newSBStation(p, root.Split(uint64(i)), payload, i == source, budget)
 		stations[i] = st
 		protos[i] = st
 	}
@@ -164,7 +174,6 @@ func RunS(net *network.Network, cfg Config, seed uint64, source int, payload int
 	// station needs its coloring feedback, so all receivers stay active;
 	// from the dedicated source round on, informed stations are
 	// quiescent receivers and are deactivated as they are informed.
-	budget := defaultBudget(cfg, net)
 	stop := func() bool { return remaining == 0 }
 	colorLen := p.colorLen
 	pre := colorLen

@@ -21,6 +21,10 @@ import (
 type Machine struct {
 	s   *Schedule
 	rnd *rng.Source
+	// draws batches the per-round transmission trials of the current
+	// DT or PO half-segment, over which p is constant and the machine
+	// cannot quit.
+	draws rng.Cursor
 
 	quit  bool
 	color float64
@@ -44,6 +48,7 @@ func NewMachine(s *Schedule, rnd *rng.Source) *Machine {
 // Reset returns the machine to its initial state (used by phased
 // broadcast protocols that re-run the coloring each phase).
 func (m *Machine) Reset() {
+	m.draws = rng.Cursor{}
 	m.quit = false
 	m.color = 0
 	m.pv = m.s.pstart
@@ -134,7 +139,9 @@ func (m *Machine) halfSegmentEnd(r int) int {
 }
 
 // Tick reports whether the station transmits in local round r. Rounds at
-// or past TotalRounds, and rounds after quitting, never transmit.
+// or past TotalRounds, and rounds after quitting, never transmit. The
+// trials of a half-segment are drawn ahead on its first Tick (see
+// rng.Cursor), so a caller may skip to NextTick(r) in between.
 func (m *Machine) Tick(r int) bool {
 	if r < m.synced {
 		panic(fmt.Sprintf("coloring: Tick(%d) after round %d was synced", r, m.synced))
@@ -150,7 +157,20 @@ func (m *Machine) Tick(r int) bool {
 			p = 1
 		}
 	}
-	return m.rnd.Bernoulli(p)
+	return m.draws.Fire(m.rnd, p, r, m.halfSegmentEnd(r))
+}
+
+// NextTick returns the first local round after r whose Tick may
+// transmit or change state: the next pre-drawn transmission, else the
+// end of r's half-segment (where p changes and the machine may quit).
+// Once the machine is done it returns TotalRounds. Ticks strictly
+// between r and NextTick(r) are no-ops, and receptions do not move it:
+// OnRecv only counts, and counts matter only at half-segment ends.
+func (m *Machine) NextTick(r int) int {
+	if m.quit || r >= m.s.total {
+		return m.s.total
+	}
+	return m.draws.Wake(r)
 }
 
 // OnRecv records a successful reception in local round r. Receptions

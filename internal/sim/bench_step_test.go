@@ -29,6 +29,8 @@ func (p *periodicSleeper) Tick(t int) (bool, Message) {
 
 func (p *periodicSleeper) Recv(int, Message) {}
 
+func (p *periodicSleeper) RecvWake(t int, _ Message) int { return t + 1 }
+
 func (p *periodicSleeper) TickWake(t int) (bool, Message, int) {
 	transmit, msg := p.Tick(t)
 	off := p.id % p.period

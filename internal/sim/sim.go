@@ -57,10 +57,17 @@ const NeverWake = math.MaxInt
 // u in the open interval (t, wake) the station asserts Tick(u) would
 // return (false, _) without changing its state or consuming randomness.
 // The engine may therefore skip those ticks — or not: ticking a sleeping
-// station early (as SetWakeScheduling(false) and calendar resets do) is
-// always safe, because those ticks are no-ops by the same contract.
-// A successful reception voids the hint: the engine re-ticks the station
-// from the round after the delivery.
+// station early (as SetWakeScheduling(false), calendar resets and
+// reception wakes do) is always safe, because those ticks are no-ops by
+// the same contract.
+//
+// A reception may change what the station will do, so the engine
+// delivers it to a Sleeper through RecvWake, which returns the earliest
+// round the station now needs a tick. The engine moves the station's
+// wake earlier when that round precedes its current hint, and otherwise
+// keeps the hint: a station whose reception leaves its plans unchanged
+// (a colorer counting feedback, a flooder that already holds the
+// message) sleeps on to its next transmission.
 //
 // Any station may decline the capability (by not implementing Sleeper,
 // or by always returning wake = t+1); mixed populations are fine, and
@@ -71,6 +78,11 @@ type Sleeper interface {
 	// TickWake acts exactly like Tick and additionally returns the next
 	// round the station needs to be ticked (> t, or NeverWake).
 	TickWake(t int) (transmit bool, msg Message, wake int)
+	// RecvWake acts exactly like Recv and additionally returns the
+	// earliest round the station now needs to be ticked (> t), or
+	// NeverWake to keep its current hint. The engine calls it instead of
+	// Recv.
+	RecvWake(t int, msg Message) (wake int)
 }
 
 // Resolver is the physical layer. *sinr.Engine, *sinr.GridEngine and
@@ -434,17 +446,29 @@ func (e *Engine) resolve() []sinr.Reception {
 	return e.phys.Resolve(e.txIDs)
 }
 
-// deliver hands each reception to its receiver. A delivery voids the
-// receiver's sleep hint: it is rescheduled for the next round, and its
-// entry for the old wake round goes stale.
+// deliver hands each reception to its receiver: a Sleeper through
+// RecvWake, whose answer moves its wake earlier (never later; the entry
+// for the old wake round goes stale), a plain Protocol through Recv.
 func (e *Engine) deliver(t int, rec []sinr.Reception) {
-	sched := e.wakeSched && e.anySleeper && e.schedValid
+	sched := e.wakeSched && e.schedValid
 	for _, r := range rec {
-		if sched && e.sleepers[r.Receiver] != nil && e.wake[r.Receiver] > t+1 {
-			e.wake[r.Receiver] = t + 1
-			e.schedule(int32(r.Receiver), t+1, t)
+		msg := e.msgs[r.Transmitter]
+		var s Sleeper
+		if e.anySleeper {
+			s = e.sleepers[r.Receiver]
 		}
-		e.protos[r.Receiver].Recv(t, e.msgs[r.Transmitter])
+		if s == nil {
+			e.protos[r.Receiver].Recv(t, msg)
+			continue
+		}
+		w := s.RecvWake(t, msg)
+		if w <= t {
+			w = t + 1
+		}
+		if sched && w < e.wake[r.Receiver] {
+			e.wake[r.Receiver] = w
+			e.schedule(int32(r.Receiver), w, t)
+		}
 	}
 }
 

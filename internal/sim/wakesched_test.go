@@ -45,11 +45,15 @@ func (c *chainResolver) Resolve(tx []int) []sinr.Reception {
 // nextWake honors the Sleeper contract exactly — it scans forward to
 // the next planned round and returns NeverWake only when none remains
 // (past cutoff with no pending extras), exercising reception re-wakes.
+// With keep set, receptions are only recorded: they plan nothing, and
+// RecvWake keeps the current hint.
 type scripted struct {
 	id, mod, cutoff int
+	keep            bool
 	extras          map[int]bool
 	maxExtra        int
 	got             []Message
+	ticked          []int // rounds Tick ran
 }
 
 func newScripted(id, mod, cutoff int) *scripted {
@@ -61,6 +65,7 @@ func (s *scripted) planned(t int) bool {
 }
 
 func (s *scripted) Tick(t int) (bool, Message) {
+	s.ticked = append(s.ticked, t)
 	if s.planned(t) {
 		return true, Message{Kind: 1, A: int64(s.id), B: int64(t)}
 	}
@@ -83,6 +88,9 @@ func (s *scripted) TickWake(t int) (bool, Message, int) {
 
 func (s *scripted) Recv(t int, msg Message) {
 	s.got = append(s.got, msg)
+	if s.keep {
+		return
+	}
 	// A reception schedules a reply two rounds out: state change
 	// mid-sleep, which the engine's re-wake must surface.
 	s.extras[t+2] = true
@@ -91,8 +99,20 @@ func (s *scripted) Recv(t int, msg Message) {
 	}
 }
 
+// RecvWake asks for the next round, as the engine once did for every
+// reception, unless the station keeps its plans.
+func (s *scripted) RecvWake(t int, msg Message) int {
+	s.Recv(t, msg)
+	if s.keep {
+		return NeverWake
+	}
+	return t + 1
+}
+
 // plain is scripted without the Sleeper capability (mixed populations).
-type plain struct{ *scripted }
+// It holds the script in a named field: embedding would promote
+// TickWake and RecvWake and make it a Sleeper after all.
+type plain struct{ scripted *scripted }
 
 func (p plain) Tick(t int) (bool, Message) { return p.scripted.Tick(t) }
 func (p plain) Recv(t int, msg Message)    { p.scripted.Recv(t, msg) }
@@ -230,6 +250,8 @@ func (s *neverTicked) TickWake(t int) (bool, Message, int) {
 
 func (s *neverTicked) Recv(int, Message) {}
 
+func (s *neverTicked) RecvWake(t int, _ Message) int { return t + 1 }
+
 // TestWakeSchedulingSkipsSleepers verifies ticks are actually skipped
 // (the perf point of the tentpole), not just order-preserved.
 func TestWakeSchedulingSkipsSleepers(t *testing.T) {
@@ -253,6 +275,55 @@ func TestWakeSchedulingSkipsSleepers(t *testing.T) {
 		if st.ticked != 5 {
 			t.Fatalf("station %d ticked %d times, want 5 (rounds 0..4)", i, st.ticked)
 		}
+	}
+}
+
+// TestRecvWakeKeepsHint checks that a reception does not void a
+// sleeper's hint: stations whose RecvWake keeps it are ticked only on
+// their planned rounds (and the seeding round 0) although they receive
+// throughout, and the run is byte-identical to ticking every round.
+func TestRecvWakeKeepsHint(t *testing.T) {
+	const n, rounds = 24, 400
+	build := func(i int) Protocol {
+		s := newScripted(i, 5+i%7, 300)
+		s.keep = true
+		return s
+	}
+	txRef, recRef, gotRef, mRef := runScripted(t, n, rounds, false, build)
+
+	protos := make([]Protocol, n)
+	scripts := make([]*scripted, n)
+	for i := range protos {
+		protos[i] = build(i)
+		scripts[i] = protos[i].(*scripted)
+	}
+	e, err := NewEngine(&chainResolver{n: n}, protos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetWakeScheduling(true)
+	ct := &CountingTracer{}
+	e.SetTracer(ct)
+	for r := 0; r < rounds; r++ {
+		e.Step()
+	}
+	if !reflect.DeepEqual(ct.TxPerRound, txRef) || !reflect.DeepEqual(ct.RecPerRound, recRef) || e.Metrics != mRef {
+		t.Fatal("scheduled run diverges from the tick-everyone reference")
+	}
+	received := 0
+	for i, s := range scripts {
+		if !reflect.DeepEqual(s.got, gotRef[i]) {
+			t.Fatalf("station %d deliveries diverge", i)
+		}
+		received += len(s.got)
+		for _, r := range s.ticked {
+			if r != 0 && !s.planned(r) {
+				t.Fatalf("station %d re-ticked at unplanned round %d", i, r)
+			}
+		}
+	}
+	if received == 0 {
+		t.Fatal("no receptions: the test exercises nothing")
 	}
 }
 
