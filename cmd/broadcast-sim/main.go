@@ -17,8 +17,8 @@
 //
 // The -engine flag selects the physical layer for any protocol:
 // "exact" (the paper's model and the default), the approximate "grid"
-// or "hier" engines, or "auto" (exact below a few thousand stations,
-// grid at mid scale, the hierarchical far field beyond — see the
+// (a reference only) or "hier" engines, or "auto" (exact below 4096
+// stations, the hierarchical far field from there on — see the
 // engine-selection notes in the repository README). -cpuprofile and
 // -memprofile write pprof profiles of the run (internal/prof).
 //

@@ -85,8 +85,8 @@
 //     against.
 //   - grid (sinr.GridEngine): transmitters bucket into cells;
 //     interference from cells outside the near field is aggregated at
-//     the cell center. O(liveCells + nearBox) per receiver. Good to
-//     tens of thousands of stations.
+//     the cell center. O(liveCells + nearBox) per receiver. A
+//     reference only: hier and exact both beat it from n=512 on.
 //   - hier (sinr.HierEngine): the grid's cells stack into a
 //     power-of-two pyramid whose nodes hold aggregate power at their
 //     center of mass, consumed through a θ-gated Barnes–Hut descent
@@ -126,8 +126,8 @@
 // the first-order error of the grid's fixed centers, so its measured
 // disagreement against the exact engine is lower (TestHierEngineAgreement).
 // sinr.AutoEngine (CLI flag -engine auto) picks by n and α: exact below
-// ~4k stations or when α is within 0.5 of the growth degree (the far
-// field barely converges there), grid to ~32k, hier beyond.
+// 4096 stations or when α is within 0.5 of the growth degree (the far
+// field barely converges there), hier everywhere else; never the grid.
 //
 // All three engines also implement ResolveFor(tx, receivers) — subset
 // resolution byte-identical to a filtered Resolve — and sim.Engine

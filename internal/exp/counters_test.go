@@ -3,8 +3,6 @@ package exp
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"sinrcast/internal/broadcast"
@@ -60,36 +58,5 @@ func TestE13CountersGolden(t *testing.T) {
 			}
 		}
 	}
-	path := filepath.Join("testdata", "e13_counters_scale0.5_trials2_seed2014.csv")
-	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("E13 counters differ from %s:\n%s", path, firstDiff(buf.Bytes(), want))
-	}
-}
-
-// firstDiff renders the first differing line of two golden texts.
-func firstDiff(got, want []byte) string {
-	g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := 0; i < len(g) || i < len(w); i++ {
-		var gl, wl []byte
-		if i < len(g) {
-			gl = g[i]
-		}
-		if i < len(w) {
-			wl = w[i]
-		}
-		if !bytes.Equal(gl, wl) {
-			return fmt.Sprintf("line %d:\ngot:  %s\nwant: %s", i+1, gl, wl)
-		}
-	}
-	return "(no differing line)"
+	checkGolden(t, "e13_counters_scale0.5_trials2_seed2014.csv", buf.Bytes())
 }

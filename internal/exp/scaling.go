@@ -19,8 +19,8 @@ import (
 // paper's algorithms: NoSBroadcast and the Decay flood on uniform and
 // starclusters deployments at n ∈ {10⁴, 10⁵, 10⁶} (times Config.Scale),
 // resolved by the engine Config.Engine selects (default "auto" — exact
-// below a few thousand stations, grid at mid scale, the hierarchical
-// far-field pyramid beyond; see sinr.Choose).
+// below 4096 stations, the hierarchical far-field pyramid from there
+// on; see sinr.Choose).
 //
 // Unlike E1–E13 this is a throughput experiment, not a completion
 // experiment: each run is capped at ⌈2·lg²n⌉ rounds — enough to watch

@@ -255,7 +255,11 @@ func TestAutoEngineChoice(t *testing.T) {
 		want EngineKind
 	}{
 		{"small euclidean", mkEu(256), p, AccuracyBalanced, KindExact},
-		{"mid euclidean", mkEu(8192), p, AccuracyBalanced, KindGrid},
+		{"mid euclidean", mkEu(8192), p, AccuracyBalanced, KindHier},
+		{"balanced below threshold", mkEu(4095), p, AccuracyBalanced, KindExact},
+		{"balanced at threshold", mkEu(4096), p, AccuracyBalanced, KindHier},
+		{"fast below threshold", mkEu(511), p, AccuracyFast, KindExact},
+		{"fast at threshold", mkEu(512), p, AccuracyFast, KindHier},
 		{"large euclidean", mkEu(40000), p, AccuracyBalanced, KindHier},
 		{"fast mid", mkEu(8192), p, AccuracyFast, KindHier},
 		{"exact accuracy", mkEu(40000), p, AccuracyExact, KindExact},
@@ -265,6 +269,15 @@ func TestAutoEngineChoice(t *testing.T) {
 	for _, tt := range tests {
 		if got := Choose(tt.s, tt.p, tt.acc); got != tt.want {
 			t.Errorf("%s: Choose = %q, want %q", tt.name, got, tt.want)
+		}
+	}
+	// The grid is an explicit reference only: auto never picks it.
+	for _, n := range []int{1, 64, 511, 512, 4095, 4096, 32767, 32768, 40000} {
+		s := mkEu(n)
+		for _, acc := range []Accuracy{AccuracyExact, AccuracyBalanced, AccuracyFast} {
+			if got := Choose(s, p, acc); got == KindGrid {
+				t.Errorf("n=%d accuracy=%d: Choose = %q", n, acc, got)
+			}
 		}
 	}
 	// AutoEngine must build what Choose says and satisfy Resolver.
@@ -279,8 +292,12 @@ func TestAutoEngineChoice(t *testing.T) {
 		t.Fatal("want error for unknown engine name")
 	}
 	for _, name := range []string{"exact", "grid", "hier", "auto"} {
-		if _, err := NewNamedEngine(name, mkEu(4096), p); err != nil {
+		r, err := NewNamedEngine(name, mkEu(4096), p)
+		if err != nil {
 			t.Fatalf("NewNamedEngine(%q): %v", name, err)
+		}
+		if _, ok := r.(*GridEngine); ok != (name == "grid") {
+			t.Fatalf("NewNamedEngine(%q) built %T", name, r)
 		}
 	}
 	if _, err := NewNamedEngine("hier", geom.NewLine([]float64{0, 1}), p); err == nil {

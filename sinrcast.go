@@ -112,10 +112,10 @@ func RunProtocol(net *Network, spec ProtocolSpec, seed uint64) (*BroadcastResult
 }
 
 // RunProtocolOn is RunProtocol with a named physical engine: "exact"
-// (the paper's model — what RunProtocol uses), "grid", "hier" (the
-// hierarchical far-field engine for very large networks), or "auto"
-// (exact below a few thousand stations, grid at mid scale, hier
-// beyond). Approximate engines keep near-field interference and the
+// (the paper's model — what RunProtocol uses), "grid" (a reference
+// only), "hier" (the hierarchical far-field engine for large
+// networks), or "auto" (exact below 4096 stations, hier from there
+// on). Approximate engines keep near-field interference and the
 // decoding candidate exact and aggregate only the far tail; see the
 // engine-selection notes in the README for the accuracy/speed
 // trade-offs.
