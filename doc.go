@@ -140,24 +140,22 @@
 // There is one round loop: every runner — the paper's algorithms, the
 // four baseline floods (baseline.RunFloodOn) and the §5 applications —
 // drives sim.Engine.Step, so phase labels, metrics and the
-// receiver-activity hook apply to all of them. Flood stations are plain
-// Protocols, not Sleepers: an informed station draws every round, and
-// an uninformed station's tick is one comparison, cheaper than the
-// calendar churn a sleep hint would cost.
+// receiver-activity hook apply to all of them.
 //
-// The round loop around the engines is amortized the same way. A
-// protocol that knows its next acting round can implement the opt-in
-// sim.Sleeper capability (TickWake returns the transmit decision plus
-// a wake round, RecvWake the earliest round a reception makes it act,
-// or NeverWake to keep its hint); the engine then parks it in a
-// bucketed calendar queue and ticks only the stations due each round,
-// waking same-round stations in ascending id so RNG draws and outputs
-// stay byte-exact against the tick-everyone loop
-// (sim.SetWakeSchedulingDefault and Engine.SetWakeScheduling keep the
-// naive loop as the reference path). In NoSBroadcast's coloring
-// preamble — where all but the source sleep — this takes the n=65536
-// round loop from ~1.2k to ~420k rounds/s, allocation-free in steady
-// state. Stations that gamble every round sleep too: a coloring
+// The round loop around the engines is amortized the same way. There
+// is one station contract, sim.Protocol: Tick returns the transmit
+// decision plus the round of the station's next action, and Recv the
+// earliest round a reception makes it act, or NeverWake to keep its
+// hint. The engine ticks only the stations due each round: those that
+// asked for the next round ride an ascending list, later wakes wait in
+// a bucketed calendar ring capped at 4096 rounds ahead, and the two
+// merge in ascending id so RNG draws and outputs stay byte-exact
+// against ticking every station every round (kept only as a test
+// adapter). An uninformed flood station sleeps until a reception; an
+// informed one asks for every round and never touches the calendar.
+// In NoSBroadcast's coloring preamble — where all but the source sleep
+// — this takes the n=65536 round loop from ~1.2k to ~420k rounds/s,
+// allocation-free in steady state. Stations that gamble every round sleep too: a coloring
 // Machine and the NoS, S, consensus and alert flooders draw their
 // per-round Bernoulli trials ahead with an rng.Cursor, in the same
 // stream and order, up to the first success or the end of the span
@@ -169,9 +167,8 @@
 // engine state is split into an immutable topology slab shared by
 // pointer and lazily-allocated run state, so Engine/GridEngine/
 // HierEngine Clone() costs ~350 ns against milliseconds of fresh
-// construction; internal/exp pools clones per experiment point
-// (exp.SetEnginePooling toggles it), so T trials pay one topology
-// build. Clone reuse is sound because resolve output depends only on
+// construction; internal/exp pools clones per experiment point, so T
+// trials pay one topology build. Clone reuse is sound because resolve output depends only on
 // (topology, transmitter set) — a purity contract the clone tests pin;
 // engines with per-trial randomness (fading, weak-device) refuse to
 // clone and are rebuilt per trial.

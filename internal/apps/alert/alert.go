@@ -90,7 +90,13 @@ type station struct {
 var _ sim.Protocol = (*station)(nil)
 
 // Tick implements sim.Protocol.
-func (s *station) Tick(t int) (bool, sim.Message) {
+func (s *station) Tick(t int) (bool, sim.Message, int) {
+	transmit, msg := s.act(t)
+	return transmit, msg, s.nextWake(t)
+}
+
+// act is the station's round-t action; Tick adds the wake hint.
+func (s *station) act(t int) (bool, sim.Message) {
 	colorLen := s.p.colorLen
 	if t < colorLen {
 		if s.machine.Tick(t) {
@@ -106,14 +112,6 @@ func (s *station) Tick(t int) (bool, sim.Message) {
 		return true, sim.Message{Kind: KindAlert}
 	}
 	return false, sim.Message{}
-}
-
-var _ sim.Sleeper = (*station)(nil)
-
-// TickWake implements sim.Sleeper.
-func (s *station) TickWake(t int) (bool, sim.Message, int) {
-	transmit, msg := s.Tick(t)
-	return transmit, msg, s.nextWake(t)
 }
 
 // nextWake derives the sleep window from the post-Tick state: a colorer
@@ -133,12 +131,9 @@ func (s *station) nextWake(t int) int {
 	return sim.NeverWake
 }
 
-// Recv implements sim.Protocol.
-func (s *station) Recv(t int, msg sim.Message) { s.RecvWake(t, msg) }
-
-// RecvWake implements sim.Sleeper: only becoming alerted changes what
+// Recv implements sim.Protocol: only becoming alerted changes what
 // the station draws.
-func (s *station) RecvWake(t int, msg sim.Message) int {
+func (s *station) Recv(t int, msg sim.Message) int {
 	if t < s.p.colorLen {
 		s.machine.OnRecv(t)
 		return sim.NeverWake

@@ -125,7 +125,13 @@ func (s *station) initiates(bitIdx, totalBits int) bool {
 }
 
 // Tick implements sim.Protocol.
-func (s *station) Tick(t int) (bool, sim.Message) {
+func (s *station) Tick(t int) (bool, sim.Message, int) {
+	transmit, msg := s.act(t)
+	return transmit, msg, s.nextWake(t)
+}
+
+// act is the station's round-t action; Tick adds the wake hint.
+func (s *station) act(t int) (bool, sim.Message) {
 	colorLen := s.p.colorLen
 	if t < colorLen {
 		if s.machine.Tick(t) {
@@ -155,14 +161,6 @@ func (s *station) Tick(t int) (bool, sim.Message) {
 		return true, sim.Message{Kind: KindToken, A: int64(bitIdx)}
 	}
 	return false, sim.Message{}
-}
-
-var _ sim.Sleeper = (*station)(nil)
-
-// TickWake implements sim.Sleeper.
-func (s *station) TickWake(t int) (bool, sim.Message, int) {
-	transmit, msg := s.Tick(t)
-	return transmit, msg, s.nextWake(t)
 }
 
 // nextWake derives the sleep window from the post-Tick state: a colorer
@@ -204,13 +202,10 @@ func (s *station) closeWindow() {
 	s.hasToken = false
 }
 
-// Recv implements sim.Protocol.
-func (s *station) Recv(t int, msg sim.Message) { s.RecvWake(t, msg) }
-
-// RecvWake implements sim.Sleeper. Only picking up the current window's
+// Recv implements sim.Protocol. Only picking up the current window's
 // token changes what the station draws; coloring feedback and repeated
 // tokens leave its wake hint standing.
-func (s *station) RecvWake(t int, msg sim.Message) int {
+func (s *station) Recv(t int, msg sim.Message) int {
 	colorLen := s.p.colorLen
 	if t < colorLen {
 		s.machine.OnRecv(t)

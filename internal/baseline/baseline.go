@@ -148,10 +148,10 @@ func defaultBudget(net *network.Network) int {
 }
 
 // floodStation is one station of a flood: silent until informed, then
-// transmitting each round with its policy's probability. It is a plain
-// sim.Protocol, not a sim.Sleeper: informed stations draw every round,
-// and an uninformed station's tick is a single comparison, cheaper than
-// the calendar bookkeeping a sleep hint would cost.
+// transmitting each round with its policy's probability. An uninformed
+// station sleeps until a reception (NeverWake); an informed one draws
+// every round, so it asks for the next round and rides the engine's
+// next-round lane, never the calendar.
 type floodStation struct {
 	id  int
 	at  int // round the station was informed in, -1 while uninformed
@@ -162,15 +162,19 @@ type floodStation struct {
 var _ sim.Protocol = (*floodStation)(nil)
 
 // Tick implements sim.Protocol.
-func (s *floodStation) Tick(t int) (bool, sim.Message) {
-	return s.at >= 0 && s.rnd.Bernoulli(s.pol.TxProb(s.id, t, s.at)), sim.Message{}
+func (s *floodStation) Tick(t int) (bool, sim.Message, int) {
+	if s.at < 0 {
+		return false, sim.Message{}, sim.NeverWake
+	}
+	return s.rnd.Bernoulli(s.pol.TxProb(s.id, t, s.at)), sim.Message{}, t + 1
 }
 
 // Recv implements sim.Protocol: the first reception informs.
-func (s *floodStation) Recv(t int, _ sim.Message) {
+func (s *floodStation) Recv(t int, _ sim.Message) int {
 	if s.at < 0 {
 		s.inform(t)
 	}
+	return t + 1
 }
 
 func (s *floodStation) inform(t int) {

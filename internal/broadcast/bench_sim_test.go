@@ -39,7 +39,7 @@ func benchSimScene(b *testing.B, n int) (*network.Network, sim.Resolver) {
 
 // benchProtos builds the per-station state machines of one protocol,
 // mirroring the corresponding runner's construction (RunNoS / RunS)
-// so the benchmark drives production Tick/TickWake code.
+// so the benchmark drives production Tick code.
 func benchProtos(b *testing.B, proto string, cfg *Config, net *network.Network, seed uint64) []sim.Protocol {
 	b.Helper()
 	p, err := newPlan(cfg)
@@ -62,16 +62,24 @@ func benchProtos(b *testing.B, proto string, cfg *Config, net *network.Network, 
 	return protos
 }
 
+// everyRound is the tick-everyone reference: it ignores a station's
+// wake hints and asks for every round.
+type everyRound struct{ sim.Protocol }
+
+func (a everyRound) Tick(t int) (bool, sim.Message, int) {
+	transmit, msg, _ := a.Protocol.Tick(t)
+	return transmit, msg, t + 1
+}
+
 // BenchmarkSimRounds measures round-loop throughput through the
-// coloring preamble — the sim layer's worst case before this PR: in
-// NoSBroadcast every station but the source is uninformed and silent,
-// yet the tick-everyone loop still paid n Tick calls per round. With
-// wake scheduling the sleepers wait in the calendar queue and each
-// round costs only the stations actually due. SBroadcast is the
-// counterpoint: all n stations color concurrently (spontaneous
+// coloring preamble. In NoSBroadcast every station but the source is
+// uninformed and silent, so a tick-everyone loop pays n Tick calls per
+// round; with wake scheduling the sleepers wait in the calendar queue
+// and each round costs only the stations actually due. SBroadcast is
+// the counterpoint: all n stations color concurrently (spontaneous
 // wake-up), so scheduling can only shed post-coloring idle tails. The
-// sched=off runs are the SetWakeSchedulingDefault(false) reference
-// path; the acceptance gate wants nos at n=65536 ≥ 3× its off
+// sched=off runs wrap every station in the everyRound reference
+// adapter; the acceptance gate wants nos at n=65536 ≥ 3× its off
 // throughput.
 func BenchmarkSimRounds(b *testing.B) {
 	// s stays at the small size: with every station coloring, each
@@ -94,12 +102,15 @@ func BenchmarkSimRounds(b *testing.B) {
 					net, phys := benchSimScene(b, n)
 					cfg := cfgFor(net)
 					rounds := cfg.Coloring.TotalRounds()
-					prev := sim.SetWakeSchedulingDefault(sched)
-					defer sim.SetWakeSchedulingDefault(prev)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
 						protos := benchProtos(b, proto, &cfg, net, uint64(i)+5)
+						if !sched {
+							for j, p := range protos {
+								protos[j] = everyRound{p}
+							}
+						}
 						eng, err := sim.NewEngine(phys, protos)
 						if err != nil {
 							b.Fatal(err)

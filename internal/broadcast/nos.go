@@ -54,7 +54,13 @@ func newNOSStation(p *plan, rnd *rng.Source, payload int64, isSource bool) *nosS
 }
 
 // Tick implements sim.Protocol.
-func (s *nosStation) Tick(t int) (bool, sim.Message) {
+func (s *nosStation) Tick(t int) (bool, sim.Message, int) {
+	transmit, msg := s.act(t)
+	return transmit, msg, s.nextWake(t)
+}
+
+// act is the station's round-t action; Tick adds the wake hint.
+func (s *nosStation) act(t int) (bool, sim.Message) {
 	if !s.informed {
 		if s.wakeAt < 0 || t < s.wakeAt {
 			// Never informed, so never active: the boundary snapshot
@@ -92,15 +98,6 @@ func (s *nosStation) Tick(t int) (bool, sim.Message) {
 	return false, sim.Message{}
 }
 
-var _ sim.Sleeper = (*nosStation)(nil)
-
-// TickWake implements sim.Sleeper: Tick plus the next round this
-// station's Tick is not a provable no-op.
-func (s *nosStation) TickWake(t int) (bool, sim.Message, int) {
-	transmit, msg := s.Tick(t)
-	return transmit, msg, s.nextWake(t)
-}
-
 // nextWake derives the sleep window from the post-Tick state. The
 // no-op guarantees: an uninformed station's ticks change nothing (the
 // boundary Reset is an identity on a pristine machine) until its
@@ -127,13 +124,10 @@ func (s *nosStation) nextWake(t int) int {
 	return s.draws.Wake(t)
 }
 
-// Recv implements sim.Protocol.
-func (s *nosStation) Recv(t int, msg sim.Message) { s.RecvWake(t, msg) }
-
-// RecvWake implements sim.Sleeper. Any reception informs; a newly
+// Recv implements sim.Protocol. Any reception informs; a newly
 // informed station joins at the next phase boundary, and nothing it
 // hears changes an active station's draws.
-func (s *nosStation) RecvWake(t int, _ sim.Message) int {
+func (s *nosStation) Recv(t int, _ sim.Message) int {
 	r := t % s.p.phaseLen
 	wake := sim.NeverWake
 	if !s.informed {

@@ -54,7 +54,13 @@ func newSBStation(p *plan, rnd *rng.Source, payload int64, isSource bool, budget
 }
 
 // Tick implements sim.Protocol.
-func (s *sbStation) Tick(t int) (bool, sim.Message) {
+func (s *sbStation) Tick(t int) (bool, sim.Message, int) {
+	transmit, msg := s.act(t)
+	return transmit, msg, s.nextWake(t)
+}
+
+// act is the station's round-t action; Tick adds the wake hint.
+func (s *sbStation) act(t int) (bool, sim.Message) {
 	colorLen := s.p.colorLen
 	switch {
 	case t < colorLen:
@@ -79,14 +85,6 @@ func (s *sbStation) Tick(t int) (bool, sim.Message) {
 	}
 }
 
-var _ sim.Sleeper = (*sbStation)(nil)
-
-// TickWake implements sim.Sleeper.
-func (s *sbStation) TickWake(t int) (bool, sim.Message, int) {
-	transmit, msg := s.Tick(t)
-	return transmit, msg, s.nextWake(t)
-}
-
 // nextWake derives the sleep window from the post-Tick state: a colorer
 // sleeps to its next drawn transmission or half-segment end, and once
 // it quit until the dedicated source round at colorLen (where everyone
@@ -103,12 +101,9 @@ func (s *sbStation) nextWake(t int) int {
 	return sim.NeverWake
 }
 
-// Recv implements sim.Protocol.
-func (s *sbStation) Recv(t int, msg sim.Message) { s.RecvWake(t, msg) }
-
-// RecvWake implements sim.Sleeper: only becoming informed changes what
+// Recv implements sim.Protocol: only becoming informed changes what
 // the station draws.
-func (s *sbStation) RecvWake(t int, msg sim.Message) int {
+func (s *sbStation) Recv(t int, msg sim.Message) int {
 	if t < s.p.colorLen {
 		s.machine.OnRecv(t)
 		return sim.NeverWake

@@ -11,20 +11,23 @@ import (
 const KindColoring uint8 = 1
 
 // stationProto adapts a Machine to sim.Protocol for standalone runs.
+// It sleeps to the machine's NextTick; receptions only count, so they
+// keep that hint.
 type stationProto struct {
 	m *Machine
 }
 
 var _ sim.Protocol = (*stationProto)(nil)
 
-func (s *stationProto) Tick(t int) (bool, sim.Message) {
-	if s.m.Tick(t) {
-		return true, sim.Message{Kind: KindColoring}
-	}
-	return false, sim.Message{}
+func (s *stationProto) Tick(t int) (bool, sim.Message, int) {
+	transmit := s.m.Tick(t)
+	return transmit, sim.Message{Kind: KindColoring}, s.m.NextTick(t)
 }
 
-func (s *stationProto) Recv(t int, _ sim.Message) { s.m.OnRecv(t) }
+func (s *stationProto) Recv(t int, _ sim.Message) int {
+	s.m.OnRecv(t)
+	return sim.NeverWake
+}
 
 // Result is the outcome of a standalone StabilizeProbability execution.
 type Result struct {

@@ -12,19 +12,13 @@ import (
 // drivers. On (the default), T trials over one network pay for one
 // topology construction; off, every trial builds its engine from
 // scratch — the reference path the identity tests pin the pooled one
-// against, mirroring sim.SetWakeSchedulingDefault and the sinr
-// toggles.
+// against. Results are byte-identical either way: pooled engines are
+// sinr engines, whose Resolve output depends only on the topology and
+// the round's transmitter set, never on prior rounds (the purity
+// contract pinned by the clone and round-sequence property tests).
 var enginePooling atomic.Bool
 
 func init() { enginePooling.Store(true) }
-
-// SetEnginePooling toggles trial engine pooling and returns the
-// previous setting. Results are byte-identical either way: pooled
-// engines are sinr engines, whose Resolve output depends only on the
-// topology and the round's transmitter set, never on prior rounds
-// (the purity contract pinned by the clone and round-sequence
-// property tests).
-func SetEnginePooling(on bool) bool { return enginePooling.Swap(on) }
 
 // enginePool hands each trial a physical engine over one shared
 // network. The first build that yields a cloneable sinr engine is

@@ -72,7 +72,7 @@ func E14LargeNScaling(cfg Config) (*stats.Table, error) {
 			// All trials at this point share one deployment, so they
 			// share one engine pool: the first trial pays the topology
 			// construction, later ones clone or recycle (engine purity
-			// makes reuse byte-identical; see SetEnginePooling).
+			// makes reuse byte-identical; see enginePooling).
 			pool := newEnginePool(func() (sim.Resolver, error) {
 				if ch != nil {
 					return ch(net)

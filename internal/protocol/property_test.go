@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -189,5 +190,40 @@ func TestBudgetHonored(t *testing.T) {
 	full := broadcast.Budget(cfg, net)
 	if res.Metrics.Rounds >= full {
 		t.Errorf("nos with budgetmul=0.01 simulated %d rounds, full budget is %d", res.Metrics.Rounds, full)
+	}
+}
+
+// TestWakeupFarStaggerBoundedMemory pins the engine's calendar
+// horizon: wakeup's staggered wake rounds reach k·stagger·phase, and a
+// spec may ask for stagger=100 with every station a waker. Those hints
+// must not grow the round loop's calendar with them — the far run
+// allocates within a few MB of the near one, and runs the same rounds.
+func TestWakeupFarStaggerBoundedMemory(t *testing.T) {
+	net, err := scenario.Generate(scenario.Spec{Family: "uniform", Params: map[string]float64{"n": 64}}, sinr.DefaultParams(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(spec string) (*broadcast.Result, uint64) {
+		s, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(net, s, 1)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, after.TotalAlloc - before.TotalAlloc
+	}
+	near, nearAlloc := run("wakeup:wakers=64,stagger=0.5")
+	far, farAlloc := run("wakeup:wakers=64,stagger=100")
+	if near.Rounds != far.Rounds {
+		t.Fatalf("rounds differ: stagger=0.5 ran %d, stagger=100 ran %d", near.Rounds, far.Rounds)
+	}
+	const slack = 4 << 20
+	if farAlloc > nearAlloc+slack {
+		t.Fatalf("stagger=100 allocated %d bytes, stagger=0.5 %d: far wake hints grow the round loop", farAlloc, nearAlloc)
 	}
 }

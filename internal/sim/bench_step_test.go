@@ -8,7 +8,7 @@ import (
 
 // nullSubsetResolver is a physical layer that never delivers and never
 // allocates, so the steady-state Step benchmark isolates the sim-layer
-// cost: calendar pops, sleeper merging, scheduling.
+// cost: calendar pops, lane merging, scheduling.
 type nullSubsetResolver struct{ n int }
 
 func (r nullSubsetResolver) N() int                                     { return r.n }
@@ -20,38 +20,39 @@ func (r nullSubsetResolver) ResolveFor(tx, recv []int) []sinr.Reception { return
 // rescheduled every period).
 type periodicSleeper struct{ id, period int }
 
-func (p *periodicSleeper) Tick(t int) (bool, Message) {
-	if t%p.period == p.id%p.period {
-		return true, Message{Kind: 1, A: int64(p.id)}
-	}
-	return false, Message{}
-}
-
-func (p *periodicSleeper) Recv(int, Message) {}
-
-func (p *periodicSleeper) RecvWake(t int, _ Message) int { return t + 1 }
-
-func (p *periodicSleeper) TickWake(t int) (bool, Message, int) {
-	transmit, msg := p.Tick(t)
+func (p *periodicSleeper) Tick(t int) (bool, Message, int) {
 	off := p.id % p.period
 	d := (off - (t+1)%p.period + p.period) % p.period
-	return transmit, msg, t + 1 + d
+	if t%p.period == off {
+		return true, Message{Kind: 1, A: int64(p.id)}, t + 1 + d
+	}
+	return false, Message{}, t + 1 + d
 }
 
+func (p *periodicSleeper) Recv(t int, _ Message) int { return t + 1 }
+
+// busyStation asks for every round, so it rides the next-round lane.
+type busyStation struct{}
+
+func (busyStation) Tick(t int) (bool, Message, int) { return false, Message{}, t + 1 }
+func (busyStation) Recv(t int, _ Message) int       { return t + 1 }
+
 // BenchmarkStepWakeScheduled measures the steady-state cost of one
-// wake-scheduled round: n sleepers waking every period rounds, so each
-// Step pops, sorts and reschedules n/period calendar entries. After
-// the warm-up has grown the calendar ring and the bucket capacities,
-// Step must run allocation-free — CI gates on the reported
-// 0 allocs/op.
+// round: n sleepers waking every period rounds, so each Step pops,
+// sorts and reschedules n/period calendar entries, merged with an
+// every-round population of n/64 stations on the next-round lane.
+// After the warm-up has grown the calendar ring and the bucket and
+// lane capacities, Step must run allocation-free — CI gates on the
+// reported 0 allocs/op.
 func BenchmarkStepWakeScheduled(b *testing.B) {
-	const n, period = 65536, 512
+	const n, period, everyRoundShare = 65536, 512, 64
 	protos := make([]Protocol, n)
 	for i := 0; i < n; i++ {
 		protos[i] = &periodicSleeper{id: i, period: period}
+		if i%everyRoundShare == 0 {
+			protos[i] = busyStation{}
+		}
 	}
-	prev := SetWakeSchedulingDefault(true)
-	defer SetWakeSchedulingDefault(prev)
 	e, err := NewEngine(nullSubsetResolver{n}, protos)
 	if err != nil {
 		b.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"sinrcast/internal/prof"
 	"sinrcast/internal/sinr"
@@ -34,56 +33,41 @@ type Message struct {
 }
 
 // Protocol is the behavior of a single station. Implementations must
-// only use their own local state: the engine calls Tick exactly once per
-// round per station and Recv for each successful reception.
+// only use their own local state: each round the engine ticks the
+// stations that are due, in ascending id, and then calls Recv for each
+// successful reception.
+//
+// Both methods return a wake hint, the next round the station needs a
+// tick, under a strict contract: for every round u strictly between t
+// and wake the station asserts Tick(u) would transmit nothing without
+// changing its state or consuming randomness. The engine skips those
+// ticks. Ticking a station early is always safe — those ticks are
+// no-ops by the same contract — so the engine clamps far hints to its
+// calendar horizon, and a station that cannot predict its next action
+// returns t+1. A hint ≤ t+1 means the next round; NeverWake sleeps
+// until a reception.
+//
+// A reception may change what the station will do, so Recv returns the
+// earliest round the station now needs a tick. The engine moves the
+// station's wake earlier when that round precedes its current hint and
+// otherwise keeps the hint: a station whose reception leaves its plans
+// unchanged (a colorer counting feedback, a flooder that already holds
+// the message) returns NeverWake and sleeps on to its next action.
 type Protocol interface {
-	// Tick returns the station's action in round t: whether to transmit
-	// and, if so, the message. A sleeping station returns (false, _).
-	Tick(t int) (transmit bool, msg Message)
-	// Recv delivers a successfully decoded message in round t. Recv is
-	// called after all Tick calls of round t. A station never receives
-	// in a round in which it transmitted.
-	Recv(t int, msg Message)
+	// Tick returns the station's action in round t — whether to
+	// transmit and, if so, the message — and the next round it needs a
+	// tick (> t, or NeverWake). A silent station returns (false, _, _).
+	Tick(t int) (transmit bool, msg Message, wake int)
+	// Recv delivers a successfully decoded message in round t, after all
+	// Tick calls of round t, and returns the earliest round the station
+	// now needs a tick (> t), or NeverWake to keep its current hint. A
+	// station never receives in a round in which it transmitted.
+	Recv(t int, msg Message) (wake int)
 }
 
-// NeverWake is the wake round a Sleeper returns to sleep indefinitely:
-// only a reception (or an engine reset) will tick it again.
+// NeverWake is the wake hint of a station with nothing planned: only a
+// reception will tick it again.
 const NeverWake = math.MaxInt
-
-// Sleeper is the optional wake-scheduling capability of a Protocol: a
-// station that knows it will be idle for a while can tell the engine how
-// long, and the engine stops ticking it until then. TickWake(t) is
-// Tick(t) plus the wake hint, under a strict contract: for every round
-// u in the open interval (t, wake) the station asserts Tick(u) would
-// return (false, _) without changing its state or consuming randomness.
-// The engine may therefore skip those ticks — or not: ticking a sleeping
-// station early (as SetWakeScheduling(false), calendar resets and
-// reception wakes do) is always safe, because those ticks are no-ops by
-// the same contract.
-//
-// A reception may change what the station will do, so the engine
-// delivers it to a Sleeper through RecvWake, which returns the earliest
-// round the station now needs a tick. The engine moves the station's
-// wake earlier when that round precedes its current hint, and otherwise
-// keeps the hint: a station whose reception leaves its plans unchanged
-// (a colorer counting feedback, a flooder that already holds the
-// message) sleeps on to its next transmission.
-//
-// Any station may decline the capability (by not implementing Sleeper,
-// or by always returning wake = t+1); mixed populations are fine, and
-// tick order stays ascending by station id among the stations actually
-// ticked, so runs are byte-identical with scheduling on or off.
-type Sleeper interface {
-	Protocol
-	// TickWake acts exactly like Tick and additionally returns the next
-	// round the station needs to be ticked (> t, or NeverWake).
-	TickWake(t int) (transmit bool, msg Message, wake int)
-	// RecvWake acts exactly like Recv and additionally returns the
-	// earliest round the station now needs to be ticked (> t), or
-	// NeverWake to keep its current hint. The engine calls it instead of
-	// Recv.
-	RecvWake(t int, msg Message) (wake int)
-}
 
 // Resolver is the physical layer. *sinr.Engine, *sinr.GridEngine and
 // *sinr.HierEngine all implement it (and SubsetResolver below).
@@ -134,22 +118,18 @@ type Metrics struct {
 	BusyRounds int
 }
 
-// wakeSchedDefault is the package default for new engines; tests and
-// benchmarks flip it to pin the tick-everyone reference path.
-var wakeSchedDefault atomic.Bool
+// The calendar ring starts at calInitLen buckets and grows to at most
+// calMaxLen (both powers of two). Hints farther out are clamped to the
+// horizon: the station ticks early, which is a no-op under the Protocol
+// contract, and re-announces its hint.
+const (
+	calInitLen = 64
+	calMaxLen  = 4096
+)
 
-func init() { wakeSchedDefault.Store(true) }
-
-// SetWakeSchedulingDefault sets whether newly constructed engines start
-// with wake scheduling enabled (the default is true) and returns the
-// previous value. Existing engines are not affected; use the per-engine
-// SetWakeScheduling for those.
-func SetWakeSchedulingDefault(on bool) (prev bool) {
-	return wakeSchedDefault.Swap(on)
-}
-
-// calInitLen is the initial calendar ring size (a power of two).
-const calInitLen = 64
+// wrapStation, when non-nil, wraps every station NewEngine is given.
+// Only tests set it, to run whole protocols on a reference adapter.
+var wrapStation func(Protocol) Protocol
 
 // Engine drives one simulation.
 type Engine struct {
@@ -160,27 +140,19 @@ type Engine struct {
 	msgs   []Message // per-station scratch of this round's messages
 	txIDs  []int
 
-	// Wake scheduling (see Sleeper): sleepers[i] is protos[i]'s Sleeper
-	// capability or nil; nonSleepers lists the stations without it (they
-	// tick every round). wake[i] is the next round sleeper i must tick;
-	// cal is a power-of-two calendar ring of wake buckets indexed by
-	// round & calMask, under the invariant that every scheduled wake is
-	// less than len(cal) rounds ahead (schedule grows the ring to keep
-	// it, so any bucket entry whose wake[id] disagrees with the current
-	// round is provably stale and dropped). schedValid is false whenever
-	// the calendar no longer reflects station state (engine creation,
-	// scheduling toggled, or a tick-everyone Step ran); the next
-	// scheduled Step then re-seeds every sleeper at the current round,
-	// which is safe because ticking a sleeping station is a no-op.
-	wakeSched   bool
-	anySleeper  bool
-	sleepers    []Sleeper
-	nonSleepers []int32
-	wake        []int
-	cal         [][]int32
-	calMask     int
-	due         []int32
-	schedValid  bool
+	// Wake scheduling (see Protocol): wake[i] is the next round station
+	// i must tick. next lists, ascending, the stations whose tick in the
+	// previous round asked for the current one — the lane every-round
+	// stations ride without touching the calendar; spare is its double
+	// buffer. Every later wake sits in cal, a power-of-two ring of
+	// buckets indexed by round & calMask, under the invariant that every
+	// scheduled wake is less than len(cal) rounds ahead, so a bucket
+	// entry whose wake[id] disagrees with the current round is stale.
+	wake    []int
+	next    []int32
+	spare   []int32
+	cal     [][]int32
+	calMask int
 
 	// Receiver-activity tracking (see SetReceiverActive): inactive
 	// stations are excluded from reception resolution when the physical
@@ -202,42 +174,29 @@ func NewEngine(phys Resolver, protos []Protocol) (*Engine, error) {
 	if phys.N() != len(protos) {
 		return nil, fmt.Errorf("sim: %d stations but %d protocols", phys.N(), len(protos))
 	}
+	if wrapStation != nil {
+		wrapped := make([]Protocol, len(protos))
+		for i, p := range protos {
+			wrapped[i] = wrapStation(p)
+		}
+		protos = wrapped
+	}
 	subset, _ := phys.(SubsetResolver)
 	e := &Engine{
-		phys:      phys,
-		subset:    subset,
-		protos:    protos,
-		msgs:      make([]Message, len(protos)),
-		txIDs:     make([]int, 0, len(protos)),
-		wakeSched: wakeSchedDefault.Load(),
+		phys:    phys,
+		subset:  subset,
+		protos:  protos,
+		msgs:    make([]Message, len(protos)),
+		txIDs:   make([]int, 0, len(protos)),
+		wake:    make([]int, len(protos)), // everyone is due in round 0
+		next:    make([]int32, len(protos)),
+		cal:     make([][]int32, calInitLen),
+		calMask: calInitLen - 1,
 	}
-	for i, p := range protos {
-		if s, ok := p.(Sleeper); ok {
-			if e.sleepers == nil {
-				e.sleepers = make([]Sleeper, len(protos))
-			}
-			e.sleepers[i] = s
-			e.anySleeper = true
-		}
-	}
-	if e.anySleeper {
-		for i := range protos {
-			if e.sleepers[i] == nil {
-				e.nonSleepers = append(e.nonSleepers, int32(i))
-			}
-		}
-		e.wake = make([]int, len(protos))
+	for i := range e.next {
+		e.next[i] = int32(i)
 	}
 	return e, nil
-}
-
-// SetWakeScheduling toggles the calendar-queue tick loop (default: the
-// package default, normally on). Off is the reference path: every
-// station ticks every round. The two paths are byte-identical — the
-// toggle exists so tests can pin that.
-func (e *Engine) SetWakeScheduling(on bool) {
-	e.wakeSched = on
-	e.schedValid = false
 }
 
 // SetReceiverActive marks whether station i still needs receptions
@@ -299,37 +258,17 @@ func (e *Engine) SetTracer(tr Tracer) { e.tracer = tr }
 // Round returns the current global round number (the next round to run).
 func (e *Engine) Round() int { return e.round }
 
-// resetCalendar re-seeds the calendar: every sleeper is scheduled at the
-// current round. Ticking a mid-sleep station is a no-op by the Sleeper
-// contract, so this is always safe; each station re-announces its wake
-// round on that tick and the calendar is exact again.
-func (e *Engine) resetCalendar() {
-	if len(e.cal) == 0 {
-		e.cal = make([][]int32, calInitLen)
-		e.calMask = calInitLen - 1
-	} else {
-		for i := range e.cal {
-			e.cal[i] = e.cal[i][:0]
-		}
-	}
-	t := e.round
-	idx := t & e.calMask
-	for i, s := range e.sleepers {
-		if s != nil {
-			e.wake[i] = t
-			e.cal[idx] = append(e.cal[idx], int32(i))
-		}
-	}
-	e.schedValid = true
-}
-
-// schedule inserts sleeper id into the wake bucket of round w (> the
-// current round t, finite). Grows the ring so w-t < len(cal) holds for
-// every scheduled entry.
+// schedule files station id's wake round w (> the current round t,
+// finite) in the calendar, clamped to the calMaxLen horizon. It grows
+// the ring so w-t < len(cal) holds for every scheduled entry.
 func (e *Engine) schedule(id int32, w, t int) {
+	if w-t >= calMaxLen {
+		w = t + calMaxLen - 1
+	}
 	if w-t >= len(e.cal) {
 		e.growCalendar(w-t+1, t)
 	}
+	e.wake[id] = w
 	idx := w & e.calMask
 	e.cal[idx] = append(e.cal[idx], id)
 }
@@ -337,87 +276,56 @@ func (e *Engine) schedule(id int32, w, t int) {
 // growCalendar rebuilds the ring at the next power-of-two size ≥ minLen
 // from the authoritative wake array, dropping stale entries in passing.
 // Entries for the in-progress round t are not re-added: they are already
-// in the due snapshot, and re-announce themselves when ticked.
+// being ticked, and re-announce themselves.
 func (e *Engine) growCalendar(minLen, t int) {
-	size := len(e.cal) * 2
-	if size < calInitLen {
-		size = calInitLen
-	}
+	size := 2 * len(e.cal)
 	for size < minLen {
 		size *= 2
 	}
 	cal := make([][]int32, size)
 	mask := size - 1
-	for i, s := range e.sleepers {
-		if s == nil {
-			continue
-		}
-		if w := e.wake[i]; w > t && w != NeverWake {
+	for i, w := range e.wake {
+		if w > t && w != NeverWake {
 			cal[w&mask] = append(cal[w&mask], int32(i))
 		}
 	}
 	e.cal, e.calMask = cal, mask
 }
 
-// tickAll is the reference tick loop: every station, ascending id.
-func (e *Engine) tickAll(t int) {
-	for i, p := range e.protos {
-		transmit, msg := p.Tick(t)
-		if transmit {
-			msg.Src = i
-			msg.Round = t
-			e.msgs[i] = msg
-			e.txIDs = append(e.txIDs, i)
-		}
-	}
-}
-
-// tickScheduled ticks only the stations due in round t: every
-// non-Sleeper plus the sleepers whose wake round arrived, merged in
-// ascending station order so the transmitter set is byte-identical to
-// tickAll's. The due bucket may hold stale or duplicate entries
-// (stations rescheduled by a reception); sorting and checking wake[id]
-// filters both.
-func (e *Engine) tickScheduled(t int) {
-	if !e.schedValid {
-		e.resetCalendar()
-	}
-	idx := t & e.calMask
-	b := e.cal[idx]
+// tick ticks the stations due in round t — the next lane merged with
+// round t's calendar bucket — in ascending id. The bucket may hold
+// stale entries (stations rescheduled by a reception) and repeats (of
+// each other or of next); checking wake[id], which a tick moves past t,
+// filters both. A station asking for t+1 joins the next lane, which
+// stays ascending because ticks are.
+func (e *Engine) tick(t int) {
+	b := e.cal[t&e.calMask]
 	if !slices.IsSorted(b) {
 		slices.Sort(b)
 	}
-	e.due = e.due[:0]
-	last := int32(-1)
-	for _, id := range b {
-		if id != last && e.wake[id] == t {
-			e.due = append(e.due, id)
-		}
-		last = id
-	}
-	e.cal[idx] = b[:0]
-	due, ns := e.due, e.nonSleepers
-	di, ni := 0, 0
-	for di < len(due) || ni < len(ns) {
+	cur, next := e.next, e.spare[:0]
+	ci, bi := 0, 0
+	for ci < len(cur) || bi < len(b) {
 		var id int32
-		var transmit bool
-		var msg Message
-		if ni >= len(ns) || (di < len(due) && due[di] < ns[ni]) {
-			id = due[di]
-			di++
-			var w int
-			transmit, msg, w = e.sleepers[id].TickWake(t)
-			if w <= t {
-				w = t + 1
-			}
-			e.wake[id] = w
-			if w != NeverWake {
-				e.schedule(id, w, t)
-			}
+		if bi >= len(b) || (ci < len(cur) && cur[ci] <= b[bi]) {
+			id = cur[ci]
+			ci++
 		} else {
-			id = ns[ni]
-			ni++
-			transmit, msg = e.protos[id].Tick(t)
+			id = b[bi]
+			bi++
+		}
+		if e.wake[id] != t {
+			continue
+		}
+		transmit, msg, w := e.protos[id].Tick(t)
+		switch {
+		case w <= t+1:
+			e.wake[id] = t + 1
+			next = append(next, id)
+		case w == NeverWake:
+			e.wake[id] = NeverWake
+		default:
+			e.schedule(id, w, t)
 		}
 		if transmit {
 			msg.Src = int(id)
@@ -426,6 +334,10 @@ func (e *Engine) tickScheduled(t int) {
 			e.txIDs = append(e.txIDs, int(id))
 		}
 	}
+	// A ring grown mid-loop holds nothing for round t, so b's storage
+	// can serve as its empty bucket.
+	e.cal[t&e.calMask] = b[:0]
+	e.next, e.spare = next, cur
 }
 
 // resolve runs the physical layer for the current transmitter set. A
@@ -446,28 +358,18 @@ func (e *Engine) resolve() []sinr.Reception {
 	return e.phys.Resolve(e.txIDs)
 }
 
-// deliver hands each reception to its receiver: a Sleeper through
-// RecvWake, whose answer moves its wake earlier (never later; the entry
-// for the old wake round goes stale), a plain Protocol through Recv.
+// deliver hands each reception to its receiver, whose answer moves its
+// wake earlier (never later; the entry for the old wake round goes
+// stale).
 func (e *Engine) deliver(t int, rec []sinr.Reception) {
-	sched := e.wakeSched && e.schedValid
 	for _, r := range rec {
-		msg := e.msgs[r.Transmitter]
-		var s Sleeper
-		if e.anySleeper {
-			s = e.sleepers[r.Receiver]
-		}
-		if s == nil {
-			e.protos[r.Receiver].Recv(t, msg)
-			continue
-		}
-		w := s.RecvWake(t, msg)
+		id := r.Receiver
+		w := e.protos[id].Recv(t, e.msgs[r.Transmitter])
 		if w <= t {
 			w = t + 1
 		}
-		if sched && w < e.wake[r.Receiver] {
-			e.wake[r.Receiver] = w
-			e.schedule(int32(r.Receiver), w, t)
+		if w < e.wake[id] {
+			e.schedule(int32(id), w, t)
 		}
 	}
 }
@@ -485,29 +387,16 @@ func (e *Engine) deliver(t int, rec []sinr.Reception) {
 func (e *Engine) Step() int {
 	t := e.round
 	e.txIDs = e.txIDs[:0]
-	sched := e.wakeSched && e.anySleeper
 	var rec []sinr.Reception
 	if prof.PhasesEnabled() {
-		prof.Phase("tick", func() {
-			if sched {
-				e.tickScheduled(t)
-			} else {
-				e.schedValid = false
-				e.tickAll(t)
-			}
-		})
+		prof.Phase("tick", func() { e.tick(t) })
 		prof.Phase("resolve", func() { rec = e.resolve() })
 		prof.Phase("deliver", func() { e.deliver(t, rec) })
 		if e.tracer != nil {
 			prof.Phase("trace", func() { e.tracer.OnRound(t, e.txIDs, rec) })
 		}
 	} else {
-		if sched {
-			e.tickScheduled(t)
-		} else {
-			e.schedValid = false
-			e.tickAll(t)
-		}
+		e.tick(t)
 		rec = e.resolve()
 		e.deliver(t, rec)
 		if e.tracer != nil {

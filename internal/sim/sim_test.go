@@ -17,14 +17,17 @@ type beaconProto struct {
 	got     []Message
 }
 
-func (b *beaconProto) Tick(t int) (bool, Message) {
+func (b *beaconProto) Tick(t int) (bool, Message, int) {
 	if b.every > 0 && t%b.every == 0 {
-		return true, Message{Kind: 1, A: b.payload}
+		return true, Message{Kind: 1, A: b.payload}, t + 1
 	}
-	return false, Message{}
+	return false, Message{}, t + 1
 }
 
-func (b *beaconProto) Recv(_ int, m Message) { b.got = append(b.got, m) }
+func (b *beaconProto) Recv(t int, m Message) int {
+	b.got = append(b.got, m)
+	return t + 1
+}
 
 func twoStationEngine(t *testing.T, protos []Protocol) *Engine {
 	t.Helper()
@@ -309,19 +312,20 @@ type floodProto struct {
 	eng      *Engine
 }
 
-func (f *floodProto) Tick(t int) (bool, Message) {
+func (f *floodProto) Tick(t int) (bool, Message, int) {
 	if f.informed && (t+f.id)%5 == 0 {
-		return true, Message{Kind: 2, A: int64(f.id)}
+		return true, Message{Kind: 2, A: int64(f.id)}, t + 1
 	}
-	return false, Message{}
+	return false, Message{}, t + 1
 }
 
-func (f *floodProto) Recv(t int, _ Message) {
+func (f *floodProto) Recv(t int, _ Message) int {
 	if !f.informed {
 		f.informed = true
 		f.at = t
 		f.eng.SetReceiverActive(f.id, false)
 	}
+	return t + 1
 }
 
 // TestHierDeltaThroughSimEngine runs the full simulation round loop —
