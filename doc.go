@@ -63,11 +63,15 @@
 //     CPUs, assigned NUMA-node-first from the sysfs topology
 //     (internal/cputopo), for stable core-local caches on multi-socket
 //     machines.
-//   - Trial parallelism: the experiment suite (internal/exp) runs the
-//     repetitions of each data point concurrently (exp.Config.Workers,
-//     cmd/experiments -workers). Every trial's randomness derives from
-//     (Seed, experiment, data point, trial) alone, so tables are
-//     bit-identical for Workers=1 and Workers=N.
+//   - Trial parallelism: each experiment table (internal/exp) runs
+//     its trials on one pool of exp.Config.Workers goroutines
+//     (cmd/experiments -workers). The registry sweeps E12 and E13
+//     register every data point's trials before any runs, so the pool
+//     drains the whole table from one cursor with no barrier between
+//     cells; the other experiments run one data point per pool. Every
+//     trial's randomness derives from (Seed, experiment, data point,
+//     trial) alone and results land in per-(point, trial) slots, so
+//     tables are bit-identical for Workers=1 and Workers=N.
 //
 // Size Workers to physical cores for trial-dominated workloads (the
 // experiment suite) and leave engine workers at the default; the two

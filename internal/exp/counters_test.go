@@ -4,10 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-
-	"sinrcast/internal/broadcast"
-	"sinrcast/internal/protocol"
-	"sinrcast/internal/scenario"
 )
 
 // TestE13CountersGolden pins what each E13 cell simulated, not only its
@@ -20,29 +16,20 @@ import (
 // `go test ./internal/exp -run TestE13CountersGolden -update`.
 func TestE13CountersGolden(t *testing.T) {
 	cfg := Config{Seed: 2014, Trials: 2, Scale: 0.5, Workers: 4}
-	n := cfg.scaled(32, 16)
-	scenSpecs, err := cfg.scenarioSpecs(n)
+	pool := newTrialPool(cfg)
+	m, err := newMatrix(cfg, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	protoSpecs, err := cfg.protocolSpecs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool.run()
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, "family,protocol,trial,rounds,transmissions,receptions,busy_rounds,informed,all_informed")
-	for _, sp := range scenSpecs {
-		net, err := scenario.Generate(sp, physParams(), cfg.Seed)
-		if err != nil {
-			t.Fatalf("%s: %v", sp.Family, err)
-		}
-		for _, ps := range protoSpecs {
-			results, err := runTrials(cfg, 13, matrixKey(sp.Family, ps.Name),
-				func(seed uint64) (*broadcast.Result, error) {
-					return protocol.Run(net, ps, seed)
-				})
+	for _, r := range m.rows {
+		for pi, c := range r.cells {
+			ps := m.protos[pi]
+			results, err := c.results()
 			if err != nil {
-				fmt.Fprintf(&buf, "%s,%s,error,%q\n", sp.Family, ps.Name, err)
+				fmt.Fprintf(&buf, "%s,%s,error,%q\n", r.family, ps.Name, err)
 				continue
 			}
 			for trial, res := range results {
@@ -52,9 +39,9 @@ func TestE13CountersGolden(t *testing.T) {
 						informed++
 					}
 				}
-				m := res.Metrics
-				fmt.Fprintf(&buf, "%s,%s,%d,%d,%d,%d,%d,%d,%t\n", sp.Family, ps.Name, trial,
-					res.Rounds, m.Transmissions, m.Receptions, m.BusyRounds, informed, res.AllInformed)
+				mt := res.Metrics
+				fmt.Fprintf(&buf, "%s,%s,%d,%d,%d,%d,%d,%d,%t\n", r.family, ps.Name, trial,
+					res.Rounds, mt.Transmissions, mt.Receptions, mt.BusyRounds, informed, res.AllInformed)
 			}
 		}
 	}

@@ -34,10 +34,13 @@ type Config struct {
 	// Scale multiplies the base network sizes (1 = the EXPERIMENTS.md
 	// sizes; benches use smaller fractions).
 	Scale float64
-	// Workers caps how many trials run concurrently. 0 (the default)
-	// uses runtime.GOMAXPROCS(0); 1 forces serial execution. Tables
-	// are bit-identical for every value: trial randomness is derived
-	// from (Seed, experiment, data point, trial) alone (see trials.go).
+	// Workers is the size of each table's trial pool: how many trials
+	// run concurrently. E12 and E13 put every data point's trials in
+	// one pool, so all cells of the table share the workers; the other
+	// experiments run one data point per pool. 0 (the default) uses
+	// runtime.GOMAXPROCS(0); 1 forces serial execution. Tables are
+	// bit-identical for every value: trial randomness is derived from
+	// (Seed, experiment, data point, trial) alone (see trials.go).
 	Workers int
 	// Scenario optionally restricts E12CrossFamilySweep and
 	// E13ProtocolMatrix to one parsed scenario spec (e.g.
@@ -110,7 +113,14 @@ func bcastCfg(net *network.Network) broadcast.Config {
 // complete. (expID, point) identify the data point for deterministic
 // trial seeding.
 func medianRounds(cfg Config, expID, point uint64, fn func(seed uint64) (*broadcast.Result, error)) (float64, int, error) {
-	results, err := runTrials(cfg, expID, point, fn)
+	return medianOf(runTrials(cfg, expID, point, fn))
+}
+
+// medianOf summarizes one data point's broadcast trials: the median
+// round count over the trials that informed every station, and how
+// many did not. A trial error, or no trial informing everyone, is an
+// error.
+func medianOf(results []*broadcast.Result, err error) (float64, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
@@ -127,6 +137,21 @@ func medianRounds(cfg Config, expID, point uint64, fn func(seed uint64) (*broadc
 		return 0, fails, fmt.Errorf("exp: all %d trials failed to complete", len(results))
 	}
 	return stats.Summarize(rounds).Median, fails, nil
+}
+
+// medianCell renders one data point's broadcast trials as a table
+// cell: the median rounds, annotated "(k!)" when k trials left a
+// station uninformed, or "fail" when medianOf errs.
+func medianCell(results []*broadcast.Result, err error) string {
+	med, fails, err := medianOf(results, err)
+	switch {
+	case err != nil:
+		return "fail"
+	case fails > 0:
+		return fmt.Sprintf("%.0f(%d!)", med, fails)
+	default:
+		return fmt.Sprintf("%.0f", med)
+	}
 }
 
 // E1NoSBroadcastVsD measures Theorem 1's shape: NoSBroadcast rounds on
@@ -377,36 +402,28 @@ func E7BaselineComparison(cfg Config) (*stats.Table, error) {
 		"family", "n", "D", "NoS", "S", "decay", "density-oracle", "grid-tdma")
 	for fi, f := range fams {
 		d, _ := f.net.Diameter()
-		// Data points fi*8+{0..4} distinguish the five algorithm slots.
-		run := func(alg uint64, fn func(seed uint64) (*broadcast.Result, error)) (string, error) {
-			med, fails, err := medianRounds(cfg, 7, uint64(fi*8)+alg, fn)
-			if err != nil {
-				return "fail", nil //nolint:nilerr // a failing baseline is a data point
-			}
-			if fails > 0 {
-				return fmt.Sprintf("%.0f(%d!)", med, fails), nil
-			}
-			return fmt.Sprintf("%.0f", med), nil
+		// Data points fi*8+{0..4} distinguish the five algorithm slots;
+		// a failing baseline is a data point, not an error.
+		run := func(alg uint64, fn func(seed uint64) (*broadcast.Result, error)) string {
+			return medianCell(runTrials(cfg, 7, uint64(fi*8)+alg, fn))
 		}
-		nos, _ := run(0, func(seed uint64) (*broadcast.Result, error) {
+		nos := run(0, func(seed uint64) (*broadcast.Result, error) {
 			return broadcast.RunNoS(f.net, bcastCfg(f.net), seed, 0, 1)
 		})
-		s, _ := run(1, func(seed uint64) (*broadcast.Result, error) {
+		s := run(1, func(seed uint64) (*broadcast.Result, error) {
 			return broadcast.RunS(f.net, bcastCfg(f.net), seed, 0, 1)
 		})
-		dec, _ := run(2, func(seed uint64) (*broadcast.Result, error) {
+		dec := run(2, func(seed uint64) (*broadcast.Result, error) {
 			return baseline.RunFlood(f.net, baseline.NewDecay(f.net.N()), seed, 0, 0)
 		})
-		ora, _ := run(3, func(seed uint64) (*broadcast.Result, error) {
+		ora := run(3, func(seed uint64) (*broadcast.Result, error) {
 			return baseline.RunFlood(f.net, baseline.NewDensityOracle(f.net, 0), seed, 0, 0)
 		})
-		var tdma string
-		if _, err := baseline.NewGridTDMA(f.net); err != nil {
-			tdma = "n/a"
-		} else {
+		tdma := "n/a"
+		if _, err := baseline.NewGridTDMA(f.net); err == nil {
 			// GridTDMA keeps per-round oracle state, so every trial
 			// builds its own instance.
-			tdma, _ = run(4, func(seed uint64) (*broadcast.Result, error) {
+			tdma = run(4, func(seed uint64) (*broadcast.Result, error) {
 				gtd, err := baseline.NewGridTDMA(f.net)
 				if err != nil {
 					return nil, err

@@ -24,50 +24,74 @@ import (
 // length), so cells compare like with like only within a column; the
 // matrix's value is how each column moves across geometries.
 func E13ProtocolMatrix(cfg Config) (*stats.Table, error) {
-	n := cfg.scaled(32, 16)
-	scenSpecs, err := cfg.scenarioSpecs(n)
+	pool := newTrialPool(cfg)
+	m, err := newMatrix(cfg, pool)
 	if err != nil {
-		return nil, fmt.Errorf("E13: %w", err)
+		return nil, err
 	}
-	protoSpecs, err := cfg.protocolSpecs()
-	if err != nil {
-		return nil, fmt.Errorf("E13: %w", err)
-	}
+	pool.run()
 	headers := []string{"family", "n", "D"}
-	for _, ps := range protoSpecs {
+	for _, ps := range m.protos {
 		headers = append(headers, ps.String())
 	}
 	t := stats.NewTable(
 		fmt.Sprintf("E13: protocol×scenario matrix, %d protocols × %d families, median rounds, target n=%d",
-			len(protoSpecs), len(scenSpecs), n),
+			len(m.protos), len(m.rows), m.n),
 		headers...)
+	for _, r := range m.rows {
+		row := []any{r.family, r.n, r.d}
+		for _, c := range r.cells {
+			row = append(row, medianCell(c.results()))
+		}
+		t.AddRow(row...)
+	}
+	return t, nil
+}
+
+// matrix is E13 with every cell's trials registered on a trialPool:
+// one row per scenario family, one cell per protocol in protos order.
+type matrix struct {
+	n      int // target stations per family
+	protos []protocol.Spec
+	rows   []matrixRow
+}
+
+type matrixRow struct {
+	family string
+	n, d   int // stations and diameter of the generated deployment
+	cells  []*trialSet[*broadcast.Result]
+}
+
+// newMatrix generates every family of E13's scenario axis and
+// registers each (family, protocol) cell's trials on pool, so the
+// whole table's trials run as one batch.
+func newMatrix(cfg Config, pool *trialPool) (*matrix, error) {
+	m := &matrix{n: cfg.scaled(32, 16)}
+	scenSpecs, err := cfg.scenarioSpecs(m.n)
+	if err != nil {
+		return nil, fmt.Errorf("E13: %w", err)
+	}
+	if m.protos, err = cfg.protocolSpecs(); err != nil {
+		return nil, fmt.Errorf("E13: %w", err)
+	}
 	for _, sp := range scenSpecs {
 		net, err := scenario.Generate(sp, physParams(), cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("E13 %s: %w", sp.Family, err)
 		}
 		d, _ := net.Diameter()
-		row := []any{sp.Family, net.N(), d}
-		for _, ps := range protoSpecs {
-			ps := ps
+		r := matrixRow{family: sp.Family, n: net.N(), d: d}
+		for _, ps := range m.protos {
 			// Data points are keyed by (family, protocol) name so every
 			// cell's trial series is stable as either axis grows.
-			med, fails, err := medianRounds(cfg, 13, matrixKey(sp.Family, ps.Name),
+			r.cells = append(r.cells, addTrials(pool, cfg.trials(), 13, matrixKey(sp.Family, ps.Name),
 				func(seed uint64) (*broadcast.Result, error) {
 					return protocol.Run(net, ps, seed)
-				})
-			switch {
-			case err != nil:
-				row = append(row, "fail")
-			case fails > 0:
-				row = append(row, fmt.Sprintf("%.0f(%d!)", med, fails))
-			default:
-				row = append(row, fmt.Sprintf("%.0f", med))
-			}
+				}))
 		}
-		t.AddRow(row...)
+		m.rows = append(m.rows, r)
 	}
-	return t, nil
+	return m, nil
 }
 
 // protocolSpecs returns the protocol axis of E13: the single parsed

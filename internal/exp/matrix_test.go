@@ -67,29 +67,32 @@ func TestE13Restriction(t *testing.T) {
 }
 
 // TestE13IdenticalAcrossWorkers extends the trial-concurrency
-// determinism contract to the protocol registry: a one-family slice of
-// the matrix (all protocols) must render bit-identically for serial
-// and concurrent trials.
+// determinism contract to the whole matrix: every family × every
+// protocol, run as one trial pool, must render bit-identically for
+// every worker count, including pools with more workers than a cell
+// has trials.
 func TestE13IdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment")
 	}
-	cfg := smallCfg()
-	cfg.Trials = 2
-	cfg.Scenario = "uniform:n=20"
-	serial := cfg
-	serial.Workers = 1
-	concurrent := cfg
-	concurrent.Workers = 4
-	a, err := E13ProtocolMatrix(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := E13ProtocolMatrix(concurrent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("E13 differs across Workers:\nserial:\n%s\nconcurrent:\n%s", a, b)
+	for _, trials := range []int{1, 3} {
+		cfg := smallCfg()
+		cfg.Trials = trials
+		var want string
+		for _, w := range []int{1, 2, 8} {
+			cfg.Workers = w
+			tb, err := E13ProtocolMatrix(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w == 1 {
+				want = tb.String()
+				continue
+			}
+			if got := tb.String(); got != want {
+				t.Fatalf("Trials=%d: E13 differs between Workers=1 and Workers=%d:\nserial:\n%s\nconcurrent:\n%s",
+					trials, w, want, got)
+			}
+		}
 	}
 }

@@ -27,7 +27,7 @@ func init() { enginePooling.Store(true) }
 // or recycled engines returned by put. Non-cloneable resolvers
 // (fading and other wrapper channels with per-trial state) fall back
 // to a fresh build every time. Safe for concurrent use by the
-// runNTrials workers; each engine is owned by one trial between get
+// trialPool workers; each engine is owned by one trial between get
 // and put.
 type enginePool struct {
 	build func() (sim.Resolver, error)

@@ -28,37 +28,46 @@ func E12CrossFamilySweep(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable(
 		fmt.Sprintf("E12: cross-family sweep over %d registered scenarios, target n=%d", len(specs), n),
 		"family", "n", "D", "log2(Rs)", "dens-spread", "NoS", "S", "decay")
+	// Every family is generated and its three data points registered
+	// before any trial runs, so the whole sweep is one batch of work.
+	type row struct {
+		family        string
+		net           *network.Network
+		d             int
+		nos, s, decay *trialSet[*broadcast.Result]
+	}
+	pool := newTrialPool(cfg)
+	var rows []row
 	for _, sp := range specs {
 		net, err := scenario.Generate(sp, physParams(), cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("E12 %s: %w", sp.Family, err)
 		}
-		d, _ := net.Diameter()
+		r := row{family: sp.Family, net: net}
+		r.d, _ = net.Diameter()
 		// Data points are keyed by family name (not slice index), so a
 		// family's series is stable as other families register.
 		famKey := fnvHash(sp.Family)
-		run := func(alg uint64, fn func(seed uint64) (*broadcast.Result, error)) string {
-			med, fails, err := medianRounds(cfg, 12, famKey+alg, fn)
-			if err != nil {
-				return "fail"
-			}
-			if fails > 0 {
-				return fmt.Sprintf("%.0f(%d!)", med, fails)
-			}
-			return fmt.Sprintf("%.0f", med)
+		add := func(alg uint64, fn func(seed uint64) (*broadcast.Result, error)) *trialSet[*broadcast.Result] {
+			return addTrials(pool, cfg.trials(), 12, famKey+alg, fn)
 		}
-		nos := run(0, func(seed uint64) (*broadcast.Result, error) {
+		r.nos = add(0, func(seed uint64) (*broadcast.Result, error) {
 			return broadcast.RunNoS(net, bcastCfg(net), seed, 0, 1)
 		})
-		s := run(1, func(seed uint64) (*broadcast.Result, error) {
+		r.s = add(1, func(seed uint64) (*broadcast.Result, error) {
 			return broadcast.RunS(net, bcastCfg(net), seed, 0, 1)
 		})
-		dec := run(2, func(seed uint64) (*broadcast.Result, error) {
+		r.decay = add(2, func(seed uint64) (*broadcast.Result, error) {
 			return baseline.RunFlood(net, baseline.NewDecay(net.N()), seed, 0, 0)
 		})
-		t.AddRow(sp.Family, net.N(), d,
-			fmt.Sprintf("%.1f", math.Log2(net.Granularity())),
-			fmt.Sprintf("%.1f", densitySpread(net)), nos, s, dec)
+		rows = append(rows, r)
+	}
+	pool.run()
+	for _, r := range rows {
+		t.AddRow(r.family, r.net.N(), r.d,
+			fmt.Sprintf("%.1f", math.Log2(r.net.Granularity())),
+			fmt.Sprintf("%.1f", densitySpread(r.net)),
+			medianCell(r.nos.results()), medianCell(r.s.results()), medianCell(r.decay.results()))
 	}
 	return t, nil
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"testing"
 
 	"sinrcast/internal/stats"
@@ -22,6 +23,7 @@ func TestTablesIdenticalAcrossWorkers(t *testing.T) {
 		{"E3", E3Lemma1},
 		{"E9", E9SuccessProbability},
 		{"E11", E11ColoringAblation},
+		{"E12", E12CrossFamilySweep},
 	}
 	for _, r := range runners {
 		t.Run(r.name, func(t *testing.T) {
@@ -46,6 +48,48 @@ func TestTablesIdenticalAcrossWorkers(t *testing.T) {
 				t.Fatalf("table differs across Workers:\nserial:\n%s\nparallel:\n%s", a, b)
 			}
 		})
+	}
+}
+
+// TestTrialPoolErrorsStayInTheirPoint registers three data points on
+// one pool, the middle one failing on trials 1 and 3: that point must
+// report the lowest failing trial's error, and the other points must
+// come back complete and in trial order, for every worker count.
+func TestTrialPoolErrorsStayInTheirPoint(t *testing.T) {
+	for _, w := range []int{1, 2, 8} {
+		cfg := Config{Seed: 7, Workers: w}
+		p := newTrialPool(cfg)
+		echo := func(seed uint64) (uint64, error) { return seed, nil }
+		a := addTrials(p, 4, 99, 0, echo)
+		bad := addTrials(p, 5, 99, 1, func(seed uint64) (uint64, error) {
+			for _, tr := range []int{3, 1} {
+				if seed == cfg.trialSeed(99, 1, tr) {
+					return 0, fmt.Errorf("trial %d failed", tr)
+				}
+			}
+			return seed, nil
+		})
+		c := addTrials(p, 3, 99, 2, echo)
+		p.run()
+		for _, good := range []struct {
+			point uint64
+			set   *trialSet[uint64]
+		}{{0, a}, {2, c}} {
+			got, err := good.set.results()
+			if err != nil {
+				t.Fatalf("Workers=%d: point %d: unexpected error %v", w, good.point, err)
+			}
+			for tr, seed := range got {
+				if seed != cfg.trialSeed(99, good.point, tr) {
+					t.Fatalf("Workers=%d: point %d trial %d: seed %d, want %d",
+						w, good.point, tr, seed, cfg.trialSeed(99, good.point, tr))
+				}
+			}
+		}
+		_, err := bad.results()
+		if err == nil || err.Error() != "trial 1 failed" {
+			t.Fatalf("Workers=%d: failing point returned %v, want the trial 1 error", w, err)
+		}
 	}
 }
 

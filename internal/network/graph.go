@@ -3,17 +3,23 @@ package network
 // BFS returns the vector of hop distances from src in the communication
 // graph; unreachable stations get -1.
 func (net *Network) BFS(src int) []int {
-	n := net.N()
-	dist := make([]int, n)
+	dist := make([]int, net.N())
+	net.bfsInto(src, dist, make([]int32, 0, net.N()))
+	return dist
+}
+
+// bfsInto fills dist (length N) with the hop distances from src,
+// -1 for unreachable stations, using queue's backing array as the FIFO
+// (popped by a head index, so capacity N never grows). It returns the
+// queue for the next sweep to reuse.
+func (net *Network) bfsInto(src int, dist []int, queue []int32) []int32 {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := make([]int32, 0, n)
-	queue = append(queue, int32(src))
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], int32(src))
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, w := range net.Adj[v] {
 			if dist[w] < 0 {
 				dist[w] = dist[v] + 1
@@ -21,7 +27,7 @@ func (net *Network) BFS(src int) []int {
 			}
 		}
 	}
-	return dist
+	return queue
 }
 
 // Connected reports whether the communication graph is connected.
@@ -38,8 +44,14 @@ func (net *Network) Connected() bool {
 // Eccentricity returns the largest finite hop distance from src, and
 // whether all stations were reachable.
 func (net *Network) Eccentricity(src int) (ecc int, connected bool) {
+	return eccentricity(net.BFS(src))
+}
+
+// eccentricity returns the largest finite entry of a BFS distance
+// vector, and whether every entry is finite.
+func eccentricity(dist []int) (ecc int, connected bool) {
 	connected = true
-	for _, d := range net.BFS(src) {
+	for _, d := range dist {
 		if d < 0 {
 			connected = false
 			continue
@@ -53,13 +65,18 @@ func (net *Network) Eccentricity(src int) (ecc int, connected bool) {
 
 // Diameter returns the exact diameter D of the communication graph via
 // all-sources BFS, and whether the graph is connected. Disconnected
-// graphs report the largest finite eccentricity.
+// graphs report the largest finite eccentricity. The n sweeps share
+// one distance vector and one queue.
 //
 // O(n·m); fine for the simulation sizes in this repository.
 func (net *Network) Diameter() (d int, connected bool) {
+	n := net.N()
 	connected = true
-	for v := 0; v < net.N(); v++ {
-		ecc, conn := net.Eccentricity(v)
+	dist := make([]int, n)
+	queue := make([]int32, 0, n)
+	for v := 0; v < n; v++ {
+		queue = net.bfsInto(v, dist, queue)
+		ecc, conn := eccentricity(dist)
 		if !conn {
 			connected = false
 		}

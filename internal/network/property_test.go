@@ -68,6 +68,30 @@ func TestPropertyDiameterBounds(t *testing.T) {
 	}
 }
 
+// TestPropertyDiameterIsMaxEccentricity pins Diameter's shared-buffer
+// sweep to the per-source definition, on connected and disconnected
+// graphs alike, and checks it allocates its two buffers once rather
+// than per source.
+func TestPropertyDiameterIsMaxEccentricity(t *testing.T) {
+	if err := quick.Check(func(seed uint16) bool {
+		net := randomNet(t, uint64(seed)+41, 24, 2)
+		want, wantConn := 0, true
+		for v := 0; v < net.N(); v++ {
+			ecc, conn := net.Eccentricity(v)
+			wantConn = wantConn && conn
+			want = max(want, ecc)
+		}
+		d, conn := net.Diameter()
+		return d == want && conn == wantConn
+	}, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	net := randomNet(t, 5, 24, 2)
+	if a := testing.AllocsPerRun(10, func() { net.Diameter() }); a > 2 {
+		t.Fatalf("Diameter allocates %v times per call, want ≤ 2", a)
+	}
+}
+
 func TestPropertyShortestPathMatchesBFS(t *testing.T) {
 	if err := quick.Check(func(seed uint16, dstRaw uint8) bool {
 		net := randomNet(t, uint64(seed)+29, 18, 2.5)

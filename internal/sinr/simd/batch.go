@@ -22,10 +22,8 @@ func (k Kernel) FarSum(upx, upy float64, x, y, p []float64) float64 {
 		return farSumInvSq(upx, upy, x, y, p)
 	case kernInvQuad:
 		return farSumInvQuad(upx, upy, x, y, p)
-	case kernOdd:
-		if k.m == 1 { // α = 3: ipow(d², 1) ≡ d²
-			return farSumOdd1(upx, upy, x, y, p)
-		}
+	case kernCube:
+		return farSumOdd1(upx, upy, x, y, p)
 	case kernHalf:
 		if k.m == 2 { // α = 2.5: ipow(d, 2) ≡ d·d
 			return farSumHalf2(upx, upy, x, y, p)

@@ -23,6 +23,7 @@ import "math"
 // so the per-pair cost in the resolve inner loops is a couple of
 // multiplies (plus at most two square roots) instead of a math.Pow call:
 //
+//	α = 3            1/(d²·√d²)
 //	α = 2            1/d²
 //	α = 4            1/(d²·d²)
 //	even integer α   inverse integer power of d²
@@ -48,6 +49,7 @@ const (
 	kernEven                      // α = 2m
 	kernOdd                       // α = 2m+1
 	kernHalf                      // α = m + 1/2
+	kernCube                      // α = 3 (the default); m unused
 )
 
 // kernMaxInt bounds the integer exponents the multiply strategies
@@ -60,6 +62,8 @@ const kernMaxInt = 64
 func NewKernel(alpha float64) Kernel {
 	k := Kernel{alpha: alpha, mode: kernPow}
 	switch {
+	case alpha == 3:
+		k.mode = kernCube
 	case alpha == 2:
 		k.mode = kernInvSq
 	case alpha == 4:
@@ -97,22 +101,24 @@ func ipow(x float64, m int) float64 {
 // input of the Euclidean fast paths, which never form d itself.
 // d² = 0 yields +Inf, matching Params.Signal at distance zero.
 //
-// The two reciprocal shapes are tested inline so the whole call is
-// inlinable into resolve loops; the multiply-chain and Pow shapes
-// (which call the non-inlinable ipow/math.Pow anyway) sit behind
-// fromDist2Slow.
+// Only the default α = 3 is tested inline, so the call stays within
+// the inlining budget in the resolve loops (CI checks it with
+// -gcflags=-m); every other shape sits behind fromDist2Slow. The α = 3
+// body equals the odd shape's 1/(ipow(d², 1)·√d²) bit for bit, since
+// ipow(x, 1) computes 1·x.
 func (k Kernel) FromDist2(d2 float64) float64 {
-	if k.mode == kernInvSq {
-		return 1 / d2
-	}
-	if k.mode == kernInvQuad {
-		return 1 / (d2 * d2)
+	if k.mode == kernCube {
+		return 1 / (d2 * math.Sqrt(d2))
 	}
 	return k.fromDist2Slow(d2)
 }
 
 func (k Kernel) fromDist2Slow(d2 float64) float64 {
 	switch k.mode {
+	case kernInvSq: // α = 2
+		return 1 / d2
+	case kernInvQuad: // α = 4
+		return 1 / (d2 * d2)
 	case kernEven: // α = 2m: d^-α = (d²)^-m
 		return 1 / ipow(d2, k.m)
 	case kernOdd: // α = 2m+1: d^-α = ((d²)^m · √d²)^-1
@@ -127,20 +133,21 @@ func (k Kernel) fromDist2Slow(d2 float64) float64 {
 
 // FromDist returns d^-α given the plain distance d — the natural input
 // of the generic metric path. d = 0 yields +Inf. Split like FromDist2
-// so the reciprocal shapes inline.
+// so the α = 3 shape inlines.
 func (k Kernel) FromDist(d float64) float64 {
-	if k.mode == kernInvSq {
-		return 1 / (d * d)
-	}
-	if k.mode == kernInvQuad {
-		d2 := d * d
-		return 1 / (d2 * d2)
+	if k.mode == kernCube {
+		return 1 / ((d * d) * d)
 	}
 	return k.fromDistSlow(d)
 }
 
 func (k Kernel) fromDistSlow(d float64) float64 {
 	switch k.mode {
+	case kernInvSq: // α = 2
+		return 1 / (d * d)
+	case kernInvQuad: // α = 4
+		d2 := d * d
+		return 1 / (d2 * d2)
 	case kernEven: // α = 2m
 		return 1 / ipow(d*d, k.m)
 	case kernOdd: // α = 2m+1

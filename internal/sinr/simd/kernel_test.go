@@ -65,8 +65,9 @@ func TestKernelModeSelection(t *testing.T) {
 		{2, kernInvSq},
 		{4, kernInvQuad},
 		{6, kernEven},
-		{3, kernOdd},
+		{3, kernCube},
 		{1, kernOdd},
+		{5, kernOdd},
 		{2.5, kernHalf},
 		{0.5, kernHalf},
 		{math.Pi, kernPow},
@@ -76,6 +77,30 @@ func TestKernelModeSelection(t *testing.T) {
 	for _, c := range cases {
 		if k := NewKernel(c.alpha); k.mode != c.mode {
 			t.Errorf("alpha=%v: mode %d, want %d", c.alpha, k.mode, c.mode)
+		}
+	}
+}
+
+// TestKernelCubeMatchesOddChain pins the α = 3 shape bitwise to the
+// odd-integer multiply chain it replaced, 1/(ipow(d², 1)·√d²) and
+// 1/(ipow(d·d, 1)·d), over random inputs plus 0, subnormals and +Inf,
+// so every table stays byte-identical.
+func TestKernelCubeMatchesOddChain(t *testing.T) {
+	k := NewKernel(3)
+	xs := []float64{0, math.SmallestNonzeroFloat64, 1e-310, 2.2250738585072009e-308,
+		math.SmallestNonzeroFloat64 * 3, 1e-160, 1, 1e100, math.MaxFloat64, math.Inf(1)}
+	r := rng.New(3)
+	for i := 0; i < 20000; i++ {
+		xs = append(xs, math.Exp(r.Range(math.Log(1e-12), math.Log(1e12))))
+	}
+	for _, x := range xs {
+		want2 := 1 / (ipow(x, 1) * math.Sqrt(x))
+		if got := k.FromDist2(x); math.Float64bits(got) != math.Float64bits(want2) {
+			t.Fatalf("FromDist2(%v) = %v, odd chain gives %v", x, got, want2)
+		}
+		want := 1 / (ipow(x*x, 1) * x)
+		if got := k.FromDist(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("FromDist(%v) = %v, odd chain gives %v", x, got, want)
 		}
 	}
 }
