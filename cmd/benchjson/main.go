@@ -33,7 +33,9 @@
 //
 // It exits 1 if any matching benchmark's metric exceeds the baseline by
 // more than the tolerance, or if nothing matched (a silent no-op gate
-// would be worse than none).
+// would be worse than none). A benchmark that appears several times in
+// the fresh output (go test -count N) is gated on its fastest run, so
+// one run slowed by the machine does not fail the gate.
 package main
 
 import (
@@ -48,7 +50,6 @@ import (
 	"strconv"
 	"strings"
 
-	"sinrcast/internal/cputopo"
 	"sinrcast/internal/prof"
 )
 
@@ -72,7 +73,7 @@ type Report struct {
 	Goos   string `json:"goos,omitempty"`
 	Goarch string `json:"goarch,omitempty"`
 	CPU    string `json:"cpu,omitempty"`
-	// NumCPU/Gomaxprocs/NUMANodes record the recording machine's
+	// NumCPU/Gomaxprocs record the recording machine's
 	// parallel topology. benchjson stamps them at serialization time,
 	// which describes the bench machine as long as the report is
 	// generated on the machine the benches ran on (the
@@ -82,7 +83,6 @@ type Report struct {
 	// recorded elsewhere.
 	NumCPU     int `json:"num_cpu,omitempty"`
 	Gomaxprocs int `json:"gomaxprocs,omitempty"`
-	NUMANodes  int `json:"numa_nodes,omitempty"`
 	// Benchtime documents the -benchtime the benches ran with (from the
 	// -benchtime flag; go test does not echo it into its output).
 	Benchtime  string      `json:"benchtime,omitempty"`
@@ -97,7 +97,7 @@ func sameTopology(a, b *Report) bool {
 	if a.NumCPU == 0 || b.NumCPU == 0 {
 		return true
 	}
-	return a.NumCPU == b.NumCPU && a.Gomaxprocs == b.Gomaxprocs && a.NUMANodes == b.NUMANodes
+	return a.NumCPU == b.NumCPU && a.Gomaxprocs == b.Gomaxprocs
 }
 
 // parallelEntry matches benchmark names whose timing depends on the
@@ -195,45 +195,61 @@ var procSuffix = regexp.MustCompile(`-\d+$`)
 // are matched with the -GOMAXPROCS suffix stripped, so a baseline
 // recorded on one core count gates runs on any other — except
 // parallel entries, which are skipped entirely when the recorded
-// topologies differ: a worker-sweep timing from an 8-core NUMA box
-// says nothing about a 2-core runner, and gating on it would fail (or
-// silently pass) on hardware, not code. It returns the number of
-// comparisons made and the regressions found.
+// topologies differ: a worker-sweep timing from an 8-core box says
+// nothing about a 2-core runner, and gating on it would fail (or
+// silently pass) on hardware, not code. Repeated fresh entries of one
+// name are gated once, on the fastest (lowest) value. It returns the
+// number of comparisons made and the regressions found.
 func compare(fresh, base *Report, filter *regexp.Regexp, metric string, tolerance float64, w io.Writer) (checked int, regressions int) {
 	topoMatch := sameTopology(fresh, base)
 	baseline := make(map[string]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseline[procSuffix.ReplaceAllString(b.Name, "")] = b
 	}
+	type run struct {
+		name string
+		best float64
+		runs int
+	}
+	var order []string
+	fastest := map[string]*run{}
 	for _, b := range fresh.Benchmarks {
 		if filter != nil && !filter.MatchString(b.Name) {
 			continue
 		}
-		if !topoMatch && parallelEntry.MatchString(procSuffix.ReplaceAllString(b.Name, "")) {
-			fmt.Fprintf(w, "%-10s %s: parallel entry, baseline topology differs (%d/%d/%d vs %d/%d/%d cpu/procs/nodes)\n",
-				"skip", b.Name,
-				fresh.NumCPU, fresh.Gomaxprocs, fresh.NUMANodes,
-				base.NumCPU, base.Gomaxprocs, base.NUMANodes)
+		key := procSuffix.ReplaceAllString(b.Name, "")
+		if !topoMatch && parallelEntry.MatchString(key) {
+			fmt.Fprintf(w, "%-10s %s: parallel entry, baseline topology differs (%d/%d vs %d/%d cpu/procs)\n",
+				"skip", b.Name, fresh.NumCPU, fresh.Gomaxprocs, base.NumCPU, base.Gomaxprocs)
 			continue
 		}
-		old, ok := baseline[procSuffix.ReplaceAllString(b.Name, "")]
+		v, ok := b.Metrics[metric]
 		if !ok {
 			continue
 		}
-		newV, okNew := b.Metrics[metric]
-		oldV, okOld := old.Metrics[metric]
-		if !okNew || !okOld || oldV <= 0 {
+		if r := fastest[key]; r != nil {
+			r.best = min(r.best, v)
+			r.runs++
+			continue
+		}
+		fastest[key] = &run{name: b.Name, best: v, runs: 1}
+		order = append(order, key)
+	}
+	for _, key := range order {
+		r := fastest[key]
+		oldV, ok := baseline[key].Metrics[metric]
+		if !ok || oldV <= 0 {
 			continue
 		}
 		checked++
-		ratio := newV / oldV
+		ratio := r.best / oldV
 		status := "ok"
 		if ratio > 1+tolerance {
 			status = "REGRESSION"
 			regressions++
 		}
-		fmt.Fprintf(w, "%-10s %s: %s %.0f -> %.0f (%.2fx, tolerance %.0f%%)\n",
-			status, b.Name, metric, oldV, newV, ratio, tolerance*100)
+		fmt.Fprintf(w, "%-10s %s: %s %.0f -> %.0f (%.2fx, fastest of %d, tolerance %.0f%%)\n",
+			status, r.name, metric, oldV, r.best, ratio, r.runs, tolerance*100)
 	}
 	return checked, regressions
 }
@@ -264,7 +280,6 @@ func main() {
 	rep.Benchtime = *benchtime
 	rep.NumCPU = runtime.NumCPU()
 	rep.Gomaxprocs = runtime.GOMAXPROCS(0)
-	rep.NUMANodes = cputopo.Detect().NumNodes()
 
 	if *compareTo != "" {
 		raw, err := os.ReadFile(*compareTo)

@@ -143,11 +143,11 @@ func TestCompareTopologySkip(t *testing.T) {
 		mk("BenchmarkHierResolve/n=65536/alpha=2.5/parallel-8", 400),
 		mk("BenchmarkParallelScaling/n=65536/alpha=2.5/workers=4", 300),
 	}
-	base := &Report{NumCPU: 8, Gomaxprocs: 8, NUMANodes: 2, Benchmarks: benches}
+	base := &Report{NumCPU: 8, Gomaxprocs: 8, Benchmarks: benches}
 
 	// Same topology: parallel entries are gated like any other (the 10x
 	// slowdowns regress).
-	fresh := &Report{NumCPU: 8, Gomaxprocs: 8, NUMANodes: 2, Benchmarks: []Benchmark{
+	fresh := &Report{NumCPU: 8, Gomaxprocs: 8, Benchmarks: []Benchmark{
 		mk("BenchmarkHierResolve/n=65536/alpha=2.5/parallel-8", 4000),
 		mk("BenchmarkParallelScaling/n=65536/alpha=2.5/workers=4", 3000),
 	}}
@@ -158,7 +158,7 @@ func TestCompareTopologySkip(t *testing.T) {
 
 	// Different topology: parallel entries are skipped, serial entries
 	// still gate.
-	fresh = &Report{NumCPU: 2, Gomaxprocs: 2, NUMANodes: 1, Benchmarks: []Benchmark{
+	fresh = &Report{NumCPU: 2, Gomaxprocs: 2, Benchmarks: []Benchmark{
 		mk("BenchmarkHierResolve/n=65536/alpha=2.5/serial", 1100),
 		mk("BenchmarkHierResolve/n=65536/alpha=2.5/parallel-2", 4000),
 		mk("BenchmarkParallelScaling/n=65536/alpha=2.5/workers=4", 3000),
@@ -174,11 +174,39 @@ func TestCompareTopologySkip(t *testing.T) {
 
 	// A baseline predating the topology fields gates everything.
 	legacy := &Report{Benchmarks: benches}
-	fresh = &Report{NumCPU: 2, Gomaxprocs: 2, NUMANodes: 1, Benchmarks: []Benchmark{
+	fresh = &Report{NumCPU: 2, Gomaxprocs: 2, Benchmarks: []Benchmark{
 		mk("BenchmarkHierResolve/n=65536/alpha=2.5/parallel-2", 410),
 	}}
 	if checked, _ = compare(fresh, legacy, nil, "ns/round", 0.15, &strings.Builder{}); checked != 1 {
 		t.Fatalf("legacy baseline: checked=%d, want 1", checked)
+	}
+}
+
+// TestCompareFastestOfRepeats pins the -count N rule: repeated fresh
+// entries of one name are gated once, on the fastest run.
+func TestCompareFastestOfRepeats(t *testing.T) {
+	mk := func(name string, ns float64) Benchmark {
+		return Benchmark{Name: name, Iterations: 2, Metrics: map[string]float64{"ns/op": ns}}
+	}
+	const name = "BenchmarkE13ProtocolMatrix/scale=0.5"
+	base := &Report{Benchmarks: []Benchmark{mk(name, 100)}}
+
+	// One of three runs within bound: the gate passes, counting once.
+	fresh := &Report{Benchmarks: []Benchmark{mk(name+"-2", 190), mk(name+"-2", 130), mk(name+"-2", 220)}}
+	var sb strings.Builder
+	checked, regressions := compare(fresh, base, nil, "ns/op", 0.35, &sb)
+	if checked != 1 || regressions != 0 {
+		t.Fatalf("one run within bound: checked=%d regressions=%d, want 1/0\n%s", checked, regressions, sb.String())
+	}
+	if !strings.Contains(sb.String(), "fastest of 3") {
+		t.Fatalf("report does not name the repeat count:\n%s", sb.String())
+	}
+
+	// All three runs beyond bound: one regression.
+	fresh = &Report{Benchmarks: []Benchmark{mk(name+"-2", 190), mk(name+"-2", 140), mk(name+"-2", 220)}}
+	checked, regressions = compare(fresh, base, nil, "ns/op", 0.35, &strings.Builder{})
+	if checked != 1 || regressions != 1 {
+		t.Fatalf("all runs beyond bound: checked=%d regressions=%d, want 1/1", checked, regressions)
 	}
 }
 

@@ -50,19 +50,15 @@
 //     most two square roots, math.Pow only for irrational α), so the
 //     innermost per-pair statement is branch-free multiplies.
 //   - Engine parallelism: every engine cuts a round into work chunks
-//     executed by a work-stealing scheduler (internal/sinr/sched):
-//     each chunk has a stable owner worker — the hier engine chunks at
-//     its 16×16-cell receiver blocks, so a block's cached slabs stay
-//     with one worker across rounds — and idle workers steal whole
-//     chunks from other workers' queues when the load skews. Per-chunk
-//     output slots merged in chunk order keep the reception list
-//     byte-identical to the serial result for every worker count and
-//     every steal interleaving (Engine.SetWorkers; default
+//     — contiguous receiver ranges, or the hier engine's 16×16-cell
+//     receiver blocks — and drains them on a pool of persistent
+//     workers that take the next chunk index from one atomic cursor,
+//     the calling goroutine included, so a slow chunk holds up only
+//     the worker running it. Per-chunk output slots merged in chunk
+//     order keep the reception list byte-identical to the serial
+//     result for every worker count (Engine.SetWorkers; default
 //     runtime.GOMAXPROCS(0); small rounds stay serial below a
-//     crossover size). Engine.SetPinned optionally pins workers to
-//     CPUs, assigned NUMA-node-first from the sysfs topology
-//     (internal/cputopo), for stable core-local caches on multi-socket
-//     machines.
+//     crossover size).
 //   - Trial parallelism: each experiment table (internal/exp) runs
 //     its trials on one pool of exp.Config.Workers goroutines
 //     (cmd/experiments -workers). The registry sweeps E12 and E13

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"math/bits"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -87,6 +89,35 @@ func TestE5(t *testing.T) {
 	}
 	if len(tb.Rows) != 5 {
 		t.Fatalf("E5 rows = %d", len(tb.Rows))
+	}
+}
+
+// TestE5MatchesFact7 makes Fact 7 executable: every E5 row's schedule
+// length equals 32·lg n·(lg n − 5), the O(log² n) bound with its
+// constant — 192, 768, 1600, 2688 and 4032 rounds for n = 64 … 16384.
+func TestE5MatchesFact7(t *testing.T) {
+	tb, err := E5ColoringRounds(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct{ n, rounds string }{
+		{"64", "192"}, {"256", "768"}, {"1024", "1600"}, {"4096", "2688"}, {"16384", "4032"},
+	}
+	if len(tb.Rows) != len(want) {
+		t.Fatalf("E5 rows = %d, want %d", len(tb.Rows), len(want))
+	}
+	for i, row := range tb.Rows {
+		n, err := strconv.Atoi(row[0])
+		if err != nil {
+			t.Fatalf("row %d: n = %q", i, row[0])
+		}
+		lg := bits.Len(uint(n)) - 1
+		if fact7 := strconv.Itoa(32 * lg * (lg - 5)); row[1] != fact7 {
+			t.Errorf("n=%d: %s rounds, want 32·lg n·(lg n − 5) = %s", n, row[1], fact7)
+		}
+		if row[0] != want[i].n || row[1] != want[i].rounds {
+			t.Errorf("row %d = (%s, %s), want (%s, %s)", i, row[0], row[1], want[i].n, want[i].rounds)
+		}
 	}
 }
 

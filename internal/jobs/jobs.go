@@ -4,7 +4,7 @@
 // ErrQueueFull so the transport can answer 429 + Retry-After instead
 // of buffering unbounded work — and executed by a fixed pool of job
 // workers. Every job gets its own cancellation context, and the
-// machine's resolver-worker budget (internal/sinr/sched goroutines)
+// machine's resolver-worker budget (the sinr engines' chunk workers)
 // is divided across the job workers, so J concurrent jobs never
 // oversubscribe the cores a single batch run would use.
 //

@@ -25,9 +25,6 @@ type Resolver interface {
 	Params() Params
 	// SetWorkers bounds round-chunking concurrency (≤ 0 = GOMAXPROCS).
 	SetWorkers(w int)
-	// SetPinned toggles best-effort OS-thread/CPU pinning of the
-	// parallel workers. Output is byte-identical either way.
-	SetPinned(on bool)
 }
 
 var (

@@ -145,8 +145,8 @@ func BenchmarkHierResolve(b *testing.B) {
 }
 
 // BenchmarkParallelScaling sweeps the worker count on the hierarchical
-// engine at the large sizes — the speedup curve of the work-stealing
-// runner. Two disjoint transmitter sets alternate per iteration so the
+// engine at the large sizes — the speedup curve of the chunk-cursor
+// worker pool. Two disjoint transmitter sets alternate per iteration so the
 // cross-round epoch cache cannot collapse the rounds into replays:
 // every measured round pays real aggregation and descent work. One
 // warm-up round per set runs before the timer, so the loop measures

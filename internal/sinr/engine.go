@@ -23,12 +23,11 @@ type Reception struct {
 //
 // Path loss is evaluated through a Kernel specialized for the exponent
 // α, and rounds over networks at least as large as the parallel
-// crossover are cut into receiver-range chunks executed by the
-// work-stealing runner (internal/sinr/sched). Parallel resolution is
-// byte-identical to serial: each receiver accumulates interference in
-// the same transmitter order regardless of chunking, and chunk outputs
-// are concatenated in receiver order however the chunks were placed or
-// stolen.
+// crossover are cut into receiver-range chunks drained by the worker
+// pool (see chunkRunner). Parallel resolution is byte-identical to
+// serial: each receiver accumulates interference in the same
+// transmitter order regardless of chunking, and chunk outputs are
+// concatenated in receiver order whichever worker ran each chunk.
 //
 // The zero value is not usable; construct with NewEngine. An Engine is
 // not safe for concurrent use by multiple goroutines (it owns scratch
@@ -39,11 +38,9 @@ type Engine struct {
 	*engineTopo
 
 	// workers is the resolved worker count; minParallelN is the
-	// receiver count below which rounds stay serial; pinned opts the
-	// runner into core placement (see SetPinned).
+	// receiver count below which rounds stay serial.
 	workers      int
 	minParallelN int
-	pinned       bool
 	par          chunkRunner
 	chunkFn      func(chunk, worker int)
 	chunkForFn   func(chunk, worker int)
@@ -141,10 +138,10 @@ func (e *Engine) ensureRunState() {
 // clone resolves byte-identically to a freshly constructed engine and
 // may be used concurrently with the original — each engine still owns
 // its scratch, so no single engine is concurrency-safe, but separate
-// clones are. Tuning (workers, pinning, parallel crossover) is copied.
+// clones are. Tuning (workers, parallel crossover) is copied.
 func (e *Engine) Clone() *Engine {
 	c := engineFromTopo(e.engineTopo)
-	c.workers, c.minParallelN, c.pinned = e.workers, e.minParallelN, e.pinned
+	c.workers, c.minParallelN = e.workers, e.minParallelN
 	return c
 }
 
@@ -159,13 +156,6 @@ func (e *Engine) N() int { return e.space.Len() }
 // still resolve serially, and output is byte-identical for every
 // worker count.
 func (e *Engine) SetWorkers(w int) { e.workers = resolveWorkers(w) }
-
-// SetPinned opts the worker runner into core placement: worker
-// goroutines lock their OS threads and (on Linux) pin to CPUs in
-// NUMA-node-major order. Takes effect when the runner is next (re)built
-// — i.e. from the next parallel round. Output is byte-identical either
-// way; pinning only affects where the work runs.
-func (e *Engine) SetPinned(on bool) { e.pinned = on }
 
 // Resolve computes all successful receptions for one round in which
 // exactly the stations listed in tx transmit. The returned slice is
@@ -220,7 +210,7 @@ func (e *Engine) ResolveFor(tx []int, receivers []int) []Reception {
 		e.isTx[t] = true
 	}
 	if e.workers > 1 && len(receivers) >= e.minParallelN {
-		ensureRunner(&e.par, e, e.workers, e.pinned)
+		ensureRunner(&e.par, e, e.workers)
 		if e.chunkForFn == nil {
 			e.chunkForFn = e.runChunkFor
 		}
@@ -245,14 +235,13 @@ func (e *Engine) runChunkFor(chunk, worker int) {
 	e.par.slots[chunk].out = e.collectFor(recv, e.par.slots[chunk].out[:0])
 }
 
-// resolveParallel chunks the receiver range [0,n) across the work-
-// stealing runner. Chunks touch disjoint ranges of the scratch arrays
-// and append into their own output slots, which are then concatenated
-// in chunk (= ascending receiver) order, so the merged result is
-// byte-identical to the serial one regardless of which worker ran (or
-// stole) which chunk.
+// resolveParallel chunks the receiver range [0,n) across the worker
+// pool. Chunks touch disjoint ranges of the scratch arrays and append
+// into their own output slots, which are then concatenated in chunk
+// (= ascending receiver) order, so the merged result is byte-identical
+// to the serial one regardless of which worker ran which chunk.
 func (e *Engine) resolveParallel(tx []int) {
-	ensureRunner(&e.par, e, e.workers, e.pinned)
+	ensureRunner(&e.par, e, e.workers)
 	if e.chunkFn == nil {
 		e.chunkFn = e.runChunk
 	}

@@ -61,28 +61,9 @@ func runnerOf(r Resolver) *chunkRunner {
 }
 
 // SetChunkTargetForTest overrides the per-chunk receiver target; 1
-// makes every receiver its own chunk — the deterministic steal storm
-// (many more chunks than workers, so thieves always find work).
+// makes every receiver its own chunk (many more chunks than workers,
+// so the workers contend on the cursor for every receiver).
 func SetChunkTargetForTest(r Resolver, target int) { runnerOf(r).chunkTarget = target }
-
-// StealsForTest reports how many chunks the engine's runner has
-// executed off-owner since the runner was built (0 before any parallel
-// round ran).
-func StealsForTest(r Resolver) int64 {
-	run := runnerOf(r).run
-	if run == nil {
-		return 0
-	}
-	return run.Steals()
-}
-
-// HoldWorkerForTest blocks the given worker of the engine's runner at
-// the start of every round until release is closed; worker < 0 clears
-// the hold. The runner must exist (run one parallel round first, or
-// call after ForceParallelForTest + Resolve).
-func HoldWorkerForTest(r Resolver, worker int, release <-chan struct{}) {
-	runnerOf(r).run.SetHoldForTest(worker, release)
-}
 
 // HotStatsForTest returns the hot-table cost counters accumulated since
 // construction: total block-counter bumps and live-cell transitions

@@ -63,9 +63,8 @@ func gridDims(pts []geom.Point, cellSize float64) (cols, rows int, minX, minY fl
 // tail, which decays as d^-α with α > 2.
 //
 // Like Engine, path loss goes through the specialized Kernel and the
-// per-receiver loop splits into chunks run by the work-stealing runner
-// on large networks, with byte-identical output for every worker count
-// and steal interleaving. A
+// per-receiver loop splits into chunks run by the worker pool on large
+// networks, with byte-identical output for every worker count. A
 // GridEngine is not safe for concurrent use by multiple goroutines;
 // Clone gives each goroutine its own engine over the shared topology.
 //
@@ -80,7 +79,6 @@ type GridEngine struct {
 
 	workers      int
 	minParallelN int
-	pinned       bool
 	par          chunkRunner
 	chunkFn      func(chunk, worker int)
 	chunkForFn   func(chunk, worker int)
@@ -217,10 +215,10 @@ func (g *GridEngine) ensureRunState() {
 // topology (positions, cell CSR, cell centers) with fresh per-round
 // state. The clone resolves byte-identically to a freshly constructed
 // engine; separate clones may run concurrently. Tuning (workers,
-// pinning, parallel crossover) is copied.
+// parallel crossover) is copied.
 func (g *GridEngine) Clone() *GridEngine {
 	c := gridFromTopo(g.gridTopo)
-	c.workers, c.minParallelN, c.pinned = g.workers, g.minParallelN, g.pinned
+	c.workers, c.minParallelN = g.workers, g.minParallelN
 	return c
 }
 
@@ -249,10 +247,6 @@ func (g *GridEngine) Params() Params { return g.params }
 // SetWorkers sets how many goroutines Resolve may use; w ≤ 0 selects
 // runtime.GOMAXPROCS(0). Output is byte-identical for every count.
 func (g *GridEngine) SetWorkers(w int) { g.workers = resolveWorkers(w) }
-
-// SetPinned opts the worker runner into core placement (see
-// Engine.SetPinned); applied when the runner is next (re)built.
-func (g *GridEngine) SetPinned(on bool) { g.pinned = on }
 
 // aggregate buckets the round's transmitters by cell (serial: O(|tx|)).
 func (g *GridEngine) aggregate(tx []int) {
@@ -317,7 +311,7 @@ func (g *GridEngine) ResolveFor(tx []int, receivers []int) []Reception {
 	g.aggregate(tx)
 
 	if g.workers > 1 && len(receivers) >= g.minParallelN {
-		ensureRunner(&g.par, g, g.workers, g.pinned)
+		ensureRunner(&g.par, g, g.workers)
 		if g.chunkForFn == nil {
 			g.chunkForFn = g.runChunkFor
 		}
@@ -332,12 +326,12 @@ func (g *GridEngine) ResolveFor(tx []int, receivers []int) []Reception {
 	return g.out
 }
 
-// resolveParallel chunks the receiver loop across the work-stealing
-// runner. After aggregation all per-cell state is read-only, so chunks
-// only write their own output slots; concatenating them in chunk order
+// resolveParallel chunks the receiver loop across the worker pool.
+// After aggregation all per-cell state is read-only, so chunks only
+// write their own output slots; concatenating them in chunk order
 // reproduces the serial receiver order exactly.
 func (g *GridEngine) resolveParallel() {
-	ensureRunner(&g.par, g, g.workers, g.pinned)
+	ensureRunner(&g.par, g, g.workers)
 	if g.chunkFn == nil {
 		g.chunkFn = g.runChunk
 	}

@@ -168,9 +168,9 @@ type hierChunk struct {
 // and the round-sequence tests require the two to agree bit for bit.
 //
 // Like the other engines, path loss goes through the specialized
-// Kernel, large rounds split into chunks executed by the work-stealing
-// runner with byte-identical output for every worker count and steal
-// interleaving, and ResolveFor restricts a round to a receiver subset.
+// Kernel, large rounds split into chunks drained by the worker pool
+// with byte-identical output for every worker count, and ResolveFor
+// restricts a round to a receiver subset.
 // A HierEngine is not safe for concurrent use by multiple goroutines;
 // Clone gives each goroutine its own engine over the shared topology.
 type HierEngine struct {
@@ -182,7 +182,6 @@ type HierEngine struct {
 
 	workers      int
 	minParallelN int
-	pinned       bool
 	par          chunkRunner
 	// Cached chunk closures for the two parallel dispatch shapes
 	// (allocated once so steady-state rounds stay alloc-free).
@@ -430,10 +429,10 @@ func (h *HierEngine) ensureRunState() {
 // caches and scratch. The clone resolves byte-identically to a freshly
 // constructed engine — it inherits none of the original's cross-round
 // aggregation state — and separate clones may run concurrently. Tuning
-// (workers, pinning, parallel crossover, delta crossover) is copied.
+// (workers, parallel crossover, delta crossover) is copied.
 func (h *HierEngine) Clone() *HierEngine {
 	c := hierFromTopo(h.hierTopo)
-	c.workers, c.minParallelN, c.pinned = h.workers, h.minParallelN, h.pinned
+	c.workers, c.minParallelN = h.workers, h.minParallelN
 	c.deltaCrossover = h.deltaCrossover
 	return c
 }
@@ -484,13 +483,6 @@ func (h *HierEngine) Levels() int {
 // SetWorkers sets how many goroutines Resolve may use; w ≤ 0 selects
 // runtime.GOMAXPROCS(0). Output is byte-identical for every count.
 func (h *HierEngine) SetWorkers(w int) { h.workers = resolveWorkers(w) }
-
-// SetPinned toggles OS-thread pinning of the parallel workers (off by
-// default): each worker goroutine locks to an OS thread bound to one
-// CPU, assigned NUMA-node-first. Best-effort — a no-op where the
-// platform offers no affinity API — and output is byte-identical
-// either way.
-func (h *HierEngine) SetPinned(on bool) { h.pinned = on }
 
 // SetDeltaCrossover sets the churn fraction up to which consecutive
 // rounds update transmitter aggregates incrementally instead of
@@ -981,7 +973,7 @@ func (h *HierEngine) ResolveFor(tx []int, receivers []int) []Reception {
 		return h.out
 	}
 	if h.workers > 1 && len(receivers) >= h.minParallelN {
-		ensureRunner(&h.par, h, h.workers, h.pinned)
+		ensureRunner(&h.par, h, h.workers)
 		h.ensureChunks(h.workers)
 		if h.listFn == nil {
 			h.listFn = h.runChunkList
@@ -998,39 +990,33 @@ func (h *HierEngine) ResolveFor(tx []int, receivers []int) []Reception {
 
 // runBlocks is the parallel memoized whole-round body (mask non-nil
 // when a large ResolveFor restricts the round): every work-list block
-// becomes one chunk, owned by worker blockID·W/nBlocks. Block ids are
-// stable across rounds, so a block's owner — and therefore the worker
-// whose cache holds its slabs and its receivers' far sums — never
-// changes while the worker count does not; skewed block occupancy
-// surfaces as queue imbalance that stealing rebalances.
+// becomes one chunk, and the pool's workers take blocks from its
+// cursor in work-list order. Skewed block occupancy — cold blocks
+// finish nearly free while decode-heavy blocks dominate — only means
+// the workers on cheap blocks take more of them.
 func (h *HierEngine) runBlocks(mask []bool) []Reception {
-	ensureRunner(&h.par, h, h.workers, h.pinned)
+	ensureRunner(&h.par, h, h.workers)
 	if h.blockFn == nil {
 		h.blockFn = h.runChunkBlock
 	}
-	h.par.prepare(len(h.workList))
-	nBlocks := h.bcols * h.brows
-	for i, b := range h.workList {
-		h.par.owners[i] = int32(int(b) * h.workers / nBlocks)
-	}
 	h.curMask = mask
-	out := h.par.runOwned(h.blockFn, h.out)
+	out := h.par.run(len(h.workList), h.blockFn, h.out)
 	h.curMask = nil
 	return out
 }
 
 // runChunkBlock resolves the chunk-th work-list block against the
-// shared per-block cache. Exactly one worker claims each chunk, so the
-// block's cache entry and its receivers' far-sum entries keep a single
-// writer per round even when the chunk is stolen.
+// shared per-block cache. The cursor hands each chunk to exactly one
+// worker, so the block's cache entry and its receivers' far-sum
+// entries keep a single writer per round.
 func (h *HierEngine) runChunkBlock(chunk, worker int) {
 	h.par.slots[chunk].out = h.collectBlocks(h.workList[chunk:chunk+1], h.curMask, h.par.slots[chunk].out[:0])
 }
 
 // runChunkList resolves the chunk-th contiguous slice of a small
 // ResolveFor subset with the executing worker's private slabs (chunks
-// from different regions may land on one worker under stealing; the
-// (block, epoch) key on the private cache keeps reuse correct).
+// from different regions may land on one worker from round to round;
+// the (block, epoch) key on the private cache keeps reuse correct).
 func (h *HierEngine) runChunkList(chunk, worker int) {
 	lo, hi := h.par.chunkRange(chunk, len(h.curRecv))
 	h.par.slots[chunk].out = h.collectList(&h.chunks[worker], h.curRecv[lo:hi], h.par.slots[chunk].out[:0])

@@ -101,3 +101,77 @@ func TestKeyDistinguishesParams(t *testing.T) {
 		t.Fatalf("engine name not part of the key: %q vs %q", a, b)
 	}
 }
+
+// keyFuzzSeeds is the shared seed corpus of the key parsers: valid
+// keys, duplicate, missing and unknown fields, and non-numbers.
+var keyFuzzSeeds = []string{
+	DefaultParams().Key(),
+	"alpha=2.5,beta=1.5,noise=1,eps=0.3",
+	"eps=0.5, noise=1e-9 ,beta=1,alpha=2", // any field order, padded
+	"alpha=3,beta=1.5,noise=1,eps=1,eps=2",
+	"alpha=3,alpha=3,beta=1.5,noise=1,eps=0.3",
+	"alpha=3,beta=1.5,noise=1",
+	"",
+	"alpha=3,beta=1.5,noise=1,eps=0.3,gamma=2",
+	"alpha=3,beta=1.5,noise=1,eps=x",
+	"alpha=0x1p-2,beta=1_5,noise=NaN,eps=-Inf",
+	"alpha=3,beta=1.5,noise=1,eps",
+	"alpha=,beta=1.5,noise=1,eps=0.3",
+	",,,",
+}
+
+// sameBits reports whether two Params are bit-identical, NaN payloads
+// included.
+func sameBits(a, b Params) bool {
+	return math.Float64bits(a.Alpha) == math.Float64bits(b.Alpha) &&
+		math.Float64bits(a.Beta) == math.Float64bits(b.Beta) &&
+		math.Float64bits(a.Noise) == math.Float64bits(b.Noise) &&
+		math.Float64bits(a.Eps) == math.Float64bits(b.Eps)
+}
+
+// FuzzParseParamsKey: no input panics, and every accepted input
+// round-trips through Params.Key to bit-identical Params.
+func FuzzParseParamsKey(f *testing.F) {
+	for _, s := range keyFuzzSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParseParamsKey(s)
+		if err != nil {
+			return
+		}
+		key := p.Key()
+		if got, err := ParseParamsKey(key); err != nil || !sameBits(got, p) {
+			t.Fatalf("%q parses to %+v; its key %q parses to %+v (err %v)", s, p, key, got, err)
+		}
+	})
+}
+
+// FuzzParseEngineKey: no input panics, and every accepted input
+// round-trips through EngineKey to the same engine name and
+// bit-identical Params.
+func FuzzParseEngineKey(f *testing.F) {
+	for _, s := range keyFuzzSeeds {
+		f.Add("engine=hier," + s)
+	}
+	for _, s := range []string{
+		"engine=,alpha=3,beta=1.5,noise=1,eps=0.3",
+		"engine=exact",
+		"name=exact,alpha=3,beta=1.5,noise=1,eps=0.3",
+		"engine=a=b,alpha=3,beta=1.5,noise=1,eps=0.3",
+		"engine=hier,engine=grid,alpha=3,beta=1.5,noise=1,eps=0.3",
+		DefaultParams().Key(),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		engine, p, err := ParseEngineKey(s)
+		if err != nil {
+			return
+		}
+		key := EngineKey(engine, p)
+		if gotEngine, got, err := ParseEngineKey(key); err != nil || gotEngine != engine || !sameBits(got, p) {
+			t.Fatalf("%q parses to (%q, %+v); its key %q parses to (%q, %+v) (err %v)", s, engine, p, key, gotEngine, got, err)
+		}
+	})
+}

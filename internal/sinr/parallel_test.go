@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"sinrcast/internal/geom"
 	"sinrcast/internal/rng"
@@ -134,6 +135,29 @@ func TestPoolReplacementSurvivesGC(t *testing.T) {
 	// Collect the dropped engine; a stale cleanup would panic here.
 	for i := 0; i < 3; i++ {
 		runtime.GC()
+	}
+}
+
+func TestPoolGoroutinesExitWithEngine(t *testing.T) {
+	// The pool's goroutines must hold no reference back to their engine
+	// between rounds, or the GC cleanup that closes them never fires
+	// and every dropped engine leaks its workers.
+	before := runtime.NumGoroutine()
+	func() {
+		e, err := NewEngine(randomScene(3, 64, 4), DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		forceParallel(e, 4)
+		e.Resolve([]int{0, 5})
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the engine was dropped, %d before", runtime.NumGoroutine(), before)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }
 
