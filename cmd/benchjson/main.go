@@ -65,6 +65,22 @@ type Benchmark struct {
 	// Metrics maps unit -> value for every reported pair (ns/op, B/op,
 	// allocs/op, and any custom b.ReportMetric units).
 	Metrics map[string]float64 `json:"metrics"`
+	// NumCPU/Gomaxprocs record the topology of the machine this entry
+	// ran on, stamped like the report's. Entries carry their own so a
+	// baseline can mix entries recorded on different machines (a few
+	// re-recorded gated entries among older ones); zero means "see the
+	// report header".
+	NumCPU     int `json:"num_cpu,omitempty"`
+	Gomaxprocs int `json:"gomaxprocs,omitempty"`
+}
+
+// topology returns the entry's recorded topology, falling back to the
+// report header's for entries without one.
+func (b *Benchmark) topology(rep *Report) (numCPU, gomaxprocs int) {
+	if b.NumCPU != 0 {
+		return b.NumCPU, b.Gomaxprocs
+	}
+	return rep.NumCPU, rep.Gomaxprocs
 }
 
 // Report is the JSON document: the shared context headers plus every
@@ -80,7 +96,8 @@ type Report struct {
 	// pipe-into-benchjson workflow every documented invocation uses).
 	// Parallel speedup curves only transfer between machines with the
 	// same topology; -compare uses these to skip parallel entries
-	// recorded elsewhere.
+	// recorded elsewhere. Every entry is stamped too, and an entry's
+	// own topology overrides the header's.
 	NumCPU     int `json:"num_cpu,omitempty"`
 	Gomaxprocs int `json:"gomaxprocs,omitempty"`
 	// Benchtime documents the -benchtime the benches ran with (from the
@@ -89,15 +106,15 @@ type Report struct {
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-// sameTopology reports whether two reports were recorded on machines
-// with identical parallel topology. Reports predating the topology
-// fields (all zero) compare as unknown — treated as same, so old
+// sameTopology reports whether two recorded (num_cpu, gomaxprocs)
+// topologies are identical. An unknown topology (num_cpu zero: a
+// report predating the fields) is treated as the same, so old
 // baselines keep gating everything.
-func sameTopology(a, b *Report) bool {
-	if a.NumCPU == 0 || b.NumCPU == 0 {
+func sameTopology(cpuA, procsA, cpuB, procsB int) bool {
+	if cpuA == 0 || cpuB == 0 {
 		return true
 	}
-	return a.NumCPU == b.NumCPU && a.Gomaxprocs == b.Gomaxprocs
+	return cpuA == cpuB && procsA == procsB
 }
 
 // parallelEntry matches benchmark names whose timing depends on the
@@ -197,11 +214,12 @@ var procSuffix = regexp.MustCompile(`-\d+$`)
 // parallel entries, which are skipped entirely when the recorded
 // topologies differ: a worker-sweep timing from an 8-core box says
 // nothing about a 2-core runner, and gating on it would fail (or
-// silently pass) on hardware, not code. Repeated fresh entries of one
-// name are gated once, on the fastest (lowest) value. It returns the
-// number of comparisons made and the regressions found.
+// silently pass) on hardware, not code. The topology compared is each
+// entry's own when it records one, else its report's header. Repeated
+// fresh entries of one name are gated once, on the fastest (lowest)
+// value. It returns the number of comparisons made and the regressions
+// found.
 func compare(fresh, base *Report, filter *regexp.Regexp, metric string, tolerance float64, w io.Writer) (checked int, regressions int) {
-	topoMatch := sameTopology(fresh, base)
 	baseline := make(map[string]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseline[procSuffix.ReplaceAllString(b.Name, "")] = b
@@ -218,10 +236,14 @@ func compare(fresh, base *Report, filter *regexp.Regexp, metric string, toleranc
 			continue
 		}
 		key := procSuffix.ReplaceAllString(b.Name, "")
-		if !topoMatch && parallelEntry.MatchString(key) {
-			fmt.Fprintf(w, "%-10s %s: parallel entry, baseline topology differs (%d/%d vs %d/%d cpu/procs)\n",
-				"skip", b.Name, fresh.NumCPU, fresh.Gomaxprocs, base.NumCPU, base.Gomaxprocs)
-			continue
+		if ref, ok := baseline[key]; ok && parallelEntry.MatchString(key) {
+			fc, fp := b.topology(fresh)
+			bc, bp := ref.topology(base)
+			if !sameTopology(fc, fp, bc, bp) {
+				fmt.Fprintf(w, "%-10s %s: parallel entry, baseline topology differs (%d/%d vs %d/%d cpu/procs)\n",
+					"skip", b.Name, fc, fp, bc, bp)
+				continue
+			}
 		}
 		v, ok := b.Metrics[metric]
 		if !ok {
@@ -280,6 +302,9 @@ func main() {
 	rep.Benchtime = *benchtime
 	rep.NumCPU = runtime.NumCPU()
 	rep.Gomaxprocs = runtime.GOMAXPROCS(0)
+	for i := range rep.Benchmarks {
+		rep.Benchmarks[i].NumCPU, rep.Benchmarks[i].Gomaxprocs = rep.NumCPU, rep.Gomaxprocs
+	}
 
 	if *compareTo != "" {
 		raw, err := os.ReadFile(*compareTo)

@@ -219,3 +219,41 @@ func TestParseBenchEmptyInput(t *testing.T) {
 		t.Fatalf("benchmarks = %v, want none", rep.Benchmarks)
 	}
 }
+
+// TestCompareEntryTopology pins per-entry topology: a baseline whose
+// header names one machine can carry entries recorded on another, and
+// -compare judges each parallel entry by the topology it records (the
+// header's only when it records none), on both sides.
+func TestCompareEntryTopology(t *testing.T) {
+	mk := func(name string, ns float64, cpu, procs int) Benchmark {
+		return Benchmark{Name: name, Iterations: 3, NumCPU: cpu, Gomaxprocs: procs,
+			Metrics: map[string]float64{"ns/round": ns}}
+	}
+	// The header says 1/1, but the re-recorded parallel entry ran on
+	// 2/2; the old one records nothing and inherits the header.
+	base := &Report{NumCPU: 1, Gomaxprocs: 1, Benchmarks: []Benchmark{
+		mk("BenchmarkHierResolve/n=65536/alpha=2.5/parallel", 1000, 2, 2),
+		mk("BenchmarkHierResolve/n=65536/alpha=4/parallel", 1000, 0, 0),
+	}}
+	fresh := &Report{NumCPU: 2, Gomaxprocs: 2, Benchmarks: []Benchmark{
+		mk("BenchmarkHierResolve/n=65536/alpha=2.5/parallel-2", 3000, 2, 2),
+		mk("BenchmarkHierResolve/n=65536/alpha=4/parallel-2", 3000, 2, 2),
+	}}
+	var sb strings.Builder
+	checked, regressions := compare(fresh, base, nil, "ns/round", 0.15, &sb)
+	if checked != 1 || regressions != 1 {
+		t.Fatalf("entry topology: checked=%d regressions=%d, want 1/1\n%s", checked, regressions, sb.String())
+	}
+	if !strings.Contains(sb.String(), "REGRESSION BenchmarkHierResolve/n=65536/alpha=2.5/parallel-2") ||
+		!strings.Contains(sb.String(), "skip       BenchmarkHierResolve/n=65536/alpha=4/parallel-2") {
+		t.Fatalf("want alpha=2.5 gated and alpha=4 skipped:\n%s", sb.String())
+	}
+
+	// A fresh entry's own topology overrides its report's header too.
+	fresh = &Report{NumCPU: 8, Gomaxprocs: 8, Benchmarks: []Benchmark{
+		mk("BenchmarkHierResolve/n=65536/alpha=2.5/parallel-2", 900, 2, 2),
+	}}
+	if checked, regressions = compare(fresh, base, nil, "ns/round", 0.15, &strings.Builder{}); checked != 1 || regressions != 0 {
+		t.Fatalf("fresh entry topology: checked=%d regressions=%d, want 1/0", checked, regressions)
+	}
+}

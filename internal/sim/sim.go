@@ -127,9 +127,40 @@ const (
 	calMaxLen  = 4096
 )
 
+// calBucketCap caps the capacity a calendar bucket starts with.
+const calBucketCap = 8
+
+// newCalendar returns a ring of size empty buckets carved out of one
+// backing array, each capped by a three-index slice so an append past
+// its share moves that bucket alone to a fresh array instead of
+// spilling into its neighbour: a fresh ring costs two allocations
+// rather than one per bucket on its first append. A bucket's share is
+// one slot per 8 stations, between 1 and calBucketCap, so a 4096-round
+// ring over a small network stays small.
+func newCalendar(size, stations int) [][]int32 {
+	k := min(max(stations/8, 1), calBucketCap)
+	slab := make([]int32, size*k)
+	cal := make([][]int32, size)
+	for i := range cal {
+		cal[i] = slab[i*k : i*k : (i+1)*k]
+	}
+	return cal
+}
+
 // wrapStation, when non-nil, wraps every station NewEngine is given.
 // Only tests set it, to run whole protocols on a reference adapter.
 var wrapStation func(Protocol) Protocol
+
+// memoOff disables the single-transmitter memo (see Engine.resolve).
+// Only tests set it, to diff whole protocols with and without it.
+var memoOff bool
+
+// memoSpan locates one transmitter's memoized receptions in
+// Engine.memoRec; ok is false until its first solo round resolved.
+type memoSpan struct {
+	lo, hi int32
+	ok     bool
+}
 
 // Engine drives one simulation.
 type Engine struct {
@@ -162,6 +193,12 @@ type Engine struct {
 	activeRecv  []int
 	activeDirty bool
 
+	// Single-transmitter memo (see resolve): memo[t] spans transmitter
+	// t's receptions when it transmitted alone to every station, in
+	// memoRec, one slab for the run. Allocated on the first solo round.
+	memo    []memoSpan
+	memoRec []sinr.Reception
+
 	// Metrics of the run so far.
 	Metrics Metrics
 	// round is the global clock; persists across Run calls so phased
@@ -190,7 +227,7 @@ func NewEngine(phys Resolver, protos []Protocol) (*Engine, error) {
 		txIDs:   make([]int, 0, len(protos)),
 		wake:    make([]int, len(protos)), // everyone is due in round 0
 		next:    make([]int32, len(protos)),
-		cal:     make([][]int32, calInitLen),
+		cal:     newCalendar(calInitLen, len(protos)),
 		calMask: calInitLen - 1,
 	}
 	for i := range e.next {
@@ -282,7 +319,7 @@ func (e *Engine) growCalendar(minLen, t int) {
 	for size < minLen {
 		size *= 2
 	}
-	cal := make([][]int32, size)
+	cal := newCalendar(size, len(e.wake))
 	mask := size - 1
 	for i, w := range e.wake {
 		if w > t && w != NeverWake {
@@ -341,11 +378,23 @@ func (e *Engine) tick(t int) {
 }
 
 // resolve runs the physical layer for the current transmitter set. A
-// transmitter-free round is skipped entirely when the resolver is a
-// SubsetResolver: subset resolution is contractually a pure function of
-// (topology, tx, receivers), and no transmitter means no reception.
-// Wrapper resolvers without the capability (which may consume per-round
-// randomness inside Resolve) are always called.
+// SubsetResolver is contractually a pure function of (topology, tx,
+// receivers), which lets the engine skip work whose answer is known:
+//
+//   - A transmitter-free round is skipped entirely: no transmitter
+//     means no reception.
+//   - A round with exactly one transmitter and every receiver active is
+//     answered from a per-run memo of that transmitter's receptions,
+//     filled by its first such round's real Resolve. On a static
+//     deployment the answer cannot change, so the replay is
+//     byte-identical; the memo holds at most one entry per station
+//     (its receptions copied into one slab) and dies with the engine.
+//     Rounds with inactive receivers (floods deactivate their source
+//     at round 0) go through ResolveFor and are never memoized.
+//
+// Wrapper resolvers without the capability (which may consume
+// per-round randomness inside Resolve, like the fading channel) are
+// always called.
 func (e *Engine) resolve() []sinr.Reception {
 	if e.subset != nil {
 		if len(e.txIDs) == 0 {
@@ -354,8 +403,31 @@ func (e *Engine) resolve() []sinr.Reception {
 		if e.inactiveN > 0 {
 			return e.subset.ResolveFor(e.txIDs, e.activeReceivers())
 		}
+		if len(e.txIDs) == 1 && !memoOff {
+			return e.resolveSolo(e.txIDs[0])
+		}
 	}
 	return e.phys.Resolve(e.txIDs)
+}
+
+// resolveSolo answers a round in which t alone transmits to every
+// station, resolving it only the first time. The returned slice is
+// capped so a caller's append cannot reach a neighbouring entry.
+func (e *Engine) resolveSolo(t int) []sinr.Reception {
+	if e.memo == nil {
+		e.memo = make([]memoSpan, len(e.protos))
+	}
+	m := &e.memo[t]
+	if !m.ok {
+		rec := e.phys.Resolve(e.txIDs)
+		lo := len(e.memoRec)
+		if lo+len(rec) > math.MaxInt32 {
+			return rec // spans are int32; past that the round resolves afresh
+		}
+		e.memoRec = append(e.memoRec, rec...)
+		*m = memoSpan{lo: int32(lo), hi: int32(len(e.memoRec)), ok: true}
+	}
+	return e.memoRec[m.lo:m.hi:m.hi]
 }
 
 // deliver hands each reception to its receiver, whose answer moves its

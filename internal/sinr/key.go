@@ -2,6 +2,7 @@ package sinr
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -40,60 +41,52 @@ func EngineKey(engine string, p Params) string {
 
 func formatKeyValue(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// ParseParamsKey reads the canonical form produced by Params.Key. All
-// four fields must be present exactly once; unknown fields and
-// malformed numbers are rejected. The parse is the exact inverse of
-// Key (float values round-trip bit-exactly), pinned by the round-trip
-// test.
+// keyFields are the fields of a params key, in the order Key prints
+// them.
+var keyFields = [...]string{"alpha", "beta", "noise", "eps"}
+
+// ParseParamsKey reads the canonical form produced by Params.Key and
+// nothing else: the four fields in Key's order, no padding, and each
+// value spelled exactly as Key prints it. Other spellings of a number
+// (hex floats, digit separators, "3.0", "+1"), NaN and infinities are
+// rejected, so every accepted string is the key of the Params it
+// parses to — ParseParamsKey(s) succeeds only when Key reproduces s —
+// and a key names one configuration under one spelling.
 func ParseParamsKey(s string) (Params, error) {
-	var p Params
-	seen := map[string]bool{}
-	for _, pair := range strings.Split(s, ",") {
+	pairs := strings.Split(s, ",")
+	if len(pairs) != len(keyFields) {
+		return Params{}, fmt.Errorf("sinr: params key %q has %d fields, want %s", s, len(pairs), strings.Join(keyFields[:], ","))
+	}
+	var v [len(keyFields)]float64
+	for i, pair := range pairs {
 		name, val, ok := strings.Cut(pair, "=")
-		name, val = strings.TrimSpace(name), strings.TrimSpace(val)
-		if !ok || name == "" || val == "" {
-			return Params{}, fmt.Errorf("sinr: malformed params key field %q (want name=value)", pair)
+		if !ok || name != keyFields[i] {
+			return Params{}, fmt.Errorf("sinr: params key field %d is %q, want %s=value", i+1, pair, keyFields[i])
 		}
-		if seen[name] {
-			return Params{}, fmt.Errorf("sinr: params key field %q given twice", name)
+		x, err := strconv.ParseFloat(val, 64)
+		if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
+			return Params{}, fmt.Errorf("sinr: params key field %s=%q is not a finite number", name, val)
 		}
-		seen[name] = true
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return Params{}, fmt.Errorf("sinr: params key field %s=%q is not a number", name, val)
+		if want := formatKeyValue(x); val != want {
+			return Params{}, fmt.Errorf("sinr: params key field %s=%q is not canonical (want %s=%s)", name, val, name, want)
 		}
-		switch name {
-		case "alpha":
-			p.Alpha = v
-		case "beta":
-			p.Beta = v
-		case "noise":
-			p.Noise = v
-		case "eps":
-			p.Eps = v
-		default:
-			return Params{}, fmt.Errorf("sinr: unknown params key field %q (want alpha, beta, noise, eps)", name)
-		}
+		v[i] = x
 	}
-	for _, name := range []string{"alpha", "beta", "noise", "eps"} {
-		if !seen[name] {
-			return Params{}, fmt.Errorf("sinr: params key %q is missing field %q", s, name)
-		}
-	}
-	return p, nil
+	return Params{Alpha: v[0], Beta: v[1], Noise: v[2], Eps: v[3]}, nil
 }
 
 // ParseEngineKey reads the form produced by EngineKey: the leading
-// "engine=name" field followed by the canonical parameter key.
+// "engine=name" field followed by the canonical parameter key, with
+// the same strictness — EngineKey reproduces every accepted string.
 func ParseEngineKey(s string) (engine string, p Params, err error) {
 	head, rest, ok := strings.Cut(s, ",")
 	name, val, okHead := strings.Cut(head, "=")
-	if !ok || !okHead || strings.TrimSpace(name) != "engine" || strings.TrimSpace(val) == "" {
+	if !ok || !okHead || name != "engine" || val == "" || strings.TrimSpace(val) != val {
 		return "", Params{}, fmt.Errorf("sinr: engine key %q must start with \"engine=name,\"", s)
 	}
 	p, err = ParseParamsKey(rest)
 	if err != nil {
 		return "", Params{}, err
 	}
-	return strings.TrimSpace(val), p, nil
+	return val, p, nil
 }

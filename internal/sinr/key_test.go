@@ -66,13 +66,27 @@ func TestParseParamsKeyRejects(t *testing.T) {
 		"alpha=3,beta=1.5,noise=1,eps=1,eps=2", // duplicate
 		"alpha=3,beta=1.5,noise=1,gamma=2",     // unknown field
 		"alpha=3,beta=1.5,noise=1,eps",         // malformed pair
+		// Numbers Key never prints: the parse would succeed, but the
+		// text is not the key of the value.
+		"alpha=0x1p-2,beta=1.5,noise=1,eps=0.5", // hex float
+		"alpha=3,beta=1_5,noise=1,eps=0.5",      // digit separator
+		"alpha=3,beta=1.5,noise=NaN,eps=0.5",    // NaN
+		"alpha=3,beta=1.5,noise=1,eps=-Inf",     // infinity
+		"alpha=+Inf,beta=1.5,noise=1,eps=0.5",   // infinity as Key spells it
+		"alpha=3.0,beta=1.5,noise=1,eps=0.5",    // trailing zero
+		"alpha=3,beta=+1.5,noise=1,eps=0.5",     // explicit sign
+		"alpha=3,beta=15e-1,noise=1,eps=0.5",    // exponent form
+		"alpha=3, beta=1.5,noise=1,eps=0.5",     // padding
+		"beta=1.5,alpha=3,noise=1,eps=0.5",      // field order
 	}
 	for _, s := range bad {
 		if _, err := ParseParamsKey(s); err == nil {
 			t.Errorf("ParseParamsKey(%q) accepted malformed input", s)
 		}
 	}
-	for _, s := range []string{"", "alpha=3,beta=1.5,noise=1,eps=0.3", "engine=,alpha=3,beta=1.5,noise=1,eps=0.3"} {
+	for _, s := range []string{"", "alpha=3,beta=1.5,noise=1,eps=0.3", "engine=,alpha=3,beta=1.5,noise=1,eps=0.3",
+		"engine= hier,alpha=3,beta=1.5,noise=1,eps=0.3", " engine=hier,alpha=3,beta=1.5,noise=1,eps=0.3",
+		"engine=hier,alpha=3,beta=1.5,noise=1,eps=0x1p-2"} {
 		if _, _, err := ParseEngineKey(s); err == nil {
 			t.Errorf("ParseEngineKey(%q) accepted malformed input", s)
 		}
@@ -107,7 +121,7 @@ func TestKeyDistinguishesParams(t *testing.T) {
 var keyFuzzSeeds = []string{
 	DefaultParams().Key(),
 	"alpha=2.5,beta=1.5,noise=1,eps=0.3",
-	"eps=0.5, noise=1e-9 ,beta=1,alpha=2", // any field order, padded
+	"eps=0.5, noise=1e-9 ,beta=1,alpha=2", // wrong field order, padded
 	"alpha=3,beta=1.5,noise=1,eps=1,eps=2",
 	"alpha=3,alpha=3,beta=1.5,noise=1,eps=0.3",
 	"alpha=3,beta=1.5,noise=1",
@@ -115,6 +129,10 @@ var keyFuzzSeeds = []string{
 	"alpha=3,beta=1.5,noise=1,eps=0.3,gamma=2",
 	"alpha=3,beta=1.5,noise=1,eps=x",
 	"alpha=0x1p-2,beta=1_5,noise=NaN,eps=-Inf",
+	"alpha=3.0,beta=1.5,noise=1,eps=0.5",
+	"alpha=+Inf,beta=1.5,noise=1,eps=0.5",
+	"alpha=3,beta=15e-1,noise=1,eps=0.5",
+	"alpha=3,beta=1.5,noise=1,eps=-0",
 	"alpha=3,beta=1.5,noise=1,eps",
 	"alpha=,beta=1.5,noise=1,eps=0.3",
 	",,,",
@@ -129,8 +147,9 @@ func sameBits(a, b Params) bool {
 		math.Float64bits(a.Eps) == math.Float64bits(b.Eps)
 }
 
-// FuzzParseParamsKey: no input panics, and every accepted input
-// round-trips through Params.Key to bit-identical Params.
+// FuzzParseParamsKey: no input panics, every accepted input is
+// exactly the key of what it parses to, and that key round-trips to
+// bit-identical Params.
 func FuzzParseParamsKey(f *testing.F) {
 	for _, s := range keyFuzzSeeds {
 		f.Add(s)
@@ -141,15 +160,18 @@ func FuzzParseParamsKey(f *testing.F) {
 			return
 		}
 		key := p.Key()
+		if key != s {
+			t.Fatalf("%q accepted, but it parses to %+v whose key is %q", s, p, key)
+		}
 		if got, err := ParseParamsKey(key); err != nil || !sameBits(got, p) {
 			t.Fatalf("%q parses to %+v; its key %q parses to %+v (err %v)", s, p, key, got, err)
 		}
 	})
 }
 
-// FuzzParseEngineKey: no input panics, and every accepted input
-// round-trips through EngineKey to the same engine name and
-// bit-identical Params.
+// FuzzParseEngineKey: no input panics, every accepted input is
+// exactly the EngineKey of what it parses to, and that key round-trips
+// to the same engine name and bit-identical Params.
 func FuzzParseEngineKey(f *testing.F) {
 	for _, s := range keyFuzzSeeds {
 		f.Add("engine=hier," + s)
@@ -170,6 +192,9 @@ func FuzzParseEngineKey(f *testing.F) {
 			return
 		}
 		key := EngineKey(engine, p)
+		if key != s {
+			t.Fatalf("%q accepted, but it parses to (%q, %+v) whose key is %q", s, engine, p, key)
+		}
 		if gotEngine, got, err := ParseEngineKey(key); err != nil || gotEngine != engine || !sameBits(got, p) {
 			t.Fatalf("%q parses to (%q, %+v); its key %q parses to (%q, %+v) (err %v)", s, engine, p, key, gotEngine, got, err)
 		}

@@ -2,6 +2,7 @@ package sinr
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -39,26 +40,103 @@ func diffReceptions(t *testing.T, label string, want, got []Reception) {
 	}
 }
 
+// tierAlphas cover every kernel shape: α=2 and α=4 (the unrolled
+// reciprocal rows), α=2.5 (half-integer), α=3 (the inlined default)
+// and α=3.7 (the math.Pow fallback). α=2 fails Validate on the plane,
+// so it is set after construction like the benches do.
+var tierAlphas = []float64{2, 2.5, 3, 4, 3.7}
+
+// tierRounds returns a round sequence over n stations: random sets,
+// singletons, and repeats of earlier sets, so rows built in one round
+// are read again in later ones.
+func tierRounds(r *rng.Source, n int) [][]int {
+	var rounds [][]int
+	for i := 0; i < 12; i++ {
+		rounds = append(rounds, randomTxSet(r, n, 0.2))
+	}
+	for i := 0; i < 6; i++ {
+		rounds = append(rounds, []int{r.Intn(n)})
+	}
+	return append(rounds, rounds[0], rounds[12], rounds[3], rounds[13])
+}
+
+// diffScratch requires bit-identical accumulator state (interference
+// sum, closest transmitter and its distance key) at every listed
+// receiver of two engines that just resolved the same round — the
+// closest-transmitter tie-break included, which receptions alone never
+// show (equidistant signals cannot both clear β ≥ 1).
+func diffScratch(t *testing.T, label string, want, got *Engine, receivers []int) {
+	t.Helper()
+	for _, u := range receivers {
+		if math.Float64bits(want.sig[u]) != math.Float64bits(got.sig[u]) ||
+			want.best[u] != got.best[u] ||
+			math.Float64bits(want.bestD[u]) != math.Float64bits(got.bestD[u]) {
+			t.Fatalf("%s: receiver %d: serial (sig %v, best %d, bestD %v) vs parallel (sig %v, best %d, bestD %v)",
+				label, u, want.sig[u], want.best[u], want.bestD[u], got.sig[u], got.best[u], got.bestD[u])
+		}
+	}
+}
+
+// diffTiers drives a serial engine and a forced-parallel one through
+// the same rounds, through Resolve and through ResolveFor on a random
+// subset, and requires identical receptions and accumulator state. At
+// n ≤ maxRowN the serial engine resolves from gain rows while parallel
+// chunks always stream through the kernel, so this pins the two tiers
+// to the same bits.
+func diffTiers(t *testing.T, label string, s geom.Space, alpha float64, workers int, rounds [][]int, r *rng.Source) {
+	t.Helper()
+	serial, err := NewEngine(s, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := NewEngine(s, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	setBenchAlpha(&serial.params, &serial.kern, alpha)
+	setBenchAlpha(&par.params, &par.kern, alpha)
+	serial.SetWorkers(1)
+	forceParallel(par, workers)
+	n := s.Len()
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	for round, tx := range rounds {
+		l := fmt.Sprintf("%s a=%g w=%d round=%d", label, alpha, workers, round)
+		full := func() {
+			want := append([]Reception(nil), serial.Resolve(tx)...)
+			got := par.Resolve(tx)
+			diffReceptions(t, l, want, got)
+			diffScratch(t, l, serial, par, all)
+		}
+		// Odd rounds resolve the subset first, while only the rows of
+		// earlier rounds' transmitters exist: subset rounds read built
+		// rows and stream the rest.
+		if round%2 == 0 {
+			full()
+		}
+		sub := randomSubset(r, n, 0.4)
+		want := append([]Reception(nil), serial.ResolveFor(tx, sub)...)
+		got := par.ResolveFor(tx, sub)
+		diffReceptions(t, l+" subset", want, got)
+		diffScratch(t, l+" subset", serial, par, sub)
+		if round%2 == 1 {
+			full()
+		}
+	}
+	if n <= maxRowN && serial.rows == nil {
+		t.Fatalf("%s: serial engine at n=%d never built gain rows", label, n)
+	}
+}
+
 func TestParallelResolveMatchesSerialEuclidean(t *testing.T) {
-	for _, n := range []int{16, 97, 512} {
+	for _, n := range []int{16, 97, 256, 512} {
 		for _, workers := range []int{2, 3, 7} {
 			scene := randomScene(uint64(n*workers)+5, n, 6)
-			serial, err := NewEngine(scene, DefaultParams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial.SetWorkers(1)
-			par, err := NewEngine(scene, DefaultParams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			forceParallel(par, workers)
-			r := rng.New(uint64(n) + uint64(workers)*1000)
-			for round := 0; round < 25; round++ {
-				tx := randomTxSet(r, n, 0.2)
-				want := append([]Reception(nil), serial.Resolve(tx)...)
-				got := par.Resolve(tx)
-				diffReceptions(t, fmt.Sprintf("n=%d w=%d round=%d", n, workers, round), want, got)
+			for _, alpha := range tierAlphas {
+				r := rng.New(uint64(n) + uint64(workers)*1000)
+				diffTiers(t, fmt.Sprintf("n=%d", n), scene, alpha, workers, tierRounds(r, n), r)
 			}
 		}
 	}
@@ -66,29 +144,75 @@ func TestParallelResolveMatchesSerialEuclidean(t *testing.T) {
 
 func TestParallelResolveMatchesSerialGeneric(t *testing.T) {
 	// The Line space takes the generic (interface-dispatched) path.
-	n := 200
-	coords := make([]float64, n)
-	r := rng.New(99)
+	for _, n := range []int{40, 200, 300} {
+		coords := make([]float64, n)
+		r := rng.New(99 + uint64(n))
+		for i := range coords {
+			coords[i] = r.Range(0, 40)
+		}
+		li := geom.NewLine(coords)
+		for _, alpha := range tierAlphas {
+			diffTiers(t, fmt.Sprintf("line n=%d", n), li, alpha, 4, tierRounds(r, n), r)
+		}
+	}
+}
+
+// TestRowTierKeepsFirstOfEquidistant resolves lattices on which many
+// receivers sit at exactly the same distance from several transmitters
+// (every coordinate a multiple of 1/2, so every distance key is exact):
+// the closest transmitter recorded must be the first of the tied ones
+// in the transmitter order, on rows as on the streaming kernel.
+func TestRowTierKeepsFirstOfEquidistant(t *testing.T) {
+	var pts []geom.Point
+	for y := 0; y < 9; y++ {
+		for x := 0; x < 9; x++ {
+			pts = append(pts, geom.Point{X: float64(x) / 2, Y: float64(y) / 2})
+		}
+	}
+	coords := make([]float64, 60)
 	for i := range coords {
-		coords[i] = r.Range(0, 40)
+		coords[i] = float64(i%30) / 2 // each coordinate twice
 	}
-	li := geom.NewLine(coords)
-	p := DefaultParams()
-	serial, err := NewEngine(li, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial.SetWorkers(1)
-	par, err := NewEngine(li, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forceParallel(par, 4)
-	for round := 0; round < 25; round++ {
-		tx := randomTxSet(r, n, 0.15)
-		want := append([]Reception(nil), serial.Resolve(tx)...)
-		got := par.Resolve(tx)
-		diffReceptions(t, fmt.Sprintf("generic round=%d", round), want, got)
+	spaces := map[string]geom.Space{"lattice": geom.NewEuclidean(pts), "line": geom.NewLine(coords)}
+	for name, s := range spaces {
+		n := s.Len()
+		var rounds [][]int
+		for _, step := range []int{2, 3, 4, 7} {
+			var tx []int
+			for i := 0; i < n; i += step {
+				tx = append(tx, i)
+			}
+			rounds = append(rounds, tx)
+		}
+		rounds = append(rounds, []int{n / 2}, []int{0, n - 1}, rounds[1])
+		for _, alpha := range tierAlphas {
+			diffTiers(t, name, s, alpha, 3, rounds, rng.New(uint64(n)))
+		}
+		// The fixture must actually tie: some receiver of the first
+		// round has two transmitters at its closest distance key.
+		e, err := NewEngine(s, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetWorkers(1)
+		e.Resolve(rounds[0])
+		ties := 0
+		for u := 0; u < n; u++ {
+			if e.isTx[u] || e.best[u] < 0 {
+				continue
+			}
+			for _, t2 := range rounds[0] {
+				if int32(t2) != e.best[u] && e.rows[t2*n+u].d == e.bestD[u] {
+					ties++
+					if int32(t2) < e.best[u] {
+						t.Fatalf("%s: receiver %d kept transmitter %d over the earlier equidistant %d", name, u, e.best[u], t2)
+					}
+				}
+			}
+		}
+		if ties == 0 {
+			t.Fatalf("%s: fixture has no equidistant ties", name)
+		}
 	}
 }
 
@@ -183,5 +307,31 @@ func TestSetWorkersReconfiguresPool(t *testing.T) {
 		want := append([]Reception(nil), serial.Resolve(tx)...)
 		got := par.Resolve(tx)
 		diffReceptions(t, fmt.Sprintf("reconfig round=%d w=%d", round, w), want, got)
+	}
+}
+
+// TestRowTierComparesDistanceNotGain places two transmitters at
+// distances one ulp apart whose gains round to the same float: the
+// farther one listed first. The closest transmitter is decided on the
+// distance key, so the nearer, later one must win on rows as on the
+// streaming kernel — a tier that compared gains would keep the first.
+func TestRowTierComparesDistanceNotGain(t *testing.T) {
+	found := 0
+	for _, alpha := range tierAlphas {
+		k := NewKernel(alpha)
+		pw := DefaultParams().Power()
+		for d1 := 0.5; d1 < 0.9 && found < 100; d1 += 0.001 {
+			d2 := math.Nextafter(d1, 2)
+			if pw*k.FromDist(d1) != pw*k.FromDist(d2) {
+				continue
+			}
+			found++
+			li := geom.NewLine([]float64{0, -d2, d1, 5})
+			r := rng.New(1)
+			diffTiers(t, fmt.Sprintf("gain tie d1=%v", d1), li, alpha, 2, [][]int{{1, 2}, {1, 2, 3}}, r)
+		}
+	}
+	if found == 0 {
+		t.Fatal("no distance pair with equal gains found")
 	}
 }
