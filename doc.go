@@ -82,15 +82,7 @@
 //   - exact (sinr.Engine): the paper's model, O(|tx|·n) per round.
 //     Every experiment table (E1–E13) and every default code path uses
 //     it; it is the reference the approximate engines are measured
-//     against. On networks of at most 256 stations its serial rounds
-//     read gain rows: the first time a station transmits in a full
-//     round, its row caches P·d^-α and the distance key to every
-//     receiver, so later rounds add cached gains instead of evaluating
-//     the kernel (subset rounds read built rows and stream the rest).
-//     The table is n² 16-byte pairs (at most 1 MiB), lives in the
-//     per-run scratch — a Clone starts without rows — and produces the
-//     same bits as the streaming kernel path larger networks and
-//     parallel chunks keep.
+//     against.
 //   - grid (sinr.GridEngine): transmitters bucket into cells;
 //     interference from cells outside the near field is aggregated at
 //     the cell center. O(liveCells + nearBox) per receiver. A
@@ -148,14 +140,14 @@
 // There is one round loop: every runner — the paper's algorithms, the
 // four baseline floods (baseline.RunFloodOn) and the §5 applications —
 // drives sim.Engine.Step, so phase labels, metrics and the
-// receiver-activity hook apply to all of them. The loop also answers
-// single-transmitter rounds from memory: subset resolution is a pure
-// function of (topology, tx, receivers), so when one station transmits
-// and every receiver is active, sim.Engine replays that station's
-// receptions from a per-run memo its first such round filled — on all
-// three engines. The memo holds at most one entry per station, copied
-// into one slab, and dies with the engine; wrapper channels (fading)
-// and rounds with inactive receivers are never memoized.
+// receiver-activity hook apply to all of them. Below the loop, every
+// engine answers a full round with a single transmitter from memory:
+// Resolve is a pure function of the transmitter set on a static
+// deployment, so each engine replays a station's solo receptions from
+// a per-run memo that station's first solo round filled. The memo sits
+// inside Resolve, under every resolver wrapper (tracing, serve's
+// progress and cancellation, timing), holds at most one entry per
+// station, starts empty in every Clone, and never answers ResolveFor.
 //
 // The round loop around the engines is amortized the same way. There
 // is one station contract, sim.Protocol: Tick returns the transmit

@@ -12,11 +12,3 @@ func SetTickEveryRound(on bool) (prev bool) {
 	}
 	return prev
 }
-
-// SetMemoForTest turns the single-transmitter memo on or off for every
-// engine stepped afterwards, and returns the previous setting.
-func SetMemoForTest(on bool) (prev bool) {
-	prev = !memoOff
-	memoOff = !on
-	return prev
-}

@@ -151,17 +151,6 @@ func newCalendar(size, stations int) [][]int32 {
 // Only tests set it, to run whole protocols on a reference adapter.
 var wrapStation func(Protocol) Protocol
 
-// memoOff disables the single-transmitter memo (see Engine.resolve).
-// Only tests set it, to diff whole protocols with and without it.
-var memoOff bool
-
-// memoSpan locates one transmitter's memoized receptions in
-// Engine.memoRec; ok is false until its first solo round resolved.
-type memoSpan struct {
-	lo, hi int32
-	ok     bool
-}
-
 // Engine drives one simulation.
 type Engine struct {
 	phys   Resolver
@@ -192,12 +181,6 @@ type Engine struct {
 	inactiveN   int
 	activeRecv  []int
 	activeDirty bool
-
-	// Single-transmitter memo (see resolve): memo[t] spans transmitter
-	// t's receptions when it transmitted alone to every station, in
-	// memoRec, one slab for the run. Allocated on the first solo round.
-	memo    []memoSpan
-	memoRec []sinr.Reception
 
 	// Metrics of the run so far.
 	Metrics Metrics
@@ -378,23 +361,13 @@ func (e *Engine) tick(t int) {
 }
 
 // resolve runs the physical layer for the current transmitter set. A
-// SubsetResolver is contractually a pure function of (topology, tx,
-// receivers), which lets the engine skip work whose answer is known:
-//
-//   - A transmitter-free round is skipped entirely: no transmitter
-//     means no reception.
-//   - A round with exactly one transmitter and every receiver active is
-//     answered from a per-run memo of that transmitter's receptions,
-//     filled by its first such round's real Resolve. On a static
-//     deployment the answer cannot change, so the replay is
-//     byte-identical; the memo holds at most one entry per station
-//     (its receptions copied into one slab) and dies with the engine.
-//     Rounds with inactive receivers (floods deactivate their source
-//     at round 0) go through ResolveFor and are never memoized.
-//
-// Wrapper resolvers without the capability (which may consume
-// per-round randomness inside Resolve, like the fading channel) are
-// always called.
+// transmitter-free round is skipped entirely when the resolver is a
+// SubsetResolver: subset resolution is contractually a pure function of
+// (topology, tx, receivers), and no transmitter means no reception.
+// Wrapper resolvers without the capability (which may consume per-round
+// randomness inside Resolve) are always called. Repeated single-
+// transmitter rounds are not skipped here: each engine replays them
+// inside its own Resolve, so wrappers still observe every round.
 func (e *Engine) resolve() []sinr.Reception {
 	if e.subset != nil {
 		if len(e.txIDs) == 0 {
@@ -403,31 +376,8 @@ func (e *Engine) resolve() []sinr.Reception {
 		if e.inactiveN > 0 {
 			return e.subset.ResolveFor(e.txIDs, e.activeReceivers())
 		}
-		if len(e.txIDs) == 1 && !memoOff {
-			return e.resolveSolo(e.txIDs[0])
-		}
 	}
 	return e.phys.Resolve(e.txIDs)
-}
-
-// resolveSolo answers a round in which t alone transmits to every
-// station, resolving it only the first time. The returned slice is
-// capped so a caller's append cannot reach a neighbouring entry.
-func (e *Engine) resolveSolo(t int) []sinr.Reception {
-	if e.memo == nil {
-		e.memo = make([]memoSpan, len(e.protos))
-	}
-	m := &e.memo[t]
-	if !m.ok {
-		rec := e.phys.Resolve(e.txIDs)
-		lo := len(e.memoRec)
-		if lo+len(rec) > math.MaxInt32 {
-			return rec // spans are int32; past that the round resolves afresh
-		}
-		e.memoRec = append(e.memoRec, rec...)
-		*m = memoSpan{lo: int32(lo), hi: int32(len(e.memoRec)), ok: true}
-	}
-	return e.memoRec[m.lo:m.hi:m.hi]
 }
 
 // deliver hands each reception to its receiver, whose answer moves its

@@ -29,18 +29,9 @@ type Reception struct {
 // transmitter order regardless of chunking, and chunk outputs are
 // concatenated in receiver order whichever worker ran each chunk.
 //
-// Small networks (n ≤ maxRowN) resolve serial rounds from gain rows
-// instead: the first time a station transmits in a full round, its
-// row caches pw·d^-α and the distance key to every receiver, so later
-// rounds pay a load and an add per (transmitter, receiver) pair rather
-// than a kernel evaluation. Subset rounds (ResolveFor) read the rows
-// full rounds built and stream the other transmitters. The whole table
-// is n² 16-byte pairs, at most 1 MiB; it belongs to the per-run
-// scratch (a Clone starts with no rows) and is allocated on the first
-// serial full round. Larger networks, and every parallel round, stream
-// through the kernel (AccumRow) as before — an n² table is no option
-// at those sizes. Both tiers produce the same bits: a row entry is the
-// very product the streaming loop adds.
+// A full round with a single transmitter is resolved once per station
+// and replayed from a per-run memo afterwards (see soloMemo; the grid
+// and hier engines do the same).
 //
 // The zero value is not usable; construct with NewEngine. An Engine is
 // not safe for concurrent use by multiple goroutines (it owns scratch
@@ -71,27 +62,11 @@ type Engine struct {
 	// normalized to exactly 1 (d > 1 ⇔ d² > 1).
 	bestD []float64
 	isTx  []bool
-	// rows is the gain-row table of a network with n ≤ maxRowN: row t
-	// is rows[t·n:(t+1)·n], valid once rowBuilt[t]. nil on larger
-	// networks and until the first serial full round.
-	rows     []gainPair
-	rowBuilt []bool
+	solo  soloMemo
 	// out is the merged reception list returned by Resolve; the
 	// chunkRunner holds per-chunk buffers so parallel rounds write
 	// disjoint slices and merge deterministically.
 	out []Reception
-}
-
-// maxRowN is the largest network that resolves from gain rows: its
-// n² 16-byte gainPairs fit in 1 MiB (256² · 16 B).
-const maxRowN = 256
-
-// gainPair is one (transmitter, receiver) entry of a gain row: the
-// received power pw·d^-α and the distance key the closest-transmitter
-// test compares, in the resolve path's unit (squared distance on the
-// Euclidean path, raw metric distance on the generic one).
-type gainPair struct {
-	g, d float64
 }
 
 // engineTopo is the immutable half of an Engine: everything derived
@@ -197,6 +172,10 @@ func (e *Engine) Resolve(tx []int) []Reception {
 	if len(tx) == 0 {
 		return nil
 	}
+	if out, ok := e.solo.replay(tx, e.out); ok {
+		e.out = out
+		return out
+	}
 	e.ensureRunState()
 	n := e.space.Len()
 	for _, t := range tx {
@@ -205,19 +184,16 @@ func (e *Engine) Resolve(tx []int) []Reception {
 		}
 		e.isTx[t] = true
 	}
-	switch {
-	case e.workers > 1 && n >= e.minParallelN:
+	if e.workers > 1 && n >= e.minParallelN {
 		e.resolveParallel(tx)
-	case n <= maxRowN:
-		e.accumulateRows(tx)
-		e.out = e.collect(0, n, e.out[:0], true)
-	default:
+	} else {
 		e.accumulate(tx, 0, n)
-		e.out = e.collect(0, n, e.out[:0], false)
+		e.out = e.collect(0, n, e.out[:0])
 	}
 	for _, t := range tx {
 		e.isTx[t] = false
 	}
+	e.solo.record(tx, n, e.out)
 	return e.out
 }
 
@@ -252,9 +228,8 @@ func (e *Engine) ResolveFor(tx []int, receivers []int) []Reception {
 		e.out = e.par.runRange(len(receivers), e.workers, e.chunkForFn, e.out)
 		e.curTx, e.curRecv = nil, nil
 	} else {
-		rows := e.rows != nil
-		e.accumulateFor(tx, receivers, rows)
-		e.out = e.collectFor(receivers, e.out[:0], rows)
+		e.accumulateFor(tx, receivers)
+		e.out = e.collectFor(receivers, e.out[:0])
 	}
 	for _, t := range tx {
 		e.isTx[t] = false
@@ -266,8 +241,8 @@ func (e *Engine) ResolveFor(tx []int, receivers []int) []Reception {
 func (e *Engine) runChunkFor(chunk, worker int) {
 	lo, hi := e.par.chunkRange(chunk, len(e.curRecv))
 	recv := e.curRecv[lo:hi]
-	e.accumulateFor(e.curTx, recv, false)
-	e.par.slots[chunk].out = e.collectFor(recv, e.par.slots[chunk].out[:0], false)
+	e.accumulateFor(e.curTx, recv)
+	e.par.slots[chunk].out = e.collectFor(recv, e.par.slots[chunk].out[:0])
 }
 
 // resolveParallel chunks the receiver range [0,n) across the worker
@@ -289,7 +264,7 @@ func (e *Engine) resolveParallel(tx []int) {
 func (e *Engine) runChunk(chunk, worker int) {
 	lo, hi := e.par.chunkRange(chunk, e.space.Len())
 	e.accumulate(e.curTx, lo, hi)
-	e.par.slots[chunk].out = e.collect(lo, hi, e.par.slots[chunk].out[:0], false)
+	e.par.slots[chunk].out = e.collect(lo, hi, e.par.slots[chunk].out[:0])
 }
 
 // accumulate fills sig/best/bestD for receivers in [lo,hi).
@@ -326,37 +301,17 @@ func (e *Engine) accumulateEuclidean(tx []int, lo, hi int) {
 
 // accumulateFor fills sig/best/bestD for exactly the listed receivers.
 // The transmitter loop order matches accumulate, so every touched entry
-// holds bit-identical values to a full-range pass. With fromRows, a
-// transmitter whose gain row a full round already built is read from
-// it; the others stream through the kernel. Subset rounds never build
-// rows themselves: a flood's transmitters each send a few times to
-// shrinking receiver sets, and building n-entry rows for them costs
-// more than it saves.
-func (e *Engine) accumulateFor(tx []int, receivers []int, fromRows bool) {
+// holds bit-identical values to a full-range pass.
+func (e *Engine) accumulateFor(tx []int, receivers []int) {
 	pw := e.params.Power()
 	kern := e.kern
-	n := len(e.sig)
 	for _, u := range receivers {
 		e.sig[u] = 0
 		e.best[u] = -1
 		e.bestD[u] = math.Inf(1)
 	}
-	for _, t := range tx {
-		switch {
-		case fromRows && e.rowBuilt[t]:
-			r := e.rows[t*n : (t+1)*n : (t+1)*n]
-			for _, u := range receivers {
-				if e.isTx[u] {
-					continue
-				}
-				p := r[u]
-				e.sig[u] += p.g
-				if p.d < e.bestD[u] {
-					e.bestD[u] = p.d
-					e.best[u] = int32(t)
-				}
-			}
-		case e.pts != nil:
+	if e.pts != nil {
+		for _, t := range tx {
 			tx0, ty0 := e.ptsX[t], e.ptsY[t]
 			for _, u := range receivers {
 				if e.isTx[u] {
@@ -365,38 +320,46 @@ func (e *Engine) accumulateFor(tx []int, receivers []int, fromRows bool) {
 				dx := e.ptsX[u] - tx0
 				dy := e.ptsY[u] - ty0
 				d2 := dx*dx + dy*dy
-				e.sig[u] += float64(pw * kern.FromDist2(d2))
+				e.sig[u] += pw * kern.FromDist2(d2)
 				if d2 < e.bestD[u] {
 					e.bestD[u] = d2
 					e.best[u] = int32(t)
 				}
 			}
-		default:
-			for _, u := range receivers {
-				if e.isTx[u] {
-					continue
-				}
-				d := e.space.Dist(t, u)
-				e.sig[u] += float64(pw * kern.FromDist(d))
-				if d < e.bestD[u] {
-					e.bestD[u] = d
-					e.best[u] = int32(t)
-				}
+		}
+		return
+	}
+	for _, t := range tx {
+		for _, u := range receivers {
+			if e.isTx[u] {
+				continue
+			}
+			d := e.space.Dist(t, u)
+			e.sig[u] += pw * kern.FromDist(d)
+			if d < e.bestD[u] {
+				e.bestD[u] = d
+				e.best[u] = int32(t)
 			}
 		}
 	}
 }
 
 // collectFor appends the receptions of exactly the listed receivers,
-// in list (= ascending receiver) order. fromRows reads the decoded
-// signal from the closest transmitter's gain row when it is built.
-func (e *Engine) collectFor(receivers []int, dst []Reception, fromRows bool) []Reception {
+// in list (= ascending receiver) order.
+func (e *Engine) collectFor(receivers []int, dst []Reception) []Reception {
 	p := e.params
+	pw := p.Power()
+	euclid := e.pts != nil
 	for _, u := range receivers {
 		if e.isTx[u] || e.best[u] < 0 || e.bestD[u] > 1 {
 			continue
 		}
-		s := e.bestSignal(u, fromRows)
+		var s float64
+		if euclid {
+			s = pw * e.kern.FromDist2(e.bestD[u])
+		} else {
+			s = pw * e.kern.FromDist(e.bestD[u])
+		}
 		intf := e.sig[u] - s
 		if intf < 0 {
 			intf = 0
@@ -424,7 +387,7 @@ func (e *Engine) accumulateGeneric(tx []int, lo, hi int) {
 				continue
 			}
 			d := e.space.Dist(t, u)
-			e.sig[u] += float64(pw * kern.FromDist(d))
+			e.sig[u] += pw * kern.FromDist(d)
 			if d < e.bestD[u] {
 				e.bestD[u] = d
 				e.best[u] = int32(t)
@@ -437,14 +400,21 @@ func (e *Engine) accumulateGeneric(tx []int, lo, hi int) {
 // bestD[u] > 1 cutoff rejects receivers farther than the normalized
 // communication range 1 from their closest transmitter (no signal can
 // be decoded there even with zero interference); it is correct in both
-// distance units because 1² = 1. fromRows is as for collectFor.
-func (e *Engine) collect(lo, hi int, dst []Reception, fromRows bool) []Reception {
+// distance units because 1² = 1.
+func (e *Engine) collect(lo, hi int, dst []Reception) []Reception {
 	p := e.params
+	pw := p.Power()
+	euclid := e.pts != nil
 	for u := lo; u < hi; u++ {
 		if e.isTx[u] || e.best[u] < 0 || e.bestD[u] > 1 {
 			continue
 		}
-		s := e.bestSignal(u, fromRows)
+		var s float64
+		if euclid {
+			s = pw * e.kern.FromDist2(e.bestD[u])
+		} else {
+			s = pw * e.kern.FromDist(e.bestD[u])
+		}
 		intf := e.sig[u] - s
 		if intf < 0 {
 			intf = 0
@@ -454,83 +424,6 @@ func (e *Engine) collect(lo, hi int, dst []Reception, fromRows bool) []Reception
 		}
 	}
 	return dst
-}
-
-// bestSignal is the received power of receiver u's closest
-// transmitter: its gain row's entry when fromRows and the row is
-// built, else the kernel at bestD[u] — the same product either way.
-func (e *Engine) bestSignal(u int, fromRows bool) float64 {
-	if t := int(e.best[u]); fromRows && e.rowBuilt[t] {
-		return e.rows[t*len(e.sig)+u].g
-	}
-	if e.pts != nil {
-		return float64(e.params.Power() * e.kern.FromDist2(e.bestD[u]))
-	}
-	return float64(e.params.Power() * e.kern.FromDist(e.bestD[u]))
-}
-
-// row returns transmitter t's gain row, building it on first use.
-// Entry u holds exactly what the streaming loops compute for the pair
-// — the same difference order, the same kernel, the product pw·k
-// rounded once — so adding row entries reproduces their sums bit for
-// bit. Go never fuses the streaming sig += pw*k into a multiply-add
-// on amd64; on arm64 it may, and there the float64 conversions in the
-// streaming loops are what forbid the fusion.
-func (e *Engine) row(t int) []gainPair {
-	n := len(e.sig)
-	r := e.rows[t*n : (t+1)*n : (t+1)*n]
-	if e.rowBuilt[t] {
-		return r
-	}
-	pw := e.params.Power()
-	if e.pts != nil {
-		tx0, ty0 := e.ptsX[t], e.ptsY[t]
-		x, y := e.ptsX[:n], e.ptsY[:n]
-		for u := range r {
-			dx := x[u] - tx0
-			dy := y[u] - ty0
-			d2 := dx*dx + dy*dy
-			r[u] = gainPair{g: pw * e.kern.FromDist2(d2), d: d2}
-		}
-	} else {
-		for u := range r {
-			d := e.space.Dist(t, u)
-			r[u] = gainPair{g: pw * e.kern.FromDist(d), d: d}
-		}
-	}
-	e.rowBuilt[t] = true
-	return r
-}
-
-// accumulateRows fills sig/best/bestD for every receiver from the
-// transmitters' gain rows, in the transmitter order of accumulate and
-// with its strict d < bestD tie-break (the first of equidistant
-// transmitters stays closest). The first call allocates the table.
-func (e *Engine) accumulateRows(tx []int) {
-	n := len(e.sig)
-	if e.rows == nil {
-		e.rows = make([]gainPair, n*n)
-		e.rowBuilt = make([]bool, n)
-	}
-	sig, best, bestD, isTx := e.sig[:n], e.best[:n], e.bestD[:n], e.isTx[:n]
-	for u := range sig {
-		sig[u] = 0
-		best[u] = -1
-		bestD[u] = math.Inf(1)
-	}
-	for _, t := range tx {
-		r := e.row(t)[:n]
-		for u, p := range r {
-			if isTx[u] {
-				continue
-			}
-			sig[u] += p.g
-			if p.d < bestD[u] {
-				bestD[u] = p.d
-				best[u] = int32(t)
-			}
-		}
-	}
 }
 
 // InterferenceAt returns the total received power at station u from all

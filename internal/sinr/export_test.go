@@ -97,3 +97,11 @@ func (h *HierEngine) ResolveDescentForTest(tx, receivers []int) []Reception {
 	}
 	return out
 }
+
+// SetSoloMemoForTest turns the single-transmitter memo on or off for
+// every round resolved afterwards, and returns the previous setting.
+func SetSoloMemoForTest(on bool) (prev bool) {
+	prev = !soloMemoOff
+	soloMemoOff = !on
+	return prev
+}

@@ -89,6 +89,7 @@ type GridEngine struct {
 	isTx      []bool
 	liveCells []int32
 	curRecv   []int // receiver subset of the ResolveFor round being chunked
+	solo      soloMemo
 	out       []Reception
 }
 
@@ -282,6 +283,10 @@ func (g *GridEngine) Resolve(tx []int) []Reception {
 	if len(tx) == 0 {
 		return nil
 	}
+	if out, ok := g.solo.replay(tx, g.out); ok {
+		g.out = out
+		return out
+	}
 	g.ensureRunState()
 	g.aggregate(tx)
 
@@ -293,6 +298,7 @@ func (g *GridEngine) Resolve(tx []int) []Reception {
 	}
 
 	g.reset(tx)
+	g.solo.record(tx, n, g.out)
 	return g.out
 }
 

@@ -40,16 +40,16 @@ func diffReceptions(t *testing.T, label string, want, got []Reception) {
 	}
 }
 
-// tierAlphas cover every kernel shape: α=2 and α=4 (the unrolled
+// kernelAlphas cover every kernel shape: α=2 and α=4 (the unrolled
 // reciprocal rows), α=2.5 (half-integer), α=3 (the inlined default)
 // and α=3.7 (the math.Pow fallback). α=2 fails Validate on the plane,
 // so it is set after construction like the benches do.
-var tierAlphas = []float64{2, 2.5, 3, 4, 3.7}
+var kernelAlphas = []float64{2, 2.5, 3, 4, 3.7}
 
-// tierRounds returns a round sequence over n stations: random sets,
-// singletons, and repeats of earlier sets, so rows built in one round
-// are read again in later ones.
-func tierRounds(r *rng.Source, n int) [][]int {
+// mixedRounds returns a round sequence over n stations: random sets,
+// singletons, and repeats of earlier sets, so later rounds replay
+// single-transmitter rounds from the solo memo.
+func mixedRounds(r *rng.Source, n int) [][]int {
 	var rounds [][]int
 	for i := 0; i < 12; i++ {
 		rounds = append(rounds, randomTxSet(r, n, 0.2))
@@ -77,13 +77,11 @@ func diffScratch(t *testing.T, label string, want, got *Engine, receivers []int)
 	}
 }
 
-// diffTiers drives a serial engine and a forced-parallel one through
-// the same rounds, through Resolve and through ResolveFor on a random
-// subset, and requires identical receptions and accumulator state. At
-// n ≤ maxRowN the serial engine resolves from gain rows while parallel
-// chunks always stream through the kernel, so this pins the two tiers
-// to the same bits.
-func diffTiers(t *testing.T, label string, s geom.Space, alpha float64, workers int, rounds [][]int, r *rng.Source) {
+// diffSerialParallel drives a serial engine and a forced-parallel one
+// through the same rounds, through Resolve and through ResolveFor on a
+// random subset, and requires identical receptions and accumulator
+// state.
+func diffSerialParallel(t *testing.T, label string, s geom.Space, alpha float64, workers int, rounds [][]int, r *rng.Source) {
 	t.Helper()
 	serial, err := NewEngine(s, DefaultParams())
 	if err != nil {
@@ -104,29 +102,15 @@ func diffTiers(t *testing.T, label string, s geom.Space, alpha float64, workers 
 	}
 	for round, tx := range rounds {
 		l := fmt.Sprintf("%s a=%g w=%d round=%d", label, alpha, workers, round)
-		full := func() {
-			want := append([]Reception(nil), serial.Resolve(tx)...)
-			got := par.Resolve(tx)
-			diffReceptions(t, l, want, got)
-			diffScratch(t, l, serial, par, all)
-		}
-		// Odd rounds resolve the subset first, while only the rows of
-		// earlier rounds' transmitters exist: subset rounds read built
-		// rows and stream the rest.
-		if round%2 == 0 {
-			full()
-		}
+		want := append([]Reception(nil), serial.Resolve(tx)...)
+		got := par.Resolve(tx)
+		diffReceptions(t, l, want, got)
+		diffScratch(t, l, serial, par, all)
 		sub := randomSubset(r, n, 0.4)
-		want := append([]Reception(nil), serial.ResolveFor(tx, sub)...)
-		got := par.ResolveFor(tx, sub)
+		want = append(want[:0], serial.ResolveFor(tx, sub)...)
+		got = par.ResolveFor(tx, sub)
 		diffReceptions(t, l+" subset", want, got)
 		diffScratch(t, l+" subset", serial, par, sub)
-		if round%2 == 1 {
-			full()
-		}
-	}
-	if n <= maxRowN && serial.rows == nil {
-		t.Fatalf("%s: serial engine at n=%d never built gain rows", label, n)
 	}
 }
 
@@ -134,9 +118,9 @@ func TestParallelResolveMatchesSerialEuclidean(t *testing.T) {
 	for _, n := range []int{16, 97, 256, 512} {
 		for _, workers := range []int{2, 3, 7} {
 			scene := randomScene(uint64(n*workers)+5, n, 6)
-			for _, alpha := range tierAlphas {
+			for _, alpha := range kernelAlphas {
 				r := rng.New(uint64(n) + uint64(workers)*1000)
-				diffTiers(t, fmt.Sprintf("n=%d", n), scene, alpha, workers, tierRounds(r, n), r)
+				diffSerialParallel(t, fmt.Sprintf("n=%d", n), scene, alpha, workers, mixedRounds(r, n), r)
 			}
 		}
 	}
@@ -151,18 +135,18 @@ func TestParallelResolveMatchesSerialGeneric(t *testing.T) {
 			coords[i] = r.Range(0, 40)
 		}
 		li := geom.NewLine(coords)
-		for _, alpha := range tierAlphas {
-			diffTiers(t, fmt.Sprintf("line n=%d", n), li, alpha, 4, tierRounds(r, n), r)
+		for _, alpha := range kernelAlphas {
+			diffSerialParallel(t, fmt.Sprintf("line n=%d", n), li, alpha, 4, mixedRounds(r, n), r)
 		}
 	}
 }
 
-// TestRowTierKeepsFirstOfEquidistant resolves lattices on which many
-// receivers sit at exactly the same distance from several transmitters
-// (every coordinate a multiple of 1/2, so every distance key is exact):
-// the closest transmitter recorded must be the first of the tied ones
-// in the transmitter order, on rows as on the streaming kernel.
-func TestRowTierKeepsFirstOfEquidistant(t *testing.T) {
+// TestParallelResolveKeepsFirstOfEquidistant resolves lattices on
+// which many receivers sit at exactly the same distance from several
+// transmitters (every coordinate a multiple of 1/2, so every distance
+// key is exact): the closest transmitter recorded must be the first of
+// the tied ones in the transmitter order, serial and parallel alike.
+func TestParallelResolveKeepsFirstOfEquidistant(t *testing.T) {
 	var pts []geom.Point
 	for y := 0; y < 9; y++ {
 		for x := 0; x < 9; x++ {
@@ -185,8 +169,8 @@ func TestRowTierKeepsFirstOfEquidistant(t *testing.T) {
 			rounds = append(rounds, tx)
 		}
 		rounds = append(rounds, []int{n / 2}, []int{0, n - 1}, rounds[1])
-		for _, alpha := range tierAlphas {
-			diffTiers(t, name, s, alpha, 3, rounds, rng.New(uint64(n)))
+		for _, alpha := range kernelAlphas {
+			diffSerialParallel(t, name, s, alpha, 3, rounds, rng.New(uint64(n)))
 		}
 		// The fixture must actually tie: some receiver of the first
 		// round has two transmitters at its closest distance key.
@@ -202,7 +186,7 @@ func TestRowTierKeepsFirstOfEquidistant(t *testing.T) {
 				continue
 			}
 			for _, t2 := range rounds[0] {
-				if int32(t2) != e.best[u] && e.rows[t2*n+u].d == e.bestD[u] {
+				if int32(t2) != e.best[u] && distKey(e, t2, u) == e.bestD[u] {
 					ties++
 					if int32(t2) < e.best[u] {
 						t.Fatalf("%s: receiver %d kept transmitter %d over the earlier equidistant %d", name, u, e.best[u], t2)
@@ -310,28 +294,13 @@ func TestSetWorkersReconfiguresPool(t *testing.T) {
 	}
 }
 
-// TestRowTierComparesDistanceNotGain places two transmitters at
-// distances one ulp apart whose gains round to the same float: the
-// farther one listed first. The closest transmitter is decided on the
-// distance key, so the nearer, later one must win on rows as on the
-// streaming kernel — a tier that compared gains would keep the first.
-func TestRowTierComparesDistanceNotGain(t *testing.T) {
-	found := 0
-	for _, alpha := range tierAlphas {
-		k := NewKernel(alpha)
-		pw := DefaultParams().Power()
-		for d1 := 0.5; d1 < 0.9 && found < 100; d1 += 0.001 {
-			d2 := math.Nextafter(d1, 2)
-			if pw*k.FromDist(d1) != pw*k.FromDist(d2) {
-				continue
-			}
-			found++
-			li := geom.NewLine([]float64{0, -d2, d1, 5})
-			r := rng.New(1)
-			diffTiers(t, fmt.Sprintf("gain tie d1=%v", d1), li, alpha, 2, [][]int{{1, 2}, {1, 2, 3}}, r)
-		}
+// distKey is the closest-transmitter key of the pair (t, u) in the
+// resolve path's unit: squared distance on the Euclidean path, raw
+// metric distance on the generic one.
+func distKey(e *Engine, t, u int) float64 {
+	if e.pts == nil {
+		return e.space.Dist(t, u)
 	}
-	if found == 0 {
-		t.Fatal("no distance pair with equal gains found")
-	}
+	dx, dy := e.ptsX[u]-e.ptsX[t], e.ptsY[u]-e.ptsY[t]
+	return dx*dx + dy*dy
 }

@@ -280,11 +280,8 @@ func (k Kernel) NearScanIndexed(pw, upx, upy float64, ids []int32, ptsX, ptsY []
 // updates (bestD[i], best[i]) on a strict d² improvement. Each element
 // is updated independently (no cross-element accumulation), so any
 // unroll is trivially bit-exact; the win is the hoisted kernel dispatch
-// and four independent divisions in flight. Each product is rounded
-// before the add (the explicit float64 conversion forbids a fused
-// multiply-add on architectures that have one), so it equals the gain
-// the exact engine caches in its rows. All slices must have the length
-// of x.
+// and four independent divisions in flight. All slices must have the
+// length of x.
 func (k Kernel) AccumRow(pw, tx0, ty0 float64, t int32, x, y []float64, isTx []bool, sig, bestD []float64, best []int32) {
 	n := len(x)
 	y = y[:n]
@@ -301,7 +298,7 @@ func (k Kernel) AccumRow(pw, tx0, ty0 float64, t int32, x, y []float64, isTx []b
 			dx := x[i] - tx0
 			dy := y[i] - ty0
 			d2 := dx*dx + dy*dy
-			sig[i] += float64(pw * (1 / d2))
+			sig[i] += pw * (1 / d2)
 			if d2 < bestD[i] {
 				bestD[i] = d2
 				best[i] = t
@@ -315,7 +312,7 @@ func (k Kernel) AccumRow(pw, tx0, ty0 float64, t int32, x, y []float64, isTx []b
 			dx := x[i] - tx0
 			dy := y[i] - ty0
 			d2 := dx*dx + dy*dy
-			sig[i] += float64(pw * (1 / (d2 * d2)))
+			sig[i] += pw * (1 / (d2 * d2))
 			if d2 < bestD[i] {
 				bestD[i] = d2
 				best[i] = t
@@ -331,7 +328,7 @@ func (k Kernel) AccumRow(pw, tx0, ty0 float64, t int32, x, y []float64, isTx []b
 				dy := y[i] - ty0
 				d2 := dx*dx + dy*dy
 				d := math.Sqrt(d2)
-				sig[i] += float64(pw * (1 / ((d * d) * math.Sqrt(d))))
+				sig[i] += pw * (1 / ((d * d) * math.Sqrt(d)))
 				if d2 < bestD[i] {
 					bestD[i] = d2
 					best[i] = t
@@ -348,7 +345,7 @@ func (k Kernel) AccumRow(pw, tx0, ty0 float64, t int32, x, y []float64, isTx []b
 			dx := x[i] - tx0
 			dy := y[i] - ty0
 			d2 := dx*dx + dy*dy
-			sig[i] += float64(pw * k.FromDist2(d2))
+			sig[i] += pw * k.FromDist2(d2)
 			if d2 < bestD[i] {
 				bestD[i] = d2
 				best[i] = t

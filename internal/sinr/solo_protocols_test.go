@@ -1,26 +1,34 @@
-package sim_test
+package sinr_test
 
 import (
 	"reflect"
 	"testing"
 
 	"sinrcast/internal/protocol"
-	"sinrcast/internal/sim"
+	"sinrcast/internal/scenario"
+	"sinrcast/internal/sinr"
 )
 
-// TestSoloMemoMatchesResolve pins the single-transmitter memo: every
-// registered protocol, on every engine the memo can sit in front of,
-// produces a deeply equal result — informed set, round counts and
-// Metrics — whether solo rounds are replayed from the memo or resolved
-// afresh every time.
+// TestSoloMemoMatchesResolve pins the single-transmitter memo on whole
+// runs: every registered protocol, on every engine kind, produces a
+// deeply equal result — informed set, round counts and Metrics —
+// whether solo rounds are replayed from the memo or resolved afresh
+// every time.
 func TestSoloMemoMatchesResolve(t *testing.T) {
 	specs := append(protocol.Names(), "alert:raised=0", "wakeup:wakers=8,stagger=3")
-	families := hintFamilies
+	families := []string{"uniform", "clusters", "corridor"}
 	if testing.Short() {
 		families = families[:1] // the race job runs -short
 	}
 	for _, family := range families {
-		net := hintNet(t, family)
+		f, ok := scenario.Lookup(family)
+		if !ok {
+			t.Fatalf("unknown family %q", family)
+		}
+		net, err := scenario.Generate(f.SpecForN(32), sinr.DefaultParams(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, engine := range []string{"exact", "grid", "hier"} {
 			ch, err := protocol.NamedChannel(engine)
 			if err != nil {
@@ -40,9 +48,9 @@ func TestSoloMemoMatchesResolve(t *testing.T) {
 						return res
 					}
 					memo := run()
-					prev := sim.SetMemoForTest(false)
+					prev := sinr.SetSoloMemoForTest(false)
 					fresh := run()
-					sim.SetMemoForTest(prev)
+					sinr.SetSoloMemoForTest(prev)
 					if !reflect.DeepEqual(memo, fresh) {
 						t.Fatalf("%s on %s diverges with the solo memo:\nmemo  %+v\nfresh %+v", s, engine, memo, fresh)
 					}
