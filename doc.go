@@ -130,7 +130,10 @@
 // field barely converges there), hier everywhere else; never the grid.
 //
 // All three engines also implement ResolveFor(tx, receivers) — subset
-// resolution byte-identical to a filtered Resolve — and sim.Engine
+// resolution byte-identical to a filtered Resolve; the hier engine
+// groups a subset's receivers by receiver block and runs its one block
+// loop, so each block builds its far-field frontier at most once per
+// round however scattered the receivers are — and sim.Engine
 // exposes SetReceiverActive so protocols whose quiescent stations
 // cannot change state by receiving (informed flood stations,
 // SBroadcast stations past the coloring, alerted alert stations) stop

@@ -194,8 +194,14 @@ func BenchmarkParallelScaling(b *testing.B) {
 
 // BenchmarkResolveFor measures subset resolution: the active-receiver
 // path protocols use once informed/quiescent stations stop listening.
-// The subset is every 8th station — a late-broadcast-round shape where
-// 7/8 of the network no longer needs resolving.
+// The frac=0.125 subset is every 8th station — a late-broadcast-round
+// shape where 7/8 of the network no longer needs resolving — on a
+// fixed transmitter set. The hier frac=0.0156 case is every 64th
+// station, scattered over every receiver block as a flood's last
+// uninformed stations are, and alternates two disjoint transmitter
+// sets so that every round is on a new aggregation epoch: each round
+// pays its frontier builds, which hier's block loop holds to one per
+// receiver block because ResolveFor groups its receivers by block.
 func BenchmarkResolveFor(b *testing.B) {
 	type mk struct {
 		name  string
@@ -213,23 +219,40 @@ func BenchmarkResolveFor(b *testing.B) {
 			return NewHierEngine(s, DefaultParams(), DefaultCellSize, DefaultNearRadius, DefaultTheta)
 		}},
 	}
+	run := func(b *testing.B, eng subsetResolver, subset []int, txs ...[]int) {
+		eng.SetWorkers(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.ResolveFor(txs[i%len(txs)], subset)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
+	}
 	for _, e := range engines {
 		for _, n := range e.sizes {
 			scene := benchScene(uint64(n)+1, n)
-			tx := benchTx(n, 64)
-			subset := benchTx(n, 8)
 			b.Run(fmt.Sprintf("engine=%s/n=%d/frac=0.125", e.name, n), func(b *testing.B) {
 				eng, err := e.build(scene)
 				if err != nil {
 					b.Fatal(err)
 				}
-				eng.SetWorkers(0)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					eng.ResolveFor(tx, subset)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
+				run(b, eng, benchTx(n, 8), benchTx(n, 64))
 			})
 		}
 	}
+	const n = 65536
+	scene := benchScene(n+1, n)
+	strided := func(off int) []int {
+		var s []int
+		for i := off; i < n; i += 64 {
+			s = append(s, i)
+		}
+		return s
+	}
+	b.Run(fmt.Sprintf("engine=hier/n=%d/frac=0.0156", n), func(b *testing.B) {
+		h, err := NewHierEngine(scene, DefaultParams(), DefaultCellSize, DefaultNearRadius, DefaultTheta)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, h, strided(16), strided(0), strided(32))
+	})
 }

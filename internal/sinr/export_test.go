@@ -74,6 +74,14 @@ func (h *HierEngine) HotStatsForTest() (bumps, transitions int64) {
 	return h.hotBumps, h.hotTransitions
 }
 
+// FrontierBuildsForTest returns how many block frontiers (shared
+// Barnes–Hut descents) the engine has built since construction — the
+// counter behind the per-block build gates.
+func (h *HierEngine) FrontierBuildsForTest() int64 { return h.frontierBuilds.Load() }
+
+// BlockOfForTest returns the receiver block of station u.
+func (h *HierEngine) BlockOfForTest(u int) int { return int(h.blockOfCell(h.cellOf[u])) }
+
 // NearCellsForTest exposes the near-field box radius in cells, the
 // input of the per-cell bump count the hot-table gate compares against.
 func (h *HierEngine) NearCellsForTest() int { return h.nearCells }

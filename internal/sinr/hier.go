@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"sinrcast/internal/geom"
 	"sinrcast/internal/sinr/simd"
@@ -99,19 +100,10 @@ type blockCacheEntry struct {
 	epoch uint32
 }
 
-// hierChunk is the per-worker scratch of the frontier-memoized
-// receiver loop: private slabs for the receiver-partitioned list path,
-// where two workers may visit the same block concurrently and
-// therefore cannot share the per-block cache. cachedBlock/cachedEpoch
-// key the lazy reuse: consecutive receivers in one block — across
-// rounds, while the aggregation is unchanged — replay the same slabs.
-// The trailing pad keeps adjacent workers' scratch on distinct cache
-// lines (the slab headers are rewritten on every block miss).
-type hierChunk struct {
-	blockSlabs
-	cachedBlock int32
-	cachedEpoch uint32
-	_           [64]byte
+// blockRange is one entry of a round's receiver work list: block b's
+// receivers are workItems[lo:hi], in ascending station order.
+type blockRange struct {
+	b, lo, hi int32
 }
 
 // HierEngine resolves rounds approximately for Euclidean networks with
@@ -130,7 +122,9 @@ type hierChunk struct {
 // Three amortizations keep the hot path cheap:
 //
 //   - Across receivers (frontier memoization): the descent runs once
-//     per occupied block of frontierBlock×frontierBlock cells,
+//     per round and occupied block of frontierBlock×frontierBlock cells
+//     — whole rounds and ResolveFor subsets alike, since a subset round
+//     groups its receivers by block before it resolves them —
 //     classifying each node against the whole block rectangle —
 //     accepted only when θ holds at the rectangle's nearest point (so
 //     it holds for every receiver in the block), descended otherwise —
@@ -163,14 +157,16 @@ type hierChunk struct {
 //     so their cost collapses to the near-field rejection scans and
 //     the decode tests.
 //
-// These amortizations are the engine's only resolve path. The plain
-// per-receiver descent they replace is kept in the tests as an oracle,
-// and the round-sequence tests require the two to agree bit for bit.
+// These amortizations are the engine's only resolve path: Resolve and
+// ResolveFor run one block loop (collectBlocks) over a work list of
+// per-block receiver ranges. The plain per-receiver descent they
+// replace is kept in the tests as an oracle, and the round-sequence
+// tests require the two to agree bit for bit.
 //
 // Like the other engines, path loss goes through the specialized
-// Kernel, large rounds split into chunks drained by the worker pool
-// with byte-identical output for every worker count, and ResolveFor
-// restricts a round to a receiver subset.
+// Kernel, large rounds split into chunks (one per block) drained by the
+// worker pool with byte-identical output for every worker count, and
+// ResolveFor restricts a round to a receiver subset.
 // A HierEngine is not safe for concurrent use by multiple goroutines;
 // Clone gives each goroutine its own engine over the shared topology.
 type HierEngine struct {
@@ -183,10 +179,9 @@ type HierEngine struct {
 	workers      int
 	minParallelN int
 	par          chunkRunner
-	// Cached chunk closures for the two parallel dispatch shapes
-	// (allocated once so steady-state rounds stay alloc-free).
+	// Cached chunk closure of the parallel block loop (allocated once so
+	// steady-state rounds stay alloc-free).
 	blockFn func(chunk, worker int)
-	listFn  func(chunk, worker int)
 
 	// deltaCrossover is the churn tuning knob (see SetDeltaCrossover).
 	deltaCrossover float64
@@ -203,12 +198,15 @@ type HierEngine struct {
 	// (2·nearCells+1)² per-cell ones. hotList holds blocks that have
 	// been hot since the last reset (stale entries are filtered on
 	// use); hotBumps/hotTransitions count counter updates and bumpHot
-	// calls for the hardware-independent cost gate.
+	// calls for the hardware-independent cost gates, as frontierBuilds
+	// counts buildFrontier calls (atomic: parallel blocks build
+	// concurrently).
 	hotCnt         []int32
 	hotList        []int32
 	hotCount       int
 	hotBumps       int64
 	hotTransitions int64
+	frontierBuilds atomic.Int64
 	isTx           []bool
 	prevTx         []int
 	// prevSorted records whether prevTx was strictly increasing — the
@@ -236,18 +234,19 @@ type HierEngine struct {
 	mergeBuf   []int32
 	dirtyNodes [2][]int32
 
-	// Per-round receiver-side scratch. curRecv/curMask carry the active
-	// ResolveFor subset into the chunk closures for the duration of one
-	// parallel round.
-	workList []int32
-	curRecv  []int
-	curMask  []bool
-	recvMask []bool
-	chunks   []hierChunk
+	// Per-round receiver work list: one (block, lo, hi) range of
+	// workItems per block with receivers to resolve. Resolve points
+	// workItems at the static block CSR (blockItems); ResolveFor points
+	// it at recvItems, its subset grouped by block (blockSlot maps a
+	// block stamped this round to its work-list entry).
+	workList  []blockRange
+	workItems []int32
+	recvItems []int32
+	blockSlot []int32
 	// blockCache persists each block's slabs across rounds, stamped
-	// with the aggregation epoch that built them. The whole-round path
-	// makes each work-list block its own chunk, claimed by exactly one
-	// worker, so each entry is written by at most one goroutine per
+	// with the aggregation epoch that built them. The parallel block
+	// loop makes each work-list block its own chunk, claimed by exactly
+	// one worker, so each entry is written by at most one goroutine per
 	// round; the runner's round barrier orders cross-round handoffs.
 	blockCache []blockCacheEntry
 	// farCache/farEpoch memoize each receiver's far-field replay: the
@@ -395,6 +394,7 @@ func (h *HierEngine) ensureRunState() {
 	n := len(h.pts)
 	nBlocks := h.bcols * h.brows
 	h.blockStamp = make([]uint32, nBlocks)
+	h.blockSlot = make([]int32, nBlocks)
 	h.hotCnt = make([]int32, nBlocks)
 	h.blockCache = make([]blockCacheEntry, nBlocks)
 	h.farCache = make([]float64, n)
@@ -839,9 +839,6 @@ func (h *HierEngine) prepareRound(tx []int) {
 			h.blockCache[i].epoch = 0
 		}
 		h.gen, h.aggEpoch = 0, 1
-		for i := range h.chunks {
-			h.chunks[i].cachedBlock = -1
-		}
 	}
 	sorted := isStrictlyIncreasing(tx)
 	if h.haveRound && h.prevSorted && sorted && h.deltaCrossover > 0 {
@@ -886,28 +883,71 @@ func (h *HierEngine) checkTx(tx []int) {
 }
 
 // buildWorkList collects the round's occupied hot blocks — the only
-// blocks whose stations can decode anything. The hot list is already
-// block-granular, so this is a filter pass (drop gone-cold and
-// unoccupied blocks, dedup stale duplicates), not a projection from
-// cells.
+// blocks whose stations can decode anything — as ranges of the static
+// block CSR. The hot list is already block-granular, so this is a
+// filter pass (drop gone-cold and unoccupied blocks, dedup stale
+// duplicates), not a projection from cells.
 func (h *HierEngine) buildWorkList() {
 	h.workList = h.workList[:0]
+	h.workItems = h.blockItems
 	h.gen++
 	for _, b := range h.hotList {
 		if h.hotCnt[b] == 0 {
 			continue
 		}
-		if h.blockStart[b+1] > h.blockStart[b] && h.blockStamp[b] != h.gen {
+		lo, hi := h.blockStart[b], h.blockStart[b+1]
+		if hi > lo && h.blockStamp[b] != h.gen {
 			h.blockStamp[b] = h.gen
-			h.workList = append(h.workList, b)
+			h.workList = append(h.workList, blockRange{b: b, lo: lo, hi: hi})
 		}
 	}
 }
 
-func (h *HierEngine) ensureChunks(n int) {
-	for len(h.chunks) < n {
-		h.chunks = append(h.chunks, hierChunk{cachedBlock: -1})
+// groupReceivers builds the work list of a ResolveFor round: the
+// receivers that can decode anything (not transmitting, in a hot
+// block) bucketed by receiver block with a two-pass counting sort into
+// recvItems, so every block's receivers are one ascending range and
+// its slabs are built at most once per round. The cost is
+// O(len(receivers)), never O(n): blocks are deduplicated by generation
+// stamp, not by clearing a per-block array.
+func (h *HierEngine) groupReceivers(receivers []int) {
+	h.workList = h.workList[:0]
+	h.gen++
+	kept := int32(0)
+	for _, u := range receivers {
+		b := h.blockOfCell(h.cellOf[u])
+		if h.hotCnt[b] == 0 || h.isTx[u] {
+			continue
+		}
+		if h.blockStamp[b] != h.gen {
+			h.blockStamp[b] = h.gen
+			h.blockSlot[b] = int32(len(h.workList))
+			h.workList = append(h.workList, blockRange{b: b})
+		}
+		h.workList[h.blockSlot[b]].hi++
+		kept++
 	}
+	// Counts become start offsets; hi then serves as each block's fill
+	// cursor and ends at lo + count.
+	off := int32(0)
+	for i := range h.workList {
+		w := &h.workList[i]
+		w.lo, w.hi, off = off, off, off+w.hi
+	}
+	if int32(cap(h.recvItems)) < kept {
+		h.recvItems = make([]int32, kept)
+	}
+	h.recvItems = h.recvItems[:kept]
+	for _, u := range receivers {
+		b := h.blockOfCell(h.cellOf[u])
+		if h.hotCnt[b] == 0 || h.isTx[u] {
+			continue
+		}
+		w := &h.workList[h.blockSlot[b]]
+		h.recvItems[w.hi] = int32(u)
+		w.hi++
+	}
+	h.workItems = h.recvItems
 }
 
 // Resolve computes receptions for one round (see Engine.Resolve for
@@ -926,25 +966,19 @@ func (h *HierEngine) Resolve(tx []int) []Reception {
 	h.ensureRunState()
 	h.checkTx(tx)
 	h.prepareRound(tx)
-
 	h.buildWorkList()
-	if h.workers > 1 && len(h.pts) >= h.minParallelN {
-		h.out = h.runBlocks(nil)
-	} else {
-		h.out = h.collectBlocks(h.workList, nil, h.out[:0])
-	}
-	// Block-ordered collection emits receptions grouped by receiver
-	// block; sort back to the ascending receiver order every engine
-	// guarantees. Receivers are unique keys, so the order is total —
-	// identical for any worker count.
-	slices.SortFunc(h.out, func(a, b Reception) int { return a.Receiver - b.Receiver })
+	h.resolveWork(len(h.pts))
 	h.solo.record(tx, len(h.pts), h.out)
 	return h.out
 }
 
 // ResolveFor computes the receptions of one round restricted to the
 // given receivers: byte-identical to Resolve(tx) filtered to the
-// subset. receivers must be strictly increasing station indices.
+// subset. receivers must be strictly increasing station indices. The
+// subset is grouped by receiver block and runs Resolve's block loop, so
+// however scattered its receivers are, each block gathers its near
+// field and descends the pyramid at most once per round — and not at
+// all while its cached slabs carry the current epoch.
 func (h *HierEngine) ResolveFor(tx []int, receivers []int) []Reception {
 	if len(tx) == 0 || len(receivers) == 0 {
 		return nil
@@ -953,79 +987,39 @@ func (h *HierEngine) ResolveFor(tx []int, receivers []int) []Reception {
 	checkReceivers(receivers, len(h.pts))
 	h.checkTx(tx)
 	h.prepareRound(tx)
-
-	// Large subsets (an eighth of the network or more) pay for the
-	// block walk: mark the subset and reuse the whole-round path. Small
-	// subsets iterate receivers directly — scattered blocks build their
-	// slabs lazily, one block cache per worker, which never costs more
-	// than a per-receiver descent.
-	if len(receivers)*8 >= len(h.pts) {
-		if h.recvMask == nil {
-			h.recvMask = make([]bool, len(h.pts))
-		}
-		for _, u := range receivers {
-			h.recvMask[u] = true
-		}
-		h.buildWorkList()
-		if h.workers > 1 && len(receivers) >= h.minParallelN {
-			h.out = h.runBlocks(h.recvMask)
-		} else {
-			h.out = h.collectBlocks(h.workList, h.recvMask, h.out[:0])
-		}
-		for _, u := range receivers {
-			h.recvMask[u] = false
-		}
-		slices.SortFunc(h.out, func(a, b Reception) int { return a.Receiver - b.Receiver })
-		return h.out
-	}
-	if h.workers > 1 && len(receivers) >= h.minParallelN {
-		ensureRunner(&h.par, h, h.workers)
-		h.ensureChunks(h.workers)
-		if h.listFn == nil {
-			h.listFn = h.runChunkList
-		}
-		h.curRecv = receivers
-		h.out = h.par.runRange(len(receivers), h.workers, h.listFn, h.out)
-		h.curRecv = nil
-	} else {
-		h.ensureChunks(1)
-		h.out = h.collectList(&h.chunks[0], receivers, h.out[:0])
-	}
+	h.groupReceivers(receivers)
+	h.resolveWork(len(receivers))
 	return h.out
 }
 
-// runBlocks is the parallel memoized whole-round body (mask non-nil
-// when a large ResolveFor restricts the round): every work-list block
-// becomes one chunk, and the pool's workers take blocks from its
-// cursor in work-list order. Skewed block occupancy — cold blocks
-// finish nearly free while decode-heavy blocks dominate — only means
-// the workers on cheap blocks take more of them.
-func (h *HierEngine) runBlocks(mask []bool) []Reception {
-	ensureRunner(&h.par, h, h.workers)
-	if h.blockFn == nil {
-		h.blockFn = h.runChunkBlock
+// resolveWork resolves the round's work list into h.out — serially, or
+// one block per chunk on the worker pool once the round has
+// minParallelN receivers — and sorts the block-grouped receptions back
+// to the ascending receiver order every engine guarantees. Receivers
+// are unique keys, so the order is total: identical for any worker
+// count.
+func (h *HierEngine) resolveWork(receivers int) {
+	if h.workers > 1 && receivers >= h.minParallelN {
+		ensureRunner(&h.par, h, h.workers)
+		if h.blockFn == nil {
+			h.blockFn = h.runChunkBlock
+		}
+		h.out = h.par.run(len(h.workList), h.blockFn, h.out)
+	} else {
+		h.out = h.collectBlocks(h.workList, h.out[:0])
 	}
-	h.curMask = mask
-	out := h.par.run(len(h.workList), h.blockFn, h.out)
-	h.curMask = nil
-	return out
+	slices.SortFunc(h.out, func(a, b Reception) int { return a.Receiver - b.Receiver })
 }
 
 // runChunkBlock resolves the chunk-th work-list block against the
-// shared per-block cache. The cursor hands each chunk to exactly one
-// worker, so the block's cache entry and its receivers' far-sum
-// entries keep a single writer per round.
+// shared per-block cache. The pool's workers take blocks from its
+// cursor in work-list order: skewed block occupancy — cold blocks
+// finish nearly free while decode-heavy blocks dominate — only means
+// the workers on cheap blocks take more of them. The cursor hands each
+// chunk to exactly one worker, so the block's cache entry and its
+// receivers' far-sum entries keep a single writer per round.
 func (h *HierEngine) runChunkBlock(chunk, worker int) {
-	h.par.slots[chunk].out = h.collectBlocks(h.workList[chunk:chunk+1], h.curMask, h.par.slots[chunk].out[:0])
-}
-
-// runChunkList resolves the chunk-th contiguous slice of a small
-// ResolveFor subset with the executing worker's private slabs (chunks
-// from different regions may land on one worker from round to round;
-// the (block, epoch) key on the private cache keeps reuse correct).
-func (h *HierEngine) runChunkList(chunk, worker int) {
-	lo, hi := h.par.chunkRange(chunk, len(h.curRecv))
-	h.par.slots[chunk].out = h.collectList(&h.chunks[worker], h.curRecv[lo:hi], h.par.slots[chunk].out[:0])
+	h.par.slots[chunk].out = h.collectBlocks(h.workList[chunk:chunk+1], h.par.slots[chunk].out[:0])
 }
 
 // --- Frontier-memoized collection --------------------------------------
@@ -1033,7 +1027,7 @@ func (h *HierEngine) runChunkList(chunk, worker int) {
 // gatherNear collects the transmitters of the block's union near box —
 // the block's cell extent padded by the near-field radius, so every
 // receiver in the block has its own near box covered — into the
-// chunk's slabs, in (cell-row, cell-col, list) scan order. Every
+// block's slabs, in (cell-row, cell-col, list) scan order. Every
 // receiver of the block sums all of them exactly: a superset of its
 // own near box, so the exact region only grows.
 func (h *HierEngine) gatherNear(sl *blockSlabs, bx0, by0, bx1, by1 int) {
@@ -1068,6 +1062,7 @@ func (h *HierEngine) gatherNear(sl *blockSlabs, bx0, by0, bx1, by1 int) {
 // receivers in the block share one descent and one set of
 // center-of-mass divisions, at equal or better accuracy.
 func (h *HierEngine) buildFrontier(sl *blockSlabs, bx0c, by0c, bx1c, by1c int) {
+	h.frontierBuilds.Add(1)
 	sl.evX = sl.evX[:0]
 	sl.evY = sl.evY[:0]
 	sl.evP = sl.evP[:0]
@@ -1138,7 +1133,7 @@ func (h *HierEngine) buildFrontier(sl *blockSlabs, bx0c, by0c, bx1c, by1c int) {
 	}
 }
 
-// resolveReceiver resolves one receiver against the chunk's prepared
+// resolveReceiver resolves one receiver against its block's prepared
 // slabs: a kernel-free argmin over the gathered near field elects the
 // decoding candidate, then only candidates pay the exact near fold and
 // the frontier replay (accepted nodes as flat multiply-adds). Both
@@ -1182,25 +1177,25 @@ func (h *HierEngine) resolveReceiver(sl *blockSlabs, u int32, dst []Reception) [
 	return dst
 }
 
-// collectBlocks resolves every non-transmitting, unmasked station of
-// the listed blocks (which are hot by construction of the work list)
-// against the per-block slab cache: a block whose entry carries the
-// current aggregation epoch replays its slabs as-is, otherwise the near
-// gather and shared descent rebuild them — lazily, on the block's first
-// eligible receiver — and restamp the entry. Each block runs in exactly
-// one chunk, so each cache entry has a single writer per round.
-// Receptions come out grouped by block; the caller sorts by receiver.
-func (h *HierEngine) collectBlocks(blocks []int32, mask []bool, dst []Reception) []Reception {
-	for _, b := range blocks {
-		bc := &h.blockCache[b]
+// collectBlocks is the engine's one receiver loop: it resolves every
+// non-transmitting station of the given work-list ranges (whose blocks
+// are hot by construction) against the per-block slab cache. A block
+// whose entry carries the current aggregation epoch replays its slabs
+// as-is; otherwise the near gather and shared descent rebuild them —
+// lazily, on the block's first eligible receiver — and restamp the
+// entry. A block appears once per work list and runs in exactly one
+// chunk, so each cache entry has a single writer per round. Receptions
+// come out grouped by block; the caller sorts by receiver.
+func (h *HierEngine) collectBlocks(work []blockRange, dst []Reception) []Reception {
+	for _, w := range work {
+		bc := &h.blockCache[w.b]
 		fresh := bc.epoch == h.aggEpoch
-		for si := h.blockStart[b]; si < h.blockStart[b+1]; si++ {
-			u := h.blockItems[si]
-			if h.isTx[u] || (mask != nil && !mask[u]) {
+		for _, u := range h.workItems[w.lo:w.hi] {
+			if h.isTx[u] {
 				continue
 			}
 			if !fresh {
-				bx0, by0, bx1, by1 := h.blockCellRange(b)
+				bx0, by0, bx1, by1 := h.blockCellRange(w.b)
 				h.gatherNear(&bc.blockSlabs, bx0, by0, bx1, by1)
 				h.buildFrontier(&bc.blockSlabs, bx0, by0, bx1, by1)
 				bc.epoch = h.aggEpoch
@@ -1208,35 +1203,6 @@ func (h *HierEngine) collectBlocks(blocks []int32, mask []bool, dst []Reception)
 			}
 			dst = h.resolveReceiver(&bc.blockSlabs, u, dst)
 		}
-	}
-	return dst
-}
-
-// collectList resolves an explicit ascending receiver list with the
-// memoized slabs. The shared per-block cache is read when its epoch is
-// current (receiver-partitioned workers may visit the same block, so
-// this path never writes it); on a miss the worker's private slabs are
-// built and keyed by (block, epoch) — scattered small subsets degrade
-// gracefully to one build per receiver, which costs about one
-// per-receiver descent each.
-func (h *HierEngine) collectList(ch *hierChunk, receivers []int, dst []Reception) []Reception {
-	for _, u := range receivers {
-		b := h.blockOfCell(h.cellOf[u])
-		if h.hotCnt[b] == 0 || h.isTx[u] {
-			continue
-		}
-		sl := &h.blockCache[b].blockSlabs
-		if h.blockCache[b].epoch != h.aggEpoch {
-			if ch.cachedBlock != b || ch.cachedEpoch != h.aggEpoch {
-				bx0, by0, bx1, by1 := h.blockCellRange(b)
-				h.gatherNear(&ch.blockSlabs, bx0, by0, bx1, by1)
-				h.buildFrontier(&ch.blockSlabs, bx0, by0, bx1, by1)
-				ch.cachedBlock = b
-				ch.cachedEpoch = h.aggEpoch
-			}
-			sl = &ch.blockSlabs
-		}
-		dst = h.resolveReceiver(sl, int32(u), dst)
 	}
 	return dst
 }

@@ -2,6 +2,7 @@ package sinr
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sinrcast/internal/geom"
@@ -182,5 +183,145 @@ func TestResolveForRejectsBadSubsets(t *testing.T) {
 			}()
 			e.ResolveFor([]int{0}, bad)
 		}()
+	}
+}
+
+// sizedSubset returns k distinct stations of [0,n), ascending.
+func sizedSubset(r *rng.Source, n, k int) []int {
+	s := r.Perm(n)[:k]
+	slices.Sort(s)
+	return s
+}
+
+// TestHierResolveForSubsetSizes drives hier ResolveFor through subset
+// sizes from one station to all of them — each over a fresh round, a
+// repeated one (the epoch cache replays), a churned one (the delta
+// path) and its repeat — and holds it bit for bit to the per-receiver
+// descent oracle and to a whole-round Resolve filtered to the subset,
+// serially and with the parallel block loop forced on. Transmitters sit
+// in the left quarter of the arena only, so most blocks are cold;
+// subsets include transmitters, and the test fails unless it saw
+// receivers that transmit and receivers in cold blocks.
+func TestHierResolveForSubsetSizes(t *testing.T) {
+	const n = 4096
+	scene := randomScene(404, n, 64)
+	p := DefaultParams()
+	mk := func() *HierEngine {
+		h, err := NewHierEngine(scene, p, DefaultCellSize, DefaultNearRadius, DefaultTheta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetWorkers(1)
+		return h
+	}
+	var left []int // stations in the arena's left quarter
+	for i, q := range scene.Pts {
+		if q.X < 16 {
+			left = append(left, i)
+		}
+	}
+	for _, parallel := range []bool{false, true} {
+		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
+			h, oracle, whole := mk(), mk(), mk()
+			if parallel {
+				h.SetWorkers(3)
+				h.minParallelN = 0
+			}
+			r := rng.New(8080)
+			var txRecv, coldRecv, hits, churned int
+			// Single stations, the n/64 scatter of late flood rounds,
+			// both sides of n/8 (where a separate small-subset path once
+			// took over), half and all of the network.
+			for _, k := range []int{1, 2, n / 64, n/8 - 1, n / 8, n / 2, n} {
+				var tx []int
+				for round := 0; round < 4; round++ {
+					switch round {
+					case 0: // fresh set
+						tx = tx[:0]
+						for _, u := range left {
+							if r.Bernoulli(0.05) {
+								tx = append(tx, u)
+							}
+						}
+					case 2: // churn: drop a tenth, wake as many others
+						next := []int{}
+						for _, u := range tx {
+							if !r.Bernoulli(0.1) {
+								next = append(next, u)
+							}
+						}
+						for len(next) < len(tx) {
+							next = append(next, left[r.Intn(len(left))])
+						}
+						slices.Sort(next)
+						tx = slices.Compact(next)
+						churned++
+					}
+					sub := sizedSubset(r, n, k)
+					if k >= 2 && !slices.Contains(sub, tx[0]) {
+						sub[0] = tx[0]
+						slices.Sort(sub)
+						sub = slices.Compact(sub)
+					}
+					label := fmt.Sprintf("k=%d round=%d", k, round)
+					epoch := h.aggEpoch
+					got := append([]Reception(nil), h.ResolveFor(tx, sub)...)
+					if round%2 == 1 && h.aggEpoch == epoch {
+						hits++
+					}
+					for _, u := range sub {
+						if h.isTx[u] {
+							txRecv++
+						} else if h.hotCnt[h.blockOfCell(h.cellOf[u])] == 0 {
+							coldRecv++
+						}
+					}
+					diffReceptions(t, label+" vs descent oracle", oracle.ResolveDescentForTest(tx, sub), got)
+					diffReceptions(t, label+" vs filtered Resolve", filterReceptions(whole.Resolve(tx), sub), got)
+				}
+			}
+			t.Logf("%d transmitting and %d cold-block receivers, %d epoch hits, %d churned rounds", txRecv, coldRecv, hits, churned)
+			if txRecv == 0 || coldRecv == 0 || hits == 0 || churned == 0 {
+				t.Fatal("sweep missed a receiver class or round kind")
+			}
+		})
+	}
+}
+
+// TestHierResolveForSteadyStateAllocs: once warm, hier ResolveFor
+// rounds allocate nothing, serial or parallel, whole or scattered
+// subset, with every round on a new aggregation epoch.
+func TestHierResolveForSteadyStateAllocs(t *testing.T) {
+	const n = 4096
+	scene := randomScene(505, n, 64)
+	txA, txB := benchTx(n, 64), make([]int, 0, n/64)
+	for i := 32; i < n; i += 64 {
+		txB = append(txB, i)
+	}
+	for _, parallel := range []bool{false, true} {
+		for _, k := range []int{n / 64, n / 2} {
+			t.Run(fmt.Sprintf("parallel=%v/k=%d", parallel, k), func(t *testing.T) {
+				h, err := NewHierEngine(scene, DefaultParams(), DefaultCellSize, DefaultNearRadius, DefaultTheta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.SetWorkers(1)
+				if parallel {
+					h.SetWorkers(2)
+					h.minParallelN = 0
+				}
+				sub := sizedSubset(rng.New(uint64(k)), n, k)
+				round := func() {
+					h.ResolveFor(txA, sub)
+					h.ResolveFor(txB, sub)
+				}
+				for range 3 {
+					round()
+				}
+				if a := testing.AllocsPerRun(20, round); a != 0 {
+					t.Fatalf("steady-state ResolveFor allocated %.1f times per two rounds", a)
+				}
+			})
+		}
 	}
 }

@@ -14,14 +14,14 @@ import (
 	"testing"
 
 	"sinrcast/internal/geom"
+	"sinrcast/internal/network"
 	"sinrcast/internal/rng"
 	"sinrcast/internal/scenario"
 	"sinrcast/internal/sinr"
 )
 
-// seqScene builds one registry topology and returns its Euclidean
-// geometry.
-func seqScene(t *testing.T, spec string, seed uint64) *geom.Euclidean {
+// seqNet builds one registry topology.
+func seqNet(t *testing.T, spec string, seed uint64) *network.Network {
 	t.Helper()
 	sp, err := scenario.Parse(spec)
 	if err != nil {
@@ -31,6 +31,14 @@ func seqScene(t *testing.T, spec string, seed uint64) *geom.Euclidean {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return net
+}
+
+// seqScene builds one registry topology and returns its Euclidean
+// geometry.
+func seqScene(t *testing.T, spec string, seed uint64) *geom.Euclidean {
+	t.Helper()
+	net := seqNet(t, spec, seed)
 	eu, ok := net.Space.(*geom.Euclidean)
 	if !ok {
 		t.Fatalf("scenario %q built %T, want Euclidean", spec, net.Space)

@@ -7,6 +7,7 @@ package sinr_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sinrcast/internal/rng"
@@ -15,9 +16,9 @@ import (
 
 // TestVectorizedReplayBitIdentity drives the production engine and the
 // descent oracle through identical round sequences — whole rounds and
-// ResolveFor subsets (both the small list path and the masked large
-// path) — across the three topology families and the three bench
-// exponents, requiring byte-identical receptions throughout.
+// ResolveFor subsets from single stations to the whole network — across
+// the three topology families and the three bench exponents, requiring
+// byte-identical receptions throughout.
 func TestVectorizedReplayBitIdentity(t *testing.T) {
 	families := []struct{ name, spec string }{
 		{"uniform", "uniform:n=640,density=8"},
@@ -50,14 +51,11 @@ func TestVectorizedReplayBitIdentity(t *testing.T) {
 					label := fmt.Sprintf("%s/a=%g round=%d", fam.name, alpha, round)
 					switch round % 3 {
 					case 2:
-						pr := 0.04 // small subsets: the lazily cached collectList path
-						if round%2 == 0 {
-							pr = 0.5 // large subsets: the masked whole-round path
-						}
-						sub := sortedSubset(r, n, pr)
-						if len(sub) == 0 {
-							continue
-						}
+						// Subset sizes at the extremes and on both sides of
+						// n/8; every size runs the whole-round block loop.
+						sizes := []int{1, 2, n / 64, n/8 - 1, n / 8, n / 2, n}
+						sub := r.Perm(n)[:sizes[round/3%len(sizes)]]
+						slices.Sort(sub)
 						want := oracle.ResolveDescentForTest(tx, sub)
 						diffRec(t, label+" vecFor", want, vec.ResolveFor(tx, sub))
 					default:
