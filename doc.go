@@ -108,7 +108,9 @@
 //     when the transmitter set changes, and per-block frontier/near
 //     slabs plus per-receiver far-field sums are cached by epoch —
 //     unchanged rounds replay them bit-identically without
-//     descending or re-folding. The folds run through the
+//     descending or re-folding. A block descends only for its first
+//     decode candidate, so a hot block whose receivers all fail the
+//     rejection pass gathers its near field but builds no frontier. The folds run through the
 //     internal/sinr/simd portable batch kernels (α-specialized
 //     4/8-wide unrolls preserving scalar summation order
 //     bit-exactly, and a kernel-free ArgMin rejection pass before
@@ -158,11 +160,13 @@
 // earliest round a reception makes it act, or NeverWake to keep its
 // hint. The engine ticks only the stations due each round: those that
 // asked for the next round ride an ascending list, later wakes wait in
-// a bucketed calendar ring capped at 4096 rounds ahead, and the two
-// merge in ascending id so RNG draws and outputs stay byte-exact
-// against ticking every station every round (kept only as a test
-// adapter). An uninformed flood station sleeps until a reception; an
-// informed one asks for every round and never touches the calendar.
+// a bucketed calendar ring capped at 4096 rounds ahead (buckets are
+// lists linked through per-station slots, and a round's bucket is
+// ordered through a two-level bitmap of due stations), and
+// the two merge in ascending id so RNG draws and outputs stay
+// byte-exact against ticking every station every round (kept only as
+// a test adapter). An uninformed flood station sleeps until a
+// reception.
 // In NoSBroadcast's coloring preamble — where all but the source sleep
 // — this takes the n=65536 round loop from ~1.2k to ~420k rounds/s,
 // allocation-free in steady state. Stations that gamble every round sleep too: a coloring
@@ -170,6 +174,11 @@
 // per-round Bernoulli trials ahead with an rng.Cursor, in the same
 // stream and order, up to the first success or the end of the span
 // over which their probability is fixed, and sleep until that round.
+// The Decay and DaumStyle floods, whose probability sweeps 2^-(1+k mod
+// L) by the rounds since a station was informed, draw ahead through an
+// rng.Sweep — one threshold table per run, shared by every station —
+// and sleep to their next transmission; the density oracle, grid TDMA
+// and caller-supplied flood policies still draw every round.
 // Receptions that change nothing the station draws (coloring feedback,
 // a message it already holds) keep its hint, so a consensus token
 // holder is ticked only when it transmits or its window ends. On the

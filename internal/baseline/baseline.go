@@ -23,7 +23,10 @@
 //
 // Every policy floods through RunFloodOn, a thin runner over sim.Engine:
 // the same round loop, metrics and phase labels as the paper's
-// algorithms.
+// algorithms. The sweep policies (Decay, DaumStyle) let their informed
+// stations sleep to their next transmission, drawn ahead through one
+// shared rng.Sweep; the oracle policies, and any other Policy, draw
+// Bernoulli(TxProb) on every round.
 package baseline
 
 import (
@@ -39,9 +42,15 @@ import (
 )
 
 // Policy decides per-round transmission probabilities for a flooding
-// protocol: every informed station consults its policy each round. A
-// Policy value carries the oracle state of one run; use a fresh one per
-// flood.
+// protocol: every informed station transmits in round t with
+// probability TxProb. A Policy value carries the oracle state of one
+// run; use a fresh one per flood.
+//
+// RunFloodOn asks TxProb once per informed station and round, except
+// for the package's sweep policies (Decay, DaumStyle): their
+// probability is a fixed cycle over the rounds since a station was
+// informed, so their stations draw the same trials ahead and sleep
+// between transmissions.
 type Policy interface {
 	// Name identifies the policy in experiment tables.
 	Name() string
@@ -93,18 +102,23 @@ func RunFloodOn(net *network.Network, pol Policy, seed uint64, source, budget in
 	} else if phys.N() != n {
 		return nil, fmt.Errorf("baseline: engine has %d stations, network has %d", phys.N(), n)
 	}
+	run := &flood{pol: pol, end: budget}
+	if sw, ok := pol.(sweeper); ok {
+		run.sweep = sw.sweepTable()
+	}
 	root := rng.New(seed)
 	stations := make([]floodStation, n)
 	protos := make([]sim.Protocol, n)
 	for i := range stations {
-		stations[i] = floodStation{id: i, at: -1, pol: pol, rnd: root.Split(uint64(i))}
+		stations[i] = floodStation{id: i, at: -1, run: run, rnd: root.Split(uint64(i))}
 		protos[i] = &stations[i]
 	}
 	eng, err := sim.NewEngine(phys, protos)
 	if err != nil {
 		return nil, err
 	}
-	stations[source].inform(0)
+	// The source draws from round 0; every station is due then anyway.
+	stations[source].inform(0, 0)
 	eng.SetReceiverActive(source, false)
 
 	remaining := n - 1
@@ -147,39 +161,81 @@ func defaultBudget(net *network.Network) int {
 	return int(float64(2*d+10) * lg * lg * 40)
 }
 
+// flood is the state every station of one run shares: the policy and,
+// for a sweep policy, its threshold table and the run's round budget,
+// where every station's draw-ahead stops.
+type flood struct {
+	pol   Policy
+	sweep *rng.Sweep // nil: draw Bernoulli(TxProb) every round
+	end   int
+}
+
 // floodStation is one station of a flood: silent until informed, then
 // transmitting each round with its policy's probability. An uninformed
-// station sleeps until a reception (NeverWake); an informed one draws
-// every round, so it asks for the next round and rides the engine's
-// next-round lane, never the calendar.
+// station sleeps until a reception (NeverWake). An informed station of
+// a sweep policy draws ahead to its next transmission round (next) and
+// sleeps until then; under any other policy it draws every round, so
+// it asks for the next round and rides the engine's next-round lane.
+// Receptions change nothing once informed (Recv keeps the hint). The
+// run's shared state sits behind one pointer, so a station is 40 bytes.
 type floodStation struct {
-	id  int
-	at  int // round the station was informed in, -1 while uninformed
-	pol Policy
-	rnd *rng.Source
+	id   int
+	at   int // round the station was informed in, -1 while uninformed
+	next int // sweep policies: next transmission round, or run.end
+	run  *flood
+	rnd  *rng.Source
 }
 
 var _ sim.Protocol = (*floodStation)(nil)
 
 // Tick implements sim.Protocol.
 func (s *floodStation) Tick(t int) (bool, sim.Message, int) {
-	if s.at < 0 {
+	switch {
+	case s.at < 0:
 		return false, sim.Message{}, sim.NeverWake
+	case s.run.sweep == nil:
+		return s.rnd.Bernoulli(s.run.pol.TxProb(s.id, t, s.at)), sim.Message{}, t + 1
+	case t < s.next:
+		// Ticked early (the engine clamps far hints): re-announce.
+		return false, sim.Message{}, s.next
 	}
-	return s.rnd.Bernoulli(s.pol.TxProb(s.id, t, s.at)), sim.Message{}, t + 1
+	s.drawFrom(t + 1)
+	return true, sim.Message{}, s.next
 }
 
-// Recv implements sim.Protocol: the first reception informs.
+// Recv implements sim.Protocol: the first reception informs, and the
+// station draws from the next round on.
 func (s *floodStation) Recv(t int, _ sim.Message) int {
-	if s.at < 0 {
-		s.inform(t)
+	if s.at >= 0 {
+		return sim.NeverWake
 	}
-	return t + 1
+	return s.inform(t, t+1)
 }
 
-func (s *floodStation) inform(t int) {
+// inform marks the station informed in round t, with its first draw in
+// round from, and returns the round it next needs a tick.
+func (s *floodStation) inform(t, from int) int {
 	s.at = t
-	s.pol.Inform(s.id)
+	s.run.pol.Inform(s.id)
+	if s.run.sweep == nil {
+		return from
+	}
+	s.drawFrom(from)
+	return s.next
+}
+
+// drawFrom sets next to the station's first successful round from u on,
+// drawing exactly the per-round Bernoulli(TxProb) trials of rounds u,
+// …, next.
+func (s *floodStation) drawFrom(u int) {
+	s.next = s.run.sweep.Next(s.rnd, u, u-s.at, s.run.end)
+}
+
+// sweeper is the optional, unexported Policy capability behind sleeping
+// flood stations: a policy whose TxProb(i, t, at) depends only on
+// t-at, cyclically, returns one cycle of it as a shared rng.Sweep.
+type sweeper interface {
+	sweepTable() *rng.Sweep
 }
 
 // sweep is the Decay-family schedule shared by Decay and DaumStyle: in
@@ -195,6 +251,15 @@ func (sweep) Inform(int) {}
 // TxProb implements Policy.
 func (s sweep) TxProb(_, t, at int) float64 {
 	return math.Ldexp(1, -(1 + (t-at)%s.L))
+}
+
+// sweepTable implements sweeper: one cycle of TxProb.
+func (s sweep) sweepTable() *rng.Sweep {
+	p := make([]float64, s.L)
+	for k := range p {
+		p[k] = s.TxProb(0, k, 0)
+	}
+	return rng.NewSweep(p)
 }
 
 // Decay is the classic probability-sweep policy with L = ceil(log2 n) + 1.

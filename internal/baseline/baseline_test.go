@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"sinrcast/internal/netgen"
 	"sinrcast/internal/network"
@@ -232,5 +233,15 @@ func TestDaumSlowerOnRoughNetwork(t *testing.T) {
 	lvl := NewDaumStyle(chain).L
 	if lvl < int(3*math.Log2(1000)) {
 		t.Fatalf("expected many levels on rough chain, got %d", lvl)
+	}
+}
+
+// TestFloodStationSize pins a flood station at five words (40 bytes on
+// 64-bit platforms): the run's shared state sits behind one pointer,
+// so sleeping to the next transmission costs a word, not a copy of the
+// policy and sweep table per station.
+func TestFloodStationSize(t *testing.T) {
+	if got, want := unsafe.Sizeof(floodStation{}), 5*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Fatalf("floodStation is %d bytes, want %d", got, want)
 	}
 }

@@ -189,4 +189,43 @@ func TestFloodMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// A sweep of 1100 levels reaches 2^-1075 and beyond, which Ldexp
+	// rounds to 0: there the per-round loop makes no draw, and the
+	// drawn-ahead stations must skip those steps too.
+	for seed := uint64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("sweep-L=1100/seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			spec, err := scenario.Parse("uniform:n=24")
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, err := scenario.Generate(spec, sinr.DefaultParams(), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, en := range []string{"exact", "hier"} {
+				flood := func(run func(Policy, sim.Resolver) *broadcast.Result) *broadcast.Result {
+					phys, err := newRefEngine(en, net)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return run(&Decay{sweep{L: 1100}}, phys)
+				}
+				got := flood(func(pol Policy, phys sim.Resolver) *broadcast.Result {
+					res, err := RunFloodOn(net, pol, seed, 0, 20000, phys)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				})
+				want := flood(func(pol Policy, phys sim.Resolver) *broadcast.Result {
+					return referenceFlood(net, pol, seed, 0, 20000, phys)
+				})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: engine flood differs from the reference loop:\ngot  %+v\nwant %+v", en, got, want)
+				}
+				t.Logf("%s: %d rounds, all informed %v", en, got.Metrics.Rounds, got.AllInformed)
+			}
+		})
+	}
 }

@@ -39,10 +39,10 @@ func (busyStation) Recv(t int, _ Message) int       { return t + 1 }
 
 // BenchmarkStepWakeScheduled measures the steady-state cost of one
 // round: n sleepers waking every period rounds, so each Step pops,
-// sorts and reschedules n/period calendar entries, merged with an
+// orders and reschedules n/period calendar entries, merged with an
 // every-round population of n/64 stations on the next-round lane.
-// After the warm-up has grown the calendar ring and the bucket and
-// lane capacities, Step must run allocation-free — CI gates on the
+// After the warm-up has grown the calendar ring and the lane
+// capacities, Step must run allocation-free — CI gates on the
 // reported 0 allocs/op.
 func BenchmarkStepWakeScheduled(b *testing.B) {
 	const n, period, everyRoundShare = 65536, 512, 64
@@ -57,7 +57,7 @@ func BenchmarkStepWakeScheduled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.Run(2*period, nil) // reach steady state: ring grown, buckets at capacity
+	e.Run(2*period, nil) // reach steady state: ring grown, lanes at capacity
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -12,3 +12,12 @@ func SetTickEveryRound(on bool) (prev bool) {
 	}
 	return prev
 }
+
+// SetStationWrapperForTest makes every engine built afterwards wrap each
+// of its stations with wrap (nil: none), in station order, and returns
+// the previous wrapper. Tests outside the package use it to count what
+// the engine asks of the stations.
+func SetStationWrapperForTest(wrap func(Protocol) Protocol) (prev func(Protocol) Protocol) {
+	prev, wrapStation = wrapStation, wrap
+	return prev
+}

@@ -10,7 +10,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 
 	"sinrcast/internal/prof"
 	"sinrcast/internal/sinr"
@@ -127,24 +127,60 @@ const (
 	calMaxLen  = 4096
 )
 
-// calBucketCap caps the capacity a calendar bucket starts with.
-const calBucketCap = 8
+// unlinked is the calPrev of a station that is in no calendar bucket
+// (a list head's calPrev is -1).
+const unlinked = -2
 
-// newCalendar returns a ring of size empty buckets carved out of one
-// backing array, each capped by a three-index slice so an append past
-// its share moves that bucket alone to a fresh array instead of
-// spilling into its neighbour: a fresh ring costs two allocations
-// rather than one per bucket on its first append. A bucket's share is
-// one slot per 8 stations, between 1 and calBucketCap, so a 4096-round
-// ring over a small network stays small.
-func newCalendar(size, stations int) [][]int32 {
-	k := min(max(stations/8, 1), calBucketCap)
-	slab := make([]int32, size*k)
-	cal := make([][]int32, size)
+// newRing returns a calendar ring of size empty buckets.
+func newRing(size int) []int32 {
+	cal := make([]int32, size)
 	for i := range cal {
-		cal[i] = slab[i*k : i*k : (i+1)*k]
+		cal[i] = -1
 	}
 	return cal
+}
+
+// dueSet is the set of stations a round's calendar bucket names, as a
+// two-level bitmap: words holds one bit per station, and bit w of sum
+// marks words[w] non-empty. Popping the members in ascending id costs
+// O(n/4096 + members), so a bucket is ordered without a sort.
+type dueSet struct {
+	words, sum []uint64
+	at         int // summary word pop resumes at; every earlier one is 0
+}
+
+func newDueSet(n int) dueSet {
+	nw := (n + 63) / 64
+	buf := make([]uint64, nw+(nw+63)/64)
+	return dueSet{words: buf[:nw:nw], sum: buf[nw:]}
+}
+
+func (d *dueSet) add(id int32) {
+	w := id >> 6
+	d.words[w] |= 1 << uint(id&63)
+	d.sum[w>>6] |= 1 << uint(w&63)
+}
+
+// pop removes and returns the smallest member, or -1 once the set is
+// empty (and rewinds for the next round).
+func (d *dueSet) pop() int32 {
+	for ; d.at < len(d.sum); d.at++ {
+		s := d.sum[d.at]
+		if s == 0 {
+			continue
+		}
+		w := d.at<<6 + bits.TrailingZeros64(s)
+		word := d.words[w]
+		id := int32(w<<6 + bits.TrailingZeros64(word))
+		word &= word - 1
+		d.words[w] = word
+		if word == 0 {
+			d.sum[d.at] = s & (s - 1)
+		}
+		return id
+	}
+	d.at = 0
+	return -1
 }
 
 // wrapStation, when non-nil, wraps every station NewEngine is given.
@@ -164,15 +200,23 @@ type Engine struct {
 	// i must tick. next lists, ascending, the stations whose tick in the
 	// previous round asked for the current one — the lane every-round
 	// stations ride without touching the calendar; spare is its double
-	// buffer. Every later wake sits in cal, a power-of-two ring of
-	// buckets indexed by round & calMask, under the invariant that every
-	// scheduled wake is less than len(cal) rounds ahead, so a bucket
-	// entry whose wake[id] disagrees with the current round is stale.
+	// buffer. Every later wake sits in the calendar, a power-of-two ring
+	// of buckets indexed by round & calMask: cal[b] is the first station
+	// of bucket b (-1: empty), and calNext/calPrev chain a bucket's
+	// stations through per-station slots. A station is in one bucket at
+	// most — rescheduling unlinks it — so the calendar costs two int32s
+	// per station however full its buckets get. Every scheduled wake is
+	// less than len(cal) rounds ahead, so round t's bucket holds exactly
+	// the calendar's stations due in round t; due orders them for the
+	// tick loop.
 	wake    []int
 	next    []int32
 	spare   []int32
-	cal     [][]int32
+	cal     []int32
+	calNext []int32
+	calPrev []int32
 	calMask int
+	due     dueSet
 
 	// Receiver-activity tracking (see SetReceiverActive): inactive
 	// stations are excluded from reception resolution when the physical
@@ -202,6 +246,7 @@ func NewEngine(phys Resolver, protos []Protocol) (*Engine, error) {
 		protos = wrapped
 	}
 	subset, _ := phys.(SubsetResolver)
+	links := make([]int32, 2*len(protos))
 	e := &Engine{
 		phys:    phys,
 		subset:  subset,
@@ -210,11 +255,15 @@ func NewEngine(phys Resolver, protos []Protocol) (*Engine, error) {
 		txIDs:   make([]int, 0, len(protos)),
 		wake:    make([]int, len(protos)), // everyone is due in round 0
 		next:    make([]int32, len(protos)),
-		cal:     newCalendar(calInitLen, len(protos)),
+		cal:     newRing(calInitLen),
+		calNext: links[:len(protos)],
+		calPrev: links[len(protos):],
 		calMask: calInitLen - 1,
+		due:     newDueSet(len(protos)),
 	}
 	for i := range e.next {
 		e.next[i] = int32(i)
+		e.calPrev[i] = unlinked
 	}
 	return e, nil
 }
@@ -278,64 +327,95 @@ func (e *Engine) SetTracer(tr Tracer) { e.tracer = tr }
 // Round returns the current global round number (the next round to run).
 func (e *Engine) Round() int { return e.round }
 
-// schedule files station id's wake round w (> the current round t,
+// schedule moves station id's wake to round w (> the current round t,
 // finite) in the calendar, clamped to the calMaxLen horizon. It grows
-// the ring so w-t < len(cal) holds for every scheduled entry.
+// the ring so w-t < len(cal) holds for every scheduled station.
 func (e *Engine) schedule(id int32, w, t int) {
 	if w-t >= calMaxLen {
 		w = t + calMaxLen - 1
 	}
 	if w-t >= len(e.cal) {
-		e.growCalendar(w-t+1, t)
+		e.growCalendar(w - t + 1)
 	}
+	e.unlink(id)
 	e.wake[id] = w
-	idx := w & e.calMask
-	e.cal[idx] = append(e.cal[idx], id)
+	e.link(id)
 }
 
-// growCalendar rebuilds the ring at the next power-of-two size ≥ minLen
-// from the authoritative wake array, dropping stale entries in passing.
-// Entries for the in-progress round t are not re-added: they are already
-// being ticked, and re-announce themselves.
-func (e *Engine) growCalendar(minLen, t int) {
+// link pushes station id onto the bucket of its wake round.
+func (e *Engine) link(id int32) {
+	b := e.wake[id] & e.calMask
+	h := e.cal[b]
+	e.calNext[id], e.calPrev[id] = h, -1
+	if h >= 0 {
+		e.calPrev[h] = id
+	}
+	e.cal[b] = id
+}
+
+// unlink takes station id out of its bucket, if it is in one; wake[id]
+// must still name that bucket's round.
+func (e *Engine) unlink(id int32) {
+	p := e.calPrev[id]
+	if p == unlinked {
+		return
+	}
+	nx := e.calNext[id]
+	if p < 0 {
+		e.cal[e.wake[id]&e.calMask] = nx
+	} else {
+		e.calNext[p] = nx
+	}
+	if nx >= 0 {
+		e.calPrev[nx] = p
+	}
+	e.calPrev[id] = unlinked
+}
+
+// growCalendar rebuilds the ring at the next power-of-two size ≥ minLen,
+// relinking every scheduled station by its wake round.
+func (e *Engine) growCalendar(minLen int) {
 	size := 2 * len(e.cal)
 	for size < minLen {
 		size *= 2
 	}
-	cal := newCalendar(size, len(e.wake))
-	mask := size - 1
-	for i, w := range e.wake {
-		if w > t && w != NeverWake {
-			cal[w&mask] = append(cal[w&mask], int32(i))
+	old := e.cal
+	e.cal, e.calMask = newRing(size), size-1
+	for _, id := range old {
+		for id >= 0 {
+			nx := e.calNext[id]
+			e.link(id)
+			id = nx
 		}
 	}
-	e.cal, e.calMask = cal, mask
 }
 
 // tick ticks the stations due in round t — the next lane merged with
-// round t's calendar bucket — in ascending id. The bucket may hold
-// stale entries (stations rescheduled by a reception) and repeats (of
-// each other or of next); checking wake[id], which a tick moves past t,
-// filters both. A station asking for t+1 joins the next lane, which
-// stays ascending because ticks are.
+// round t's calendar bucket — in ascending id. The bucket is unlinked
+// into the due set, which orders it, before any tick: nothing a tick
+// schedules lands in round t's bucket, even when the ring grows, since
+// every wake is less than len(cal) rounds ahead. The two sets are
+// disjoint (a lane station's wake is t+1 when it joins, and only a
+// reception moving a wake earlier reschedules a station outside its
+// own tick), so each due station ticks once. A station asking for t+1
+// joins the next lane, which stays ascending because ticks are.
 func (e *Engine) tick(t int) {
-	b := e.cal[t&e.calMask]
-	if !slices.IsSorted(b) {
-		slices.Sort(b)
+	b := t & e.calMask
+	for id := e.cal[b]; id >= 0; id = e.calNext[id] {
+		e.due.add(id)
+		e.calPrev[id] = unlinked
 	}
+	e.cal[b] = -1
 	cur, next := e.next, e.spare[:0]
-	ci, bi := 0, 0
-	for ci < len(cur) || bi < len(b) {
+	ci, di := 0, e.due.pop()
+	for ci < len(cur) || di >= 0 {
 		var id int32
-		if bi >= len(b) || (ci < len(cur) && cur[ci] <= b[bi]) {
+		if di < 0 || (ci < len(cur) && cur[ci] <= di) {
 			id = cur[ci]
 			ci++
 		} else {
-			id = b[bi]
-			bi++
-		}
-		if e.wake[id] != t {
-			continue
+			id = di
+			di = e.due.pop()
 		}
 		transmit, msg, w := e.protos[id].Tick(t)
 		switch {
@@ -354,9 +434,6 @@ func (e *Engine) tick(t int) {
 			e.txIDs = append(e.txIDs, int(id))
 		}
 	}
-	// A ring grown mid-loop holds nothing for round t, so b's storage
-	// can serve as its empty bucket.
-	e.cal[t&e.calMask] = b[:0]
 	e.next, e.spare = next, cur
 }
 
@@ -381,8 +458,7 @@ func (e *Engine) resolve() []sinr.Reception {
 }
 
 // deliver hands each reception to its receiver, whose answer moves its
-// wake earlier (never later; the entry for the old wake round goes
-// stale).
+// wake earlier, never later (schedule unlinks it from its old bucket).
 func (e *Engine) deliver(t int, rec []sinr.Reception) {
 	for _, r := range rec {
 		id := r.Receiver

@@ -361,12 +361,11 @@ func (s *stepper) Recv(t int, _ Message) int {
 	return s.recv(t)
 }
 
-// TestNextLaneAndStaleBucketTickOnce builds the merge's duplicate
-// case: station 1 transmits in round 0 and hints round 10 (a calendar
-// entry), a reception in round 2 pulls it to round 3, and from there it
-// asks for every next round — so in round 10 it sits both on the
-// next-round lane and in the bucket it first filed. It must tick
-// exactly once per round.
+// TestNextLaneAndStaleBucketTickOnce: station 1 transmits in round 0
+// and hints round 10 (a calendar entry), a reception in round 2 pulls
+// it to round 3, and from there it asks for every next round — so in
+// round 10 it rides the next-round lane, and the bucket it first filed
+// must no longer hold it. It must tick exactly once per round.
 func TestNextLaneAndStaleBucketTickOnce(t *testing.T) {
 	st := &stepper{
 		tx: func(t int) bool { return t == 0 },

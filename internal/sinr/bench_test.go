@@ -195,13 +195,16 @@ func BenchmarkParallelScaling(b *testing.B) {
 // BenchmarkResolveFor measures subset resolution: the active-receiver
 // path protocols use once informed/quiescent stations stop listening.
 // The frac=0.125 subset is every 8th station — a late-broadcast-round
-// shape where 7/8 of the network no longer needs resolving — on a
-// fixed transmitter set. The hier frac=0.0156 case is every 64th
+// shape where 7/8 of the network no longer needs resolving — on two
+// alternating transmitter sets. The hier frac=0.0156 case is every 64th
 // station, scattered over every receiver block as a flood's last
 // uninformed stations are, and alternates two disjoint transmitter
 // sets so that every round is on a new aggregation epoch: each round
 // pays its frontier builds, which hier's block loop holds to one per
 // receiver block because ResolveFor groups its receivers by block.
+// One warm-up round per transmitter set runs before the timer, so the
+// loop measures steady-state subset resolution, not the run-state
+// allocation and first builds of a fresh engine.
 func BenchmarkResolveFor(b *testing.B) {
 	type mk struct {
 		name  string
@@ -221,6 +224,9 @@ func BenchmarkResolveFor(b *testing.B) {
 	}
 	run := func(b *testing.B, eng subsetResolver, subset []int, txs ...[]int) {
 		eng.SetWorkers(0)
+		for _, tx := range txs {
+			eng.ResolveFor(tx, subset)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			eng.ResolveFor(txs[i%len(txs)], subset)

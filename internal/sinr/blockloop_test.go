@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sinrcast/internal/baseline"
+	"sinrcast/internal/geom"
 	"sinrcast/internal/rng"
 	"sinrcast/internal/sinr"
 )
@@ -128,5 +129,42 @@ func TestFloodBuildsOneFrontierPerBlockRound(t *testing.T) {
 				t.Fatalf("flood built %d frontiers, more than its %d round-blocks", builds, c.blocks)
 			}
 		})
+	}
+}
+
+// TestRejectedBlockBuildsNoFrontier: a hot block whose receivers all
+// fail the near-field rejection (no transmitter within decode range,
+// though one sits inside the near radius, which makes the block hot)
+// gathers its near field but never descends; a block with a decode
+// candidate builds its frontier once, and a repeat of the round
+// builds none.
+func TestRejectedBlockBuildsNoFrontier(t *testing.T) {
+	pts := []geom.Point{
+		{X: 0, Y: 0},                                         // 0: transmitter
+		{X: 1.2, Y: 0}, {X: 1.25, Y: 0.1}, {X: 1.3, Y: -0.1}, // 1-3: hot, out of range
+		{X: 9, Y: 9}, {X: 9.4, Y: 9}, // 4: transmitter, 5: candidate
+		{X: 5, Y: 5}, {X: 9, Y: 0}, {X: 0, Y: 9}, // quiet filler
+	}
+	h, err := sinr.NewHierEngine(geom.NewEuclidean(pts), sinr.DefaultParams(), sinr.DefaultCellSize, sinr.DefaultNearRadius, sinr.DefaultTheta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.BlockOfForTest(0) == h.BlockOfForTest(5) {
+		t.Fatal("candidate shares the rejected receivers' block: the test measures nothing")
+	}
+	tx := []int{0, 4}
+	builds := func(recv []int) (int64, []sinr.Reception) {
+		before := h.FrontierBuildsForTest()
+		rec := h.ResolveFor(tx, recv)
+		return h.FrontierBuildsForTest() - before, rec
+	}
+	if b, rec := builds([]int{1, 2, 3}); b != 0 || len(rec) != 0 {
+		t.Fatalf("all-rejected hot block: %d frontier builds, receptions %v; want 0 and none", b, rec)
+	}
+	if b, rec := builds([]int{1, 2, 3, 5}); b != 1 || len(rec) != 1 || rec[0] != (sinr.Reception{Receiver: 5, Transmitter: 4}) {
+		t.Fatalf("one candidate block: %d frontier builds, receptions %v; want 1 and 5←4", b, rec)
+	}
+	if b, _ := builds([]int{1, 2, 3, 5}); b != 0 {
+		t.Fatalf("repeated round built %d frontiers, want 0", b)
 	}
 }

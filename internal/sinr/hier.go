@@ -90,14 +90,16 @@ type blockSlabs struct {
 }
 
 // blockCacheEntry is one slot of the cross-round per-block slab cache:
-// the slabs plus the aggregation epoch they were built at. Both slabs
+// the slabs plus the aggregation epoch each was built at. Both slabs
 // depend only on the transmitter aggregation state (cell lists and
-// pyramid aggregates) and static block geometry, so while the epoch
-// matches they replay bit-identically without re-gathering or re-
-// descending.
+// pyramid aggregates) and static block geometry, so while its epoch
+// matches a slab replays bit-identically without re-gathering or re-
+// descending. The two are stamped apart because the frontier is built
+// later than the near field, and only for a block with a decode
+// candidate.
 type blockCacheEntry struct {
 	blockSlabs
-	epoch uint32
+	nearEpoch, frontierEpoch uint32
 }
 
 // blockRange is one entry of a round's receiver work list: block b's
@@ -122,9 +124,12 @@ type blockRange struct {
 // Three amortizations keep the hot path cheap:
 //
 //   - Across receivers (frontier memoization): the descent runs once
-//     per round and occupied block of frontierBlock×frontierBlock cells
-//     — whole rounds and ResolveFor subsets alike, since a subset round
-//     groups its receivers by block before it resolves them —
+//     per round and block of frontierBlock×frontierBlock cells that
+//     holds a decode candidate (a receiver passing the near-field
+//     rejection; a hot block without one gathers its near field and
+//     stops there) — whole rounds and ResolveFor subsets alike, since
+//     a subset round groups its receivers by block before it resolves
+//     them —
 //     classifying each node against the whole block rectangle —
 //     accepted only when θ holds at the rectangle's nearest point (so
 //     it holds for every receiver in the block), descended otherwise —
@@ -836,7 +841,7 @@ func (h *HierEngine) prepareRound(tx []int) {
 		clear(h.dirtyGen)
 		clear(h.farEpoch)
 		for i := range h.blockCache {
-			h.blockCache[i].epoch = 0
+			h.blockCache[i].nearEpoch, h.blockCache[i].frontierEpoch = 0, 0
 		}
 		h.gen, h.aggEpoch = 0, 1
 	}
@@ -1133,14 +1138,18 @@ func (h *HierEngine) buildFrontier(sl *blockSlabs, bx0c, by0c, bx1c, by1c int) {
 	}
 }
 
-// resolveReceiver resolves one receiver against its block's prepared
-// slabs: a kernel-free argmin over the gathered near field elects the
-// decoding candidate, then only candidates pay the exact near fold and
-// the frontier replay (accepted nodes as flat multiply-adds). Both
-// folds run through the portable simd batch kernels, which preserve the
-// scalar summation order bit-exactly — the per-receiver descent oracle
-// of the round-sequence tests pins that.
-func (h *HierEngine) resolveReceiver(sl *blockSlabs, u int32, dst []Reception) []Reception {
+// resolveReceiver resolves one receiver of block b against the block's
+// cache entry, whose near field is current: a kernel-free argmin over
+// the gathered near field elects the decoding candidate, then only
+// candidates pay the exact near fold and the frontier replay (accepted
+// nodes as flat multiply-adds). The block's frontier is built on its
+// first candidate whose far sum is not cached, so a block whose
+// receivers are all rejected never descends. Both folds run through
+// the portable simd batch kernels, which preserve the scalar summation
+// order bit-exactly — the per-receiver descent oracle of the
+// round-sequence tests pins that.
+func (h *HierEngine) resolveReceiver(bc *blockCacheEntry, b, u int32, dst []Reception) []Reception {
+	sl := &bc.blockSlabs
 	p := h.params
 	pw := p.Power()
 	kern := h.kern
@@ -1161,6 +1170,11 @@ func (h *HierEngine) resolveReceiver(sl *blockSlabs, u int32, dst []Reception) [
 	total := kern.NearSum(pw, upx, upy, sl.nearX, sl.nearY, 0)
 
 	if h.farEpoch[u] != h.aggEpoch {
+		if bc.frontierEpoch != h.aggEpoch {
+			bx0, by0, bx1, by1 := h.blockCellRange(b)
+			h.buildFrontier(sl, bx0, by0, bx1, by1)
+			bc.frontierEpoch = h.aggEpoch
+		}
 		h.farCache[u] = kern.FarSum(upx, upy, sl.evX, sl.evY, sl.evP)
 		h.farEpoch[u] = h.aggEpoch
 	}
@@ -1179,29 +1193,28 @@ func (h *HierEngine) resolveReceiver(sl *blockSlabs, u int32, dst []Reception) [
 
 // collectBlocks is the engine's one receiver loop: it resolves every
 // non-transmitting station of the given work-list ranges (whose blocks
-// are hot by construction) against the per-block slab cache. A block
-// whose entry carries the current aggregation epoch replays its slabs
-// as-is; otherwise the near gather and shared descent rebuild them —
-// lazily, on the block's first eligible receiver — and restamp the
-// entry. A block appears once per work list and runs in exactly one
-// chunk, so each cache entry has a single writer per round. Receptions
-// come out grouped by block; the caller sorts by receiver.
+// are hot by construction) against the per-block slab cache. A slab
+// whose stamp carries the current aggregation epoch replays as-is;
+// otherwise it is rebuilt lazily and restamped — the near gather on
+// the block's first eligible receiver, the shared descent on its first
+// decode candidate (see resolveReceiver), so a hot block with no
+// candidate skips the descent. A block appears once per work list and
+// runs in exactly one chunk, so each cache entry has a single writer
+// per round. Receptions come out grouped by block; the caller sorts by
+// receiver.
 func (h *HierEngine) collectBlocks(work []blockRange, dst []Reception) []Reception {
 	for _, w := range work {
 		bc := &h.blockCache[w.b]
-		fresh := bc.epoch == h.aggEpoch
 		for _, u := range h.workItems[w.lo:w.hi] {
 			if h.isTx[u] {
 				continue
 			}
-			if !fresh {
+			if bc.nearEpoch != h.aggEpoch {
 				bx0, by0, bx1, by1 := h.blockCellRange(w.b)
 				h.gatherNear(&bc.blockSlabs, bx0, by0, bx1, by1)
-				h.buildFrontier(&bc.blockSlabs, bx0, by0, bx1, by1)
-				bc.epoch = h.aggEpoch
-				fresh = true
+				bc.nearEpoch = h.aggEpoch
 			}
-			dst = h.resolveReceiver(&bc.blockSlabs, u, dst)
+			dst = h.resolveReceiver(bc, w.b, u, dst)
 		}
 	}
 	return dst

@@ -50,7 +50,11 @@ type (
 	// HopProgress summarizes a broadcast's sweep through BFS layers.
 	HopProgress = broadcast.HopProgress
 	// FloodPolicy is a pluggable baseline transmission policy: Name,
-	// Inform (called once as each station is informed) and TxProb.
+	// Inform (called once as each station is informed) and TxProb. An
+	// informed station of a caller-supplied policy draws
+	// Bernoulli(TxProb) every round, as the density oracle's does; only
+	// the built-in sweeps (FloodDecay, FloodDaumStyle) draw ahead and
+	// sleep to their next transmission.
 	FloodPolicy = baseline.Policy
 	// Spec is a declarative scenario: a registered topology family
 	// plus parameter overrides, parseable from the compact form
