@@ -97,29 +97,32 @@
 //     therefore strictly finer test — and every receiver in the block
 //     replays the accepted-node frontier as a flat slab scan, with
 //     the near field gathered once per block and summed exactly.
-//     Across rounds, transmit side: aggregates persist between
-//     Resolve calls, and when consecutive sorted transmitter sets
-//     overlap, only changed cells and their O(Δ·log cells) ancestor
-//     chains recompute (canonical child-order sums make the
-//     incremental state bit-identical to a fresh build); beyond
-//     DefaultDeltaCrossover (50%) churn the round rebuilds from
-//     scratch, which a recorded decay trace shows costs nothing.
-//     Across rounds, receive side: an aggregation epoch bumps only
-//     when the transmitter set changes, and per-block frontier/near
-//     slabs plus per-receiver far-field sums are cached by epoch —
-//     unchanged rounds replay them bit-identically without
+//     Within a round, the build has two stages: every round buckets
+//     its transmitters into cells and marks the blocks they make hot
+//     (O(|tx|)); the pyramid is built on demand, at most once per
+//     round, by the first receiver whose candidate decodes against
+//     its exact near-field sum alone. Interference only grows as
+//     transmitters are added, so a candidate that fails against the
+//     near field fails against near + far, and the short-circuit is
+//     exact; a flood's tail rounds, one or two receivers against
+//     hundreds of transmitters, mostly end there without a pyramid.
+//     Across rounds: an aggregation epoch bumps whenever the
+//     transmitter slice differs from the previous round's (any such
+//     round rebuilds from scratch), and per-block frontier/near slabs,
+//     per-receiver far-field sums and the pyramid are cached by epoch —
+//     a repeated round replays them bit-identically without
 //     descending or re-folding. A block descends only for its first
 //     decode candidate, so a hot block whose receivers all fail the
-//     rejection pass gathers its near field but builds no frontier. The folds run through the
-//     internal/sinr/simd portable batch kernels (α-specialized
-//     4/8-wide unrolls preserving scalar summation order
-//     bit-exactly, and a kernel-free ArgMin rejection pass before
-//     any path-loss math). Receivers with no transmitter near their
-//     block are rejected with one block-granular hot-table lookup,
-//     and steady-state rounds are allocation-free. There is one
-//     resolve path; the tests hold it bit for bit to a per-receiver
-//     descent oracle with scalar folds, and SetDeltaCrossover(0)
-//     forces the bit-identical full-rebuild path for debugging.
+//     rejection pass gathers its near field but builds no frontier.
+//     The folds run through the internal/sinr/simd portable batch
+//     kernels (α-specialized 4/8-wide unrolls preserving scalar
+//     summation order bit-exactly, and a kernel-free ArgMin rejection
+//     pass before any path-loss math). Receivers with no transmitter
+//     near their block are rejected with one block-granular hot-table
+//     lookup, and steady-state rounds are allocation-free. There is
+//     one resolve path; the tests hold it bit for bit to a
+//     per-receiver descent oracle with scalar folds on a fresh engine
+//     per round.
 //     Built for million-station rounds.
 //
 // Both approximate engines keep near-field interference and the

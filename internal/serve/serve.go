@@ -443,27 +443,14 @@ type replayedJob struct {
 	done    bool
 }
 
-// replay rebuilds daemon state from the previous incarnation's journal
-// records: the hottest cache keys are rebuilt (most-referenced first,
-// ties to the most recently journaled), then every job that was
-// accepted but never reached a terminal state is re-queued under its
-// original id with its completed-trial high-water mark. Runs in the
-// background; /readyz flips to 200 once it returns.
-func (s *Server) replay(recs []journalRecord, skipped int) {
-	defer func() {
-		s.replaySkipped.Store(int64(skipped))
-		s.ready.Store(true)
-		close(s.replayDone)
-	}()
-	byID := make(map[string]*replayedJob)
-	var order []string
-	type heat struct {
-		req   *JobRequest
-		count int
-		last  int
-	}
-	keys := make(map[string]*heat)
-	for i, rec := range recs {
+// foldJournal folds journal records into per-job replay state, jobs
+// in first-journaled order: the last accept's request and the last row
+// of each trial win, and a done record is final. Folding a record
+// stream twice over leaves the same state as folding it once, so a
+// record duplicated in the journal cannot change what is replayed.
+func foldJournal(recs []journalRecord) (byID map[string]*replayedJob, order []string) {
+	byID = make(map[string]*replayedJob)
+	for _, rec := range recs {
 		rj := byID[rec.ID]
 		if rj == nil {
 			rj = &replayedJob{id: rec.ID}
@@ -474,15 +461,6 @@ func (s *Server) replay(recs []journalRecord, skipped int) {
 		case "accept":
 			if rec.Req != nil {
 				rj.req = rec.Req
-				if key, ok := rec.Req.runCacheKey(); ok {
-					h := keys[key]
-					if h == nil {
-						h = &heat{req: rec.Req}
-						keys[key] = h
-					}
-					h.count++
-					h.last = i
-				}
 			}
 		case "trial":
 			if rj.rows == nil {
@@ -496,6 +474,42 @@ func (s *Server) replay(recs []journalRecord, skipped int) {
 			rj.etrials[trialKey{rec.Exp, rec.Point, rec.Trial}] = rec.Data
 		case "done":
 			rj.done = true
+		}
+	}
+	return byID, order
+}
+
+// replay rebuilds daemon state from the previous incarnation's journal
+// records: the hottest cache keys are rebuilt (most-referenced first,
+// ties to the most recently journaled), then every job that was
+// accepted but never reached a terminal state is re-queued under its
+// original id with its completed-trial high-water mark. Runs in the
+// background; /readyz flips to 200 once it returns.
+func (s *Server) replay(recs []journalRecord, skipped int) {
+	defer func() {
+		s.replaySkipped.Store(int64(skipped))
+		s.ready.Store(true)
+		close(s.replayDone)
+	}()
+	byID, order := foldJournal(recs)
+	type heat struct {
+		req   *JobRequest
+		count int
+		last  int
+	}
+	keys := make(map[string]*heat)
+	for i, rec := range recs {
+		if rec.Op != "accept" || rec.Req == nil {
+			continue
+		}
+		if key, ok := rec.Req.runCacheKey(); ok {
+			h := keys[key]
+			if h == nil {
+				h = &heat{req: rec.Req}
+				keys[key] = h
+			}
+			h.count++
+			h.last = i
 		}
 	}
 

@@ -475,9 +475,9 @@ func (e *Engine) deliver(t int, rec []sinr.Reception) {
 // Step executes exactly one round and returns the number of successful
 // receptions. The transmitter set handed to the physical layer is in
 // ascending station order (stations tick in index order), and the
-// active-receiver subset is ascending too — the shape sinr.HierEngine's
-// cross-round delta path detects and exploits; protocol round loops get
-// incremental far-field aggregation without doing anything.
+// active-receiver subset is ascending too, so a round repeating the
+// previous one is recognised by sinr.HierEngine, which keeps its cached
+// far field for it.
 //
 // When prof phase labels are enabled (see prof.SetPhases), the tick /
 // resolve / deliver / trace phases run under pprof labels so CPU

@@ -299,12 +299,12 @@ func TestCollisionNoDelivery(t *testing.T) {
 	}
 }
 
-// floodProto is a deterministic flood-like protocol for the delta
+// floodProto is a deterministic flood-like protocol for the hier
 // equivalence test: informed stations transmit on a fixed schedule,
 // stations become informed on first reception, and the runner
 // deactivates informed receivers — so the round loop alternates full
 // Resolve and shrinking ResolveFor calls, exactly the shape the hier
-// engine's cross-round delta path sees in production.
+// engine sees in production.
 type floodProto struct {
 	id       int
 	informed bool
@@ -328,11 +328,33 @@ func (f *floodProto) Recv(t int, _ Message) int {
 	return t + 1
 }
 
+// freshHier resolves every round on a newly built hier engine, so no
+// aggregation state, cached slab or pyramid carries from one round to
+// the next: the reference for an engine that keeps them.
+type freshHier struct {
+	t  *testing.T
+	eu *geom.Euclidean
+}
+
+func (f freshHier) engine() *sinr.HierEngine {
+	h, err := sinr.NewHierEngine(f.eu, sinr.DefaultParams(), sinr.DefaultCellSize, sinr.DefaultNearRadius, sinr.DefaultTheta)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	h.SetWorkers(1)
+	return h
+}
+
+func (f freshHier) N() int                                  { return f.eu.Len() }
+func (f freshHier) Resolve(tx []int) []sinr.Reception       { return f.engine().Resolve(tx) }
+func (f freshHier) ResolveFor(tx, r []int) []sinr.Reception { return f.engine().ResolveFor(tx, r) }
+
 // TestHierDeltaThroughSimEngine runs the full simulation round loop —
 // including receiver deactivation, so rounds alternate Resolve and
-// ResolveFor on monotonically shrinking subsets — over two hier
-// engines, one updating aggregates incrementally across rounds and one
-// rebuilding every round, with the physical layer of both wrapped in
+// ResolveFor on monotonically shrinking subsets — over one long-lived
+// hier engine, which carries its epoch caches and repeated-round state
+// across rounds and builds its pyramid only on demand, and over a
+// fresh engine per round, with the physical layer of both wrapped in
 // RecordRounds. Inform times, metrics and the recorded round traces
 // must match exactly.
 func TestHierDeltaThroughSimEngine(t *testing.T) {
@@ -346,13 +368,7 @@ func TestHierDeltaThroughSimEngine(t *testing.T) {
 		pts[i] = geom.Point{X: r * math.Cos(a), Y: r * math.Sin(a)}
 	}
 	eu := geom.NewEuclidean(pts)
-	run := func(deltaCrossover float64) ([]int, Metrics, *RoundLog) {
-		phys, err := sinr.NewHierEngine(eu, sinr.DefaultParams(), sinr.DefaultCellSize, sinr.DefaultNearRadius, sinr.DefaultTheta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		phys.SetWorkers(1)
-		phys.SetDeltaCrossover(deltaCrossover)
+	run := func(phys Resolver) ([]int, Metrics, *RoundLog) {
 		log := &RoundLog{}
 		protos := make([]Protocol, n)
 		flood := make([]*floodProto, n)
@@ -377,22 +393,22 @@ func TestHierDeltaThroughSimEngine(t *testing.T) {
 		}
 		return at, e.Metrics, log
 	}
-	atD, mD, logD := run(sinr.DefaultDeltaCrossover)
-	atR, mR, logR := run(0) // rebuild every round
+	atD, mD, logD := run(freshHier{t, eu}.engine())
+	atR, mR, logR := run(freshHier{t, eu})
 	if mD != mR {
-		t.Fatalf("metrics diverge: delta %+v vs rebuild %+v", mD, mR)
+		t.Fatalf("metrics diverge: long-lived %+v vs fresh per round %+v", mD, mR)
 	}
 	informed := 0
 	for i := range atD {
 		if atD[i] != atR[i] {
-			t.Fatalf("station %d informed at %d (delta) vs %d (rebuild)", i, atD[i], atR[i])
+			t.Fatalf("station %d informed at %d (long-lived) vs %d (fresh per round)", i, atD[i], atR[i])
 		}
 		if atD[i] >= 0 {
 			informed++
 		}
 	}
 	if informed < n/4 {
-		t.Fatalf("only %d/%d stations informed; flood too inert to exercise the delta path", informed, n)
+		t.Fatalf("only %d/%d stations informed; flood too inert to exercise the engine", informed, n)
 	}
 	if len(logD.Tx) != 60 || len(logR.Tx) != 60 {
 		t.Fatalf("recorded %d/%d rounds, want 60", len(logD.Tx), len(logR.Tx))

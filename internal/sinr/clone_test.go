@@ -10,8 +10,8 @@ import (
 )
 
 // cloneSeq generates a deterministic sequence of (tx, receivers) rounds
-// with overlapping transmitter sets, so the hier engine's delta path
-// and caches all engage.
+// with overlapping transmitter sets, so the hier engine's caches all
+// engage.
 func cloneSeq(seed uint64, n, rounds int) (tx [][]int, recv [][]int) {
 	r := rng.New(seed)
 	for round := 0; round < rounds; round++ {
@@ -145,10 +145,6 @@ func TestCloneSharesTopology(t *testing.T) {
 	hc.Levels()
 	if &hc.levels[0].pow[0] == &h.levels[0].pow[0] {
 		t.Error("hier clone shares mutable pyramid aggregates")
-	}
-	h.SetDeltaCrossover(0.25)
-	if hc2 := h.Clone(); hc2.deltaCrossover != 0.25 {
-		t.Error("hier clone did not copy the delta crossover")
 	}
 }
 

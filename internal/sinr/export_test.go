@@ -79,6 +79,11 @@ func (h *HierEngine) HotStatsForTest() (bumps, transitions int64) {
 // counter behind the per-block build gates.
 func (h *HierEngine) FrontierBuildsForTest() int64 { return h.frontierBuilds.Load() }
 
+// PyramidBuildsForTest returns how many far-field pyramids the engine
+// has built since construction — at most one per round, and none in a
+// round whose receivers all fail against their near field.
+func (h *HierEngine) PyramidBuildsForTest() int64 { return h.pyramidBuilds.Load() }
+
 // BlockOfForTest returns the receiver block of station u.
 func (h *HierEngine) BlockOfForTest(u int) int { return int(h.blockOfCell(h.cellOf[u])) }
 
@@ -89,8 +94,9 @@ func (h *HierEngine) NearCellsForTest() int { return h.nearCells }
 // ResolveDescentForTest resolves one round for the given strictly
 // increasing receivers through the per-receiver descent oracle,
 // serially: it brings the aggregation state up to date for tx exactly
-// as Resolve does, then runs collectOne for each receiver. Pass every
-// station to get the whole round. The result is freshly allocated.
+// as Resolve does, builds the pyramid, then runs collectOne for each
+// receiver. Pass every station to get the whole round. The result is
+// freshly allocated.
 func (h *HierEngine) ResolveDescentForTest(tx, receivers []int) []Reception {
 	if len(tx) == 0 || len(receivers) == 0 {
 		return nil
@@ -99,6 +105,7 @@ func (h *HierEngine) ResolveDescentForTest(tx, receivers []int) []Reception {
 	checkReceivers(receivers, len(h.pts))
 	h.checkTx(tx)
 	h.prepareRound(tx)
+	h.ensurePyramid()
 	var out []Reception
 	for _, u := range receivers {
 		out = h.collectOne(u, out)

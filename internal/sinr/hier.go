@@ -27,15 +27,6 @@ const (
 	// disagreement against the exact Engine below GridEngine's (see
 	// TestHierEngineAgreement).
 	DefaultTheta = 0.5
-	// DefaultDeltaCrossover is the churn fraction above which a round
-	// abandons the incremental cross-round update and rebuilds its
-	// transmitter aggregation from scratch: with Δ = |departed| +
-	// |arrived| between consecutive rounds, the delta path runs while
-	// Δ ≤ crossover·(|prev| + |cur|). At 0.5 the delta path covers up
-	// to ~50% transmitter churn, where incremental ancestor recomputes
-	// and a full rebuild cost about the same (see the cost model in the
-	// package docs and BenchmarkHierResolveRounds).
-	DefaultDeltaCrossover = 0.5
 	// frontierBlock is the side, in cells, of the receiver blocks that
 	// share one far-field frontier and one near-field gather. One cell
 	// holds too few receivers to amortize a descent; a 16×16 block
@@ -54,16 +45,14 @@ const (
 // cell grid; level ℓ+1 aggregates 2×2 blocks of level ℓ. Per node the
 // level stores the aggregate transmit power and the power-weighted
 // coordinate sums, so a node's center of mass is (px/pow, py/pow).
-// Zero power marks a dead node. live lists the nodes touched since the
-// last full reset (it may carry stale dead entries between delta
-// rounds; liveCount tracks the true live population and triggers
-// compaction); stamp/gen dedup node visits without O(cells) clears.
+// Zero power marks a dead node. live lists the round's live nodes
+// (level 0's from bucketing, the upper levels' once ensurePyramid has
+// run); stamp/gen dedup node visits without O(cells) clears.
 type pyrLevel struct {
 	cols, rows int
 	pow        []float64
 	px, py     []float64
 	live       []int32
-	liveCount  int
 	stamp      []uint32
 	// diam2 is the squared node diagonal (the well-separatedness
 	// numerator): (side·√2)² for nodes of side cellSize·2^ℓ.
@@ -144,23 +133,26 @@ type blockRange struct {
 //     error can only shrink (TestHierEngineAgreement still bounds it
 //     by GridEngine's; measured, it drops by an order of magnitude).
 //
-//   - Across rounds (delta aggregation): aggregates persist between
-//     Resolve calls. When consecutive rounds' (sorted) transmitter
-//     sets differ by a small delta, only the dirty cells and their
-//     O(Δ·log cells) ancestor chains are recomputed — canonically,
-//     child-order sums, so incremental state is bit-identical to a
-//     from-scratch build — and the block-granularity hot table updates
-//     by counting. Beyond SetDeltaCrossover churn the round rebuilds
-//     from scratch.
+//   - Within a round (a two-stage build): every round buckets its
+//     transmitters into cells, marks the blocks they make hot and
+//     advances an aggregation epoch — O(|tx|). The pyramid (canonical
+//     cell sums and the upper levels) is built on demand, at most once
+//     per round, by the first receiver that survives its near field:
+//     interference only grows as transmitters are added, so a receiver
+//     whose signal already fails against its exact near-field sum
+//     fails against near + far too, and is rejected before any far
+//     field exists. A flood's tail rounds, one or two receivers
+//     against hundreds of transmitters, mostly end there.
 //
-//   - Across rounds, receiver side (epoch caching): every delta or
-//     rebuild that changes anything bumps an aggregation epoch, and
-//     both the per-block slabs (near gather + frontier) and each
-//     receiver's far-field sum are cached under the epoch that built
-//     them. Rounds whose transmitter set did not change replay cached
-//     slabs and far sums verbatim — bit-identical by construction —
-//     so their cost collapses to the near-field rejection scans and
-//     the decode tests.
+//   - Across rounds (epoch caching): both the per-block slabs (near
+//     gather + frontier) and each receiver's far-field sum are cached
+//     under the epoch that built them. A round whose transmitter
+//     slice equals the previous round's keeps its epoch and its
+//     aggregation, so it replays cached slabs and far sums verbatim —
+//     bit-identical by construction — and its cost collapses to the
+//     near-field rejection scans and the decode tests; any other round
+//     rebuilds from scratch exactly as a fresh engine would, so no
+//     state carries over.
 //
 // These amortizations are the engine's only resolve path: Resolve and
 // ResolveFor run one block loop (collectBlocks) over a work list of
@@ -188,56 +180,38 @@ type HierEngine struct {
 	// steady-state rounds stay alloc-free).
 	blockFn func(chunk, worker int)
 
-	// deltaCrossover is the churn tuning knob (see SetDeltaCrossover).
-	deltaCrossover float64
-
-	// Cross-round transmitter aggregation state. Unlike the other
-	// engines this is NOT scratch: it persists between rounds so the
-	// delta path can update it incrementally.
+	// The round's transmitter aggregation state. It persists between
+	// rounds only so that a round repeating the previous transmitter
+	// slice can keep it (and its epoch) whole.
 	txInCell [][]int32
 	// hotCnt[b] counts live cells whose near box intersects receiver
 	// block b: a station in a block with count 0 has no transmitter
 	// within the near radius (every cell of the block is cold) and is
 	// rejected without any work. Block granularity keeps bumpHot at a
-	// handful of counter updates per live-cell transition instead of
-	// (2·nearCells+1)² per-cell ones. hotList holds blocks that have
-	// been hot since the last reset (stale entries are filtered on
-	// use); hotBumps/hotTransitions count counter updates and bumpHot
-	// calls for the hardware-independent cost gates, as frontierBuilds
-	// counts buildFrontier calls (atomic: parallel blocks build
-	// concurrently).
+	// handful of counter updates per live cell instead of
+	// (2·nearCells+1)² per-cell ones. hotList holds the round's hot
+	// blocks, each once; hotBumps/hotTransitions count counter updates
+	// and bumpHot calls for the hardware-independent cost gates, as
+	// pyramidBuilds counts ensurePyramid builds and frontierBuilds
+	// buildFrontier calls (atomic: parallel blocks build concurrently).
 	hotCnt         []int32
 	hotList        []int32
-	hotCount       int
 	hotBumps       int64
 	hotTransitions int64
+	pyramidBuilds  atomic.Int64
 	frontierBuilds atomic.Int64
 	isTx           []bool
 	prevTx         []int
-	// prevSorted records whether prevTx was strictly increasing — the
-	// precondition for the sorted-merge delta diff and for per-cell
-	// transmitter lists being in ascending (= canonical) order.
-	prevSorted bool
-	haveRound  bool
-	gen        uint32
-	// aggEpoch numbers distinct transmitter-aggregation states: bumped
-	// by every fresh build and by every delta application that touched
-	// anything. Per-block slabs are pure functions of the aggregation
-	// state, so a blockCache entry stamped with the current epoch
-	// replays bit-identically — zero-churn rounds skip every gather and
-	// descent.
+	// pyramidBuilt records whether this round's pyramid is built (see
+	// ensurePyramid); a repeated round keeps it.
+	pyramidBuilt bool
+	gen          uint32
+	// aggEpoch numbers distinct transmitter-aggregation states: every
+	// round that does not repeat the previous transmitter slice bumps
+	// it. The per-block slabs are pure functions of the aggregation
+	// state, so one stamped with the current epoch is current — a
+	// repeated round skips every gather and descent.
 	aggEpoch uint32
-
-	// Delta scratch, reused across rounds.
-	gone       []bool
-	departed   []int
-	arrived    []int
-	dirtyCells []int32
-	dirtyOrd   []int32
-	dirtyGen   []uint32
-	arrivalBuf [][]int32
-	mergeBuf   []int32
-	dirtyNodes [2][]int32
 
 	// Per-round receiver work list: one (block, lo, hi) range of
 	// workItems per block with receivers to resolve. Resolve points
@@ -373,7 +347,7 @@ func NewHierEngine(eu *geom.Euclidean, p Params, cellSize, nearRadius, theta flo
 
 // hierFromTopo builds the mutable per-run half of a hierarchical
 // engine over an already-built topology. The run-state arrays (pyramid
-// aggregates, per-block and per-receiver caches, delta scratch) are
+// aggregates, per-block and per-receiver caches) are
 // not allocated here but lazily by ensureRunState on the first
 // resolve: they scale with the cell grid, and deferring them keeps
 // cloning a large engine down to pointer copies. NewHierEngine and
@@ -381,11 +355,10 @@ func NewHierEngine(eu *geom.Euclidean, p Params, cellSize, nearRadius, theta flo
 // a fresh construction would.
 func hierFromTopo(tp *hierTopo) *HierEngine {
 	return &HierEngine{
-		hierTopo:       tp,
-		workers:        resolveWorkers(0),
-		minParallelN:   parallelCrossover,
-		deltaCrossover: DefaultDeltaCrossover,
-		aggEpoch:       1,
+		hierTopo:     tp,
+		workers:      resolveWorkers(0),
+		minParallelN: parallelCrossover,
+		aggEpoch:     1,
 	}
 }
 
@@ -406,9 +379,6 @@ func (h *HierEngine) ensureRunState() {
 	h.farEpoch = make([]uint32, n)
 	h.txInCell = make([][]int32, h.cols*h.rows)
 	h.isTx = make([]bool, n)
-	h.gone = make([]bool, n)
-	h.dirtyOrd = make([]int32, h.cols*h.rows)
-	h.dirtyGen = make([]uint32, h.cols*h.rows)
 	// Stack levels until a single node covers the whole grid.
 	lc, lr := h.cols, h.rows
 	side := h.cellSize
@@ -435,11 +405,10 @@ func (h *HierEngine) ensureRunState() {
 // caches and scratch. The clone resolves byte-identically to a freshly
 // constructed engine — it inherits none of the original's cross-round
 // aggregation state — and separate clones may run concurrently. Tuning
-// (workers, parallel crossover, delta crossover) is copied.
+// (workers, parallel crossover) is copied.
 func (h *HierEngine) Clone() *HierEngine {
 	c := hierFromTopo(h.hierTopo)
 	c.workers, c.minParallelN = h.workers, h.minParallelN
-	c.deltaCrossover = h.deltaCrossover
 	return c
 }
 
@@ -490,21 +459,11 @@ func (h *HierEngine) Levels() int {
 // runtime.GOMAXPROCS(0). Output is byte-identical for every count.
 func (h *HierEngine) SetWorkers(w int) { h.workers = resolveWorkers(w) }
 
-// SetDeltaCrossover sets the churn fraction up to which consecutive
-// rounds update transmitter aggregates incrementally instead of
-// rebuilding (see DefaultDeltaCrossover); f ≤ 0 disables the delta
-// path entirely, forcing a full rebuild every round — the debugging
-// reference, bit-identical to the incremental path.
-func (h *HierEngine) SetDeltaCrossover(f float64) {
-	h.deltaCrossover = f
-}
-
-// --- Round aggregation (fresh, delta, reset) ---------------------------
+// --- Round aggregation (bucketing, pyramid, reset) ---------------------
 
 // recomputeCell recomputes cell c's level-0 aggregate from its
-// transmitter list, in list order. With a sorted transmitter round the
-// list is ascending, so the sums are canonical: a delta-maintained list
-// accumulates bit-identically to a from-scratch bucketing.
+// transmitter list, in list order — the round's transmitter order, so
+// a round and a fresh engine resolving it sum bit-identically.
 func (h *HierEngine) recomputeCell(c int32) {
 	pw := h.params.Power()
 	l0 := &h.levels[0]
@@ -521,8 +480,7 @@ func (h *HierEngine) recomputeCell(c int32) {
 
 // recomputeNode recomputes one upper-level node from its ≤4 children in
 // fixed child order (dead children contribute exact zeros), so the
-// value depends only on the children's aggregates — never on the order
-// rounds or deltas touched them.
+// value depends only on the children's aggregates.
 func (h *HierEngine) recomputeNode(lv int, idx int32) {
 	cur := &h.levels[lv]
 	child := &h.levels[lv-1]
@@ -550,17 +508,17 @@ func (h *HierEngine) recomputeNode(lv int, idx int32) {
 	cur.py[idx] = py
 }
 
-// bumpHot adds d (±1) to the hot count of every receiver block whose
-// cell extent the near box of live cell c touches, tracking first-hot
-// transitions. Working at block granularity costs at most
-// (⌈(2·nearCells+1)/frontierBlock⌉+1)² counter updates per transition —
+// bumpHot raises the hot count of every receiver block whose cell
+// extent the near box of newly live cell c touches, listing first-hot
+// blocks. Working at block granularity costs at most
+// (⌈(2·nearCells+1)/frontierBlock⌉+1)² counter updates per live cell —
 // ≤ 4 with the default geometry, versus the 81 per-cell bumps the same
-// near box used to pay — which is what keeps the delta path cheap under
-// churn. The coarsening is output-neutral: a station is now rejected
-// only when its whole block is cold, and a station in a cold cell of a
-// hot block still finds no transmitter within the communication range
-// during its near scan, so it decodes nothing either way.
-func (h *HierEngine) bumpHot(c int32, d int32) {
+// near box would pay. The coarsening is output-neutral: a station is
+// rejected only when its whole block is cold, and a station in a cold
+// cell of a hot block still finds no transmitter within the
+// communication range during its near scan, so it decodes nothing
+// either way.
+func (h *HierEngine) bumpHot(c int32) {
 	h.hotTransitions++
 	nc := h.nearCells
 	ccx, ccy := int(c)%h.cols, int(c)/h.cols
@@ -573,36 +531,50 @@ func (h *HierEngine) bumpHot(c int32, d int32) {
 		for bx := bx0; bx <= bx1; bx++ {
 			i := row + bx
 			h.hotBumps++
-			was := h.hotCnt[i]
-			h.hotCnt[i] = was + d
-			if d > 0 && was == 0 {
+			if h.hotCnt[i] == 0 {
 				h.hotList = append(h.hotList, int32(i))
-				h.hotCount++
-			} else if d < 0 && was == 1 {
-				h.hotCount--
 			}
+			h.hotCnt[i]++
 		}
 	}
 }
 
-// aggregateFresh builds the full aggregation state of a round from
-// scratch: bucket transmitters into cells, compute canonical per-cell
-// and per-node sums bottom-up over live nodes only, and count hot
-// cells. Cost O(|tx| + live·(log cells + nearBox²)).
-func (h *HierEngine) aggregateFresh(tx []int) {
+// bucketRound is the every-round stage of the aggregation: it buckets
+// the transmitters into their cells in round order, lists the live
+// cells, marks the blocks they make hot and advances the aggregation
+// epoch. Cost O(|tx| + live·nearBox). The pyramid waits for
+// ensurePyramid.
+func (h *HierEngine) bucketRound(tx []int) {
 	l0 := &h.levels[0]
 	for _, t := range tx {
 		h.isTx[t] = true
 		c := h.cellOf[t]
 		if len(h.txInCell[c]) == 0 {
 			l0.live = append(l0.live, c)
+			h.bumpHot(c)
 		}
 		h.txInCell[c] = append(h.txInCell[c], int32(t))
 	}
-	for _, c := range l0.live {
+	h.aggEpoch++
+}
+
+// ensurePyramid is the on-demand stage: the first call of a round
+// computes the canonical per-cell sums and every upper level bottom-up
+// over live nodes only, in O(live·log cells); later calls, in the
+// round or in repeats of it, return at once. Only a frontier build
+// (and the test oracle's descent) reads the pyramid, so a round whose
+// receivers all fail against their near field never builds it.
+// Parallel rounds build it before the workers start, so workers only
+// read it.
+func (h *HierEngine) ensurePyramid() {
+	if h.pyramidBuilt {
+		return
+	}
+	h.pyramidBuilt = true
+	h.pyramidBuilds.Add(1)
+	for _, c := range h.levels[0].live {
 		h.recomputeCell(c)
 	}
-	l0.liveCount = len(l0.live)
 	for lv := 0; lv+1 < len(h.levels); lv++ {
 		cur, par := &h.levels[lv], &h.levels[lv+1]
 		h.gen++
@@ -617,17 +589,11 @@ func (h *HierEngine) aggregateFresh(tx []int) {
 		for _, pc := range par.live {
 			h.recomputeNode(lv+1, pc)
 		}
-		par.liveCount = len(par.live)
 	}
-	for _, c := range l0.live {
-		h.bumpHot(c, +1)
-	}
-	h.aggEpoch++
-	h.haveRound = true
 }
 
-// resetRound clears all aggregation state in O(touched nodes), leaving
-// the engine as if no round had run.
+// resetRound clears the previous round's aggregation state in
+// O(touched nodes), leaving the engine as if no round had run.
 func (h *HierEngine) resetRound() {
 	for _, c := range h.levels[0].live {
 		h.txInCell[c] = h.txInCell[c][:0]
@@ -640,195 +606,21 @@ func (h *HierEngine) resetRound() {
 			l.py[c] = 0
 		}
 		l.live = l.live[:0]
-		l.liveCount = 0
 	}
 	for _, c := range h.hotList {
 		h.hotCnt[c] = 0
 	}
 	h.hotList = h.hotList[:0]
-	h.hotCount = 0
 	for _, t := range h.prevTx {
 		h.isTx[t] = false
 	}
-	h.haveRound = false
+	h.pyramidBuilt = false
 }
 
-// diffSorted fills h.departed (in prev, not in cur) and h.arrived (in
-// cur, not in prev) from the two strictly increasing rounds.
-func (h *HierEngine) diffSorted(prev, cur []int) {
-	h.departed = h.departed[:0]
-	h.arrived = h.arrived[:0]
-	i, j := 0, 0
-	for i < len(prev) && j < len(cur) {
-		switch {
-		case prev[i] == cur[j]:
-			i++
-			j++
-		case prev[i] < cur[j]:
-			h.departed = append(h.departed, prev[i])
-			i++
-		default:
-			h.arrived = append(h.arrived, cur[j])
-			j++
-		}
-	}
-	h.departed = append(h.departed, prev[i:]...)
-	h.arrived = append(h.arrived, cur[j:]...)
-}
-
-// dirtyCell registers base cell c in the round's dirty set, returning
-// its ordinal (with an empty arrival bucket ready).
-func (h *HierEngine) dirtyCell(c int32) int32 {
-	if h.dirtyGen[c] == h.gen {
-		return h.dirtyOrd[c]
-	}
-	ord := int32(len(h.dirtyCells))
-	h.dirtyGen[c] = h.gen
-	h.dirtyOrd[c] = ord
-	h.dirtyCells = append(h.dirtyCells, c)
-	if int(ord) < len(h.arrivalBuf) {
-		h.arrivalBuf[ord] = h.arrivalBuf[ord][:0]
-	} else {
-		h.arrivalBuf = append(h.arrivalBuf, nil)
-	}
-	return ord
-}
-
-// applyDelta updates the persisted aggregation incrementally from the
-// departed/arrived diff: dirty cells rebuild their (ascending)
-// transmitter lists by a filter-merge and recompute canonically, hot
-// counts adjust only around liveness transitions, and each dirty
-// ancestor chain recomputes from its children — bit-identical to a
-// fresh build, in O(Δ·(cellPop + log cells + transitions·nearBox²)).
-func (h *HierEngine) applyDelta() {
-	if len(h.departed)+len(h.arrived) == 0 {
-		return // identical round: aggregation (and epoch) unchanged
-	}
-	h.aggEpoch++
-	l0 := &h.levels[0]
-	h.gen++
-	h.dirtyCells = h.dirtyCells[:0]
-	for _, t := range h.departed {
-		h.isTx[t] = false
-		h.gone[t] = true
-		h.dirtyCell(h.cellOf[t])
-	}
-	for _, t := range h.arrived {
-		h.isTx[t] = true
-		ord := h.dirtyCell(h.cellOf[t])
-		h.arrivalBuf[ord] = append(h.arrivalBuf[ord], int32(t))
-	}
-	for ord, c := range h.dirtyCells {
-		wasLive := len(h.txInCell[c]) > 0
-		h.mergeCellList(c, h.arrivalBuf[ord])
-		h.recomputeCell(c)
-		nowLive := len(h.txInCell[c]) > 0
-		if nowLive != wasLive {
-			if nowLive {
-				l0.live = append(l0.live, c)
-				l0.liveCount++
-				h.bumpHot(c, +1)
-			} else {
-				l0.liveCount--
-				h.bumpHot(c, -1)
-			}
-		}
-	}
-	for _, t := range h.departed {
-		h.gone[t] = false
-	}
-	// Propagate dirty ancestor chains, one dedup context per level.
-	cur := h.dirtyCells
-	for lv := 0; lv+1 < len(h.levels); lv++ {
-		clv, par := &h.levels[lv], &h.levels[lv+1]
-		h.gen++
-		next := h.dirtyNodes[lv%2][:0]
-		for _, c := range cur {
-			ncx, ncy := int(c)%clv.cols/2, int(c)/clv.cols/2
-			pc := int32(ncy*par.cols + ncx)
-			if par.stamp[pc] != h.gen {
-				par.stamp[pc] = h.gen
-				next = append(next, pc)
-			}
-		}
-		for _, pc := range next {
-			was := par.pow[pc] != 0
-			h.recomputeNode(lv+1, pc)
-			if now := par.pow[pc] != 0; now != was {
-				if now {
-					par.live = append(par.live, pc)
-					par.liveCount++
-				} else {
-					par.liveCount--
-				}
-			}
-		}
-		h.dirtyNodes[lv%2] = next
-		cur = next
-	}
-}
-
-// mergeCellList rebuilds cell c's transmitter list: survivors of the
-// old list (ascending) merged with the cell's arrivals (ascending),
-// preserving the canonical ascending order a fresh sorted-round
-// bucketing would produce.
-func (h *HierEngine) mergeCellList(c int32, arrived []int32) {
-	old := h.txInCell[c]
-	h.mergeBuf = h.mergeBuf[:0]
-	i, j := 0, 0
-	for i < len(old) {
-		t := old[i]
-		if h.gone[t] {
-			i++
-			continue
-		}
-		for j < len(arrived) && arrived[j] < t {
-			h.mergeBuf = append(h.mergeBuf, arrived[j])
-			j++
-		}
-		h.mergeBuf = append(h.mergeBuf, t)
-		i++
-	}
-	h.mergeBuf = append(h.mergeBuf, arrived[j:]...)
-	h.txInCell[c] = append(old[:0], h.mergeBuf...)
-}
-
-// compactLists drops stale dead entries (and duplicates) that long
-// delta streaks accumulate in the live and hot lists, whenever a list
-// outgrows twice its live population.
-func (h *HierEngine) compactLists() {
-	for lv := range h.levels {
-		l := &h.levels[lv]
-		if len(l.live) <= 2*l.liveCount+16 {
-			continue
-		}
-		h.gen++
-		keep := l.live[:0]
-		for _, c := range l.live {
-			if l.pow[c] != 0 && l.stamp[c] != h.gen {
-				l.stamp[c] = h.gen
-				keep = append(keep, c)
-			}
-		}
-		l.live = keep
-	}
-	if len(h.hotList) > 2*h.hotCount+16 {
-		h.gen++
-		keep := h.hotList[:0]
-		for _, b := range h.hotList {
-			if h.hotCnt[b] > 0 && h.blockStamp[b] != h.gen {
-				h.blockStamp[b] = h.gen
-				keep = append(keep, b)
-			}
-		}
-		h.hotList = keep
-	}
-}
-
-// prepareRound brings the aggregation state up to date for round tx:
-// the delta path when the previous and current rounds are both sorted
-// and the churn is below the crossover, a reset + fresh build
-// otherwise. Either way the resulting state is bit-identical.
+// prepareRound brings the aggregation state up to date for round tx: a
+// round equal to the previous one keeps the state and its epoch, so
+// every cached slab, far sum and the pyramid stay current; any other
+// round resets and buckets afresh.
 func (h *HierEngine) prepareRound(tx []int) {
 	// Generation counters wrap after ~10⁸ rounds; clear every stamp
 	// array then so a stale stamp can never collide with a fresh
@@ -838,43 +630,18 @@ func (h *HierEngine) prepareRound(tx []int) {
 			clear(h.levels[lv].stamp)
 		}
 		clear(h.blockStamp)
-		clear(h.dirtyGen)
 		clear(h.farEpoch)
 		for i := range h.blockCache {
 			h.blockCache[i].nearEpoch, h.blockCache[i].frontierEpoch = 0, 0
 		}
 		h.gen, h.aggEpoch = 0, 1
 	}
-	sorted := isStrictlyIncreasing(tx)
-	if h.haveRound && h.prevSorted && sorted && h.deltaCrossover > 0 {
-		h.diffSorted(h.prevTx, tx)
-		churn := len(h.departed) + len(h.arrived)
-		if float64(churn) <= h.deltaCrossover*float64(len(h.prevTx)+len(tx)) {
-			h.compactLists()
-			h.applyDelta()
-			h.recordPrev(tx, sorted)
-			return
-		}
+	if slices.Equal(tx, h.prevTx) {
+		return
 	}
-	if h.haveRound {
-		h.resetRound()
-	}
-	h.aggregateFresh(tx)
-	h.recordPrev(tx, sorted)
-}
-
-func (h *HierEngine) recordPrev(tx []int, sorted bool) {
+	h.resetRound()
+	h.bucketRound(tx)
 	h.prevTx = append(h.prevTx[:0], tx...)
-	h.prevSorted = sorted
-}
-
-func isStrictlyIncreasing(tx []int) bool {
-	for i := 1; i < len(tx); i++ {
-		if tx[i] <= tx[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // --- Resolution --------------------------------------------------------
@@ -889,20 +656,13 @@ func (h *HierEngine) checkTx(tx []int) {
 
 // buildWorkList collects the round's occupied hot blocks — the only
 // blocks whose stations can decode anything — as ranges of the static
-// block CSR. The hot list is already block-granular, so this is a
-// filter pass (drop gone-cold and unoccupied blocks, dedup stale
-// duplicates), not a projection from cells.
+// block CSR. The hot list is already block-granular and lists each
+// hot block once, so this only drops unoccupied blocks.
 func (h *HierEngine) buildWorkList() {
 	h.workList = h.workList[:0]
 	h.workItems = h.blockItems
-	h.gen++
 	for _, b := range h.hotList {
-		if h.hotCnt[b] == 0 {
-			continue
-		}
-		lo, hi := h.blockStart[b], h.blockStart[b+1]
-		if hi > lo && h.blockStamp[b] != h.gen {
-			h.blockStamp[b] = h.gen
+		if lo, hi := h.blockStart[b], h.blockStart[b+1]; hi > lo {
 			h.workList = append(h.workList, blockRange{b: b, lo: lo, hi: hi})
 		}
 	}
@@ -957,9 +717,9 @@ func (h *HierEngine) groupReceivers(receivers []int) {
 
 // Resolve computes receptions for one round (see Engine.Resolve for
 // semantics). The returned slice is owned by the engine and valid
-// until the next Resolve call. Aggregation state persists across calls
-// so consecutive rounds with overlapping transmitter sets resolve
-// incrementally; results are bit-identical to a fresh engine's.
+// until the next Resolve call. A round repeating the previous round's
+// transmitter slice replays its cached slabs; results are bit-identical
+// to a fresh engine's.
 func (h *HierEngine) Resolve(tx []int) []Reception {
 	if len(tx) == 0 {
 		return nil
@@ -983,7 +743,8 @@ func (h *HierEngine) Resolve(tx []int) []Reception {
 // subset is grouped by receiver block and runs Resolve's block loop, so
 // however scattered its receivers are, each block gathers its near
 // field and descends the pyramid at most once per round — and not at
-// all while its cached slabs carry the current epoch.
+// all while its cached slabs carry the current epoch. The pyramid
+// itself is built only once a receiver survives its near field.
 func (h *HierEngine) ResolveFor(tx []int, receivers []int) []Reception {
 	if len(tx) == 0 || len(receivers) == 0 {
 		return nil
@@ -1002,9 +763,11 @@ func (h *HierEngine) ResolveFor(tx []int, receivers []int) []Reception {
 // minParallelN receivers — and sorts the block-grouped receptions back
 // to the ascending receiver order every engine guarantees. Receivers
 // are unique keys, so the order is total: identical for any worker
-// count.
+// count. A parallel round builds the pyramid up front, so its workers
+// never race to build it.
 func (h *HierEngine) resolveWork(receivers int) {
 	if h.workers > 1 && receivers >= h.minParallelN {
+		h.ensurePyramid()
 		ensureRunner(&h.par, h, h.workers)
 		if h.blockFn == nil {
 			h.blockFn = h.runChunkBlock
@@ -1141,13 +904,18 @@ func (h *HierEngine) buildFrontier(sl *blockSlabs, bx0c, by0c, bx1c, by1c int) {
 // resolveReceiver resolves one receiver of block b against the block's
 // cache entry, whose near field is current: a kernel-free argmin over
 // the gathered near field elects the decoding candidate, then only
-// candidates pay the exact near fold and the frontier replay (accepted
-// nodes as flat multiply-adds). The block's frontier is built on its
-// first candidate whose far sum is not cached, so a block whose
-// receivers are all rejected never descends. Both folds run through
-// the portable simd batch kernels, which preserve the scalar summation
-// order bit-exactly — the per-receiver descent oracle of the
-// round-sequence tests pins that.
+// candidates pay the exact near fold, and only a candidate that
+// decodes against its near field alone pays the frontier replay
+// (accepted nodes as flat multiply-adds). The far sum is non-negative
+// and Decodes is monotone in the interference — in floating point too,
+// since rounding is monotone — so a candidate failing against the near
+// sum fails against near + far, and the short-circuit is exact. The
+// pyramid and the block's frontier are built on the first candidate
+// whose far sum is not cached, so a round or block whose receivers are
+// all rejected never builds them. Both folds run through the portable
+// simd batch kernels, which preserve the scalar summation order
+// bit-exactly — the per-receiver descent oracle of the round-sequence
+// tests pins that.
 func (h *HierEngine) resolveReceiver(bc *blockCacheEntry, b, u int32, dst []Reception) []Reception {
 	sl := &bc.blockSlabs
 	p := h.params
@@ -1168,9 +936,14 @@ func (h *HierEngine) resolveReceiver(bc *blockCacheEntry, b, u int32, dst []Rece
 	}
 	best := sl.nearID[bi]
 	total := kern.NearSum(pw, upx, upy, sl.nearX, sl.nearY, 0)
+	s := pw * kern.FromDist2(bestD2)
+	if !p.Decodes(s, max(total-s, 0)) {
+		return dst
+	}
 
 	if h.farEpoch[u] != h.aggEpoch {
 		if bc.frontierEpoch != h.aggEpoch {
+			h.ensurePyramid()
 			bx0, by0, bx1, by1 := h.blockCellRange(b)
 			h.buildFrontier(sl, bx0, by0, bx1, by1)
 			bc.frontierEpoch = h.aggEpoch
@@ -1179,13 +952,7 @@ func (h *HierEngine) resolveReceiver(bc *blockCacheEntry, b, u int32, dst []Rece
 		h.farEpoch[u] = h.aggEpoch
 	}
 	total += h.farCache[u]
-
-	s := pw * kern.FromDist2(bestD2)
-	intf := total - s
-	if intf < 0 {
-		intf = 0
-	}
-	if p.Decodes(s, intf) {
+	if p.Decodes(s, max(total-s, 0)) {
 		dst = append(dst, Reception{Receiver: int(u), Transmitter: int(best)})
 	}
 	return dst

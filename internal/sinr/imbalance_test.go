@@ -97,7 +97,7 @@ func TestWorkerCountChangesMidSequence(t *testing.T) {
 		case 1:
 			// Exact repeat: the zero-churn epoch-cache replay path.
 		case 2:
-			// Small churn: flip a few stations in or out (delta path).
+			// Small churn: flip a few stations in or out.
 			in := make([]bool, n)
 			for _, s := range tx {
 				in[s] = true

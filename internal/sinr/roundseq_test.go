@@ -1,12 +1,14 @@
-// Round-sequence equivalence: the frontier-memoized, delta-updated
-// HierEngine must be bit-identical, round for round, to (a) the
-// test-only per-receiver descent oracle rebuilding its aggregation
-// every round (ResolveDescentForTest), (b) a freshly constructed
-// engine resolving only that round (no carried state), and (c) its own
-// sharded resolution — across topology families, path-loss exponents,
-// realistic transmitter churn, and interleaved ResolveFor subsets.
-// This is the property that makes the memo and the delta pure
-// optimizations: no observable effect, ever.
+// Round-sequence equivalence: a long-lived, frontier-memoized
+// HierEngine — epoch caches, repeated-round reuse and the on-demand
+// pyramid all in play — must be bit-identical, round for round, to (a)
+// the test-only per-receiver descent oracle on a fresh engine per round
+// (ResolveDescentForTest), (b) a freshly constructed engine resolving
+// only that round (no carried state), and (c) its own sharded
+// resolution — across topology families, path-loss exponents,
+// realistic transmitter churn, repeated rounds, and interleaved
+// ResolveFor subsets. This is the property that makes the memo, the
+// caches and the lazy pyramid pure optimizations: no observable
+// effect, ever.
 package sinr_test
 
 import (
@@ -48,7 +50,7 @@ func seqScene(t *testing.T, spec string, seed uint64) *geom.Euclidean {
 
 // evolveTx mutates a sorted transmitter set with roughly the given
 // churn fraction (drop existing members, wake new ones), returning a
-// sorted set — the shape protocol round loops feed the delta path.
+// sorted set — the shape protocol round loops feed the engine.
 func evolveTx(r *rng.Source, n int, cur []int, churn, density float64) []int {
 	keep := map[int]bool{}
 	for _, t := range cur {
@@ -135,20 +137,21 @@ func TestRoundSequenceEquivalence(t *testing.T) {
 					h.SetWorkers(1)
 					return h
 				}
-				memo := mk() // memo + delta on: the production path
+				memo := mk() // long-lived: the production path
 				par := mk()  // same, sharded
 				sinr.ForceParallelForTest(par, 3)
-				oracle := mk() // reference: per-receiver descent, rebuild every round
-				oracle.SetDeltaCrossover(0)
 				all := allStations(n)
 				r := rng.New(uint64(len(fam.name))*1000 + uint64(alpha*4))
 				for seq := 0; seq < seqs; seq++ {
 					var tx []int
 					for round := 0; round < rounds; round++ {
-						churn := []float64{0.05, 0.25, 0.6}[round%3]
-						tx = evolveTx(r, n, tx, churn, 0.05)
+						if round%5 != 4 { // every fifth round repeats the last
+							churn := []float64{0.05, 0.25, 0.6}[round%3]
+							tx = evolveTx(r, n, tx, churn, 0.05)
+						}
 						label := fmt.Sprintf("%s/a=%g seq=%d round=%d", fam.name, alpha, seq, round)
-						fresh := mk() // no carried state at all
+						oracle := mk() // reference: per-receiver descent, no carried state
+						fresh := mk()  // production path, no carried state
 						switch round % 4 {
 						case 3: // subset round: small or large alternating
 							pr := 0.04
@@ -177,24 +180,23 @@ func TestRoundSequenceEquivalence(t *testing.T) {
 }
 
 // TestDeltaMatchesRebuildLongRun drives one engine through a long
-// low-churn sequence — the regime where the delta path stays active
-// for many consecutive rounds and compaction of the live/hot lists
-// kicks in — against a rebuild-every-round twin.
+// low-churn sequence of whole and subset rounds, with runs of repeated
+// rounds, against a fresh engine per round: many consecutive rounds
+// share most transmitters, yet the long-lived engine must carry
+// nothing but what a repeated round may keep.
 func TestDeltaMatchesRebuildLongRun(t *testing.T) {
 	eu := seqScene(t, "uniform:n=900,density=8", 7)
 	n := eu.Len()
 	p := sinr.DefaultParams()
-	delta, err := sinr.NewHierEngine(eu, p, sinr.DefaultCellSize, sinr.DefaultNearRadius, sinr.DefaultTheta)
-	if err != nil {
-		t.Fatal(err)
+	mk := func() *sinr.HierEngine {
+		h, err := sinr.NewHierEngine(eu, p, sinr.DefaultCellSize, sinr.DefaultNearRadius, sinr.DefaultTheta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetWorkers(1)
+		return h
 	}
-	rebuild, err := sinr.NewHierEngine(eu, p, sinr.DefaultCellSize, sinr.DefaultNearRadius, sinr.DefaultTheta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta.SetWorkers(1)
-	rebuild.SetWorkers(1)
-	rebuild.SetDeltaCrossover(0)
+	long := mk()
 	r := rng.New(99)
 	rounds := 300
 	if testing.Short() {
@@ -202,15 +204,28 @@ func TestDeltaMatchesRebuildLongRun(t *testing.T) {
 	}
 	var tx []int
 	for round := 0; round < rounds; round++ {
-		tx = evolveTx(r, n, tx, 0.08, 0.05)
-		want := append([]sinr.Reception(nil), rebuild.Resolve(tx)...)
-		diffRec(t, fmt.Sprintf("round %d", round), want, delta.Resolve(tx))
+		if round%4 != 3 {
+			tx = evolveTx(r, n, tx, 0.08, 0.05)
+		}
+		label := fmt.Sprintf("round %d", round)
+		if round%2 == 1 {
+			sub := sortedSubset(r, n, 0.1)
+			if len(sub) == 0 {
+				continue
+			}
+			want := append([]sinr.Reception(nil), mk().ResolveFor(tx, sub)...)
+			diffRec(t, label+" subset", want, long.ResolveFor(tx, sub))
+			continue
+		}
+		want := append([]sinr.Reception(nil), mk().Resolve(tx)...)
+		diffRec(t, label, want, long.Resolve(tx))
 	}
 }
 
-// TestUnsortedRoundsFallBack pins the safety fallback: rounds whose
-// transmitter slice is not strictly increasing cannot take the delta
-// path, but must still resolve identically to a fresh engine.
+// TestUnsortedRoundsFallBack pins rounds whose transmitter slice is
+// not strictly increasing — unsorted, reversed, with duplicates, and
+// repeated verbatim (which keeps the previous round's state): each
+// must resolve identically to a fresh engine.
 func TestUnsortedRoundsFallBack(t *testing.T) {
 	eu := seqScene(t, "uniform:n=400,density=8", 11)
 	p := sinr.DefaultParams()
@@ -221,13 +236,14 @@ func TestUnsortedRoundsFallBack(t *testing.T) {
 	h.SetWorkers(1)
 	seqsets := [][]int{
 		{5, 3, 250, 9},   // unsorted
-		{5, 3, 250, 9},   // identical unsorted (still no delta)
+		{5, 3, 250, 9},   // identical unsorted: state kept
 		{3, 5, 9, 250},   // same set, sorted
-		{3, 5, 9, 251},   // small sorted delta
+		{3, 5, 9, 251},   // one transmitter changed
 		{251, 9, 5, 3},   // reversed again
 		{2, 4, 6, 8, 10}, // disjoint sorted
-		{2, 4, 6, 8, 10}, // identical (pure delta no-op)
+		{2, 4, 6, 8, 10}, // identical: state kept
 		{1, 1, 7},        // duplicates: not strictly increasing
+		{1, 1, 7},        // identical duplicates: state kept
 		{0, 7, 399},      // sorted again
 	}
 	for i, tx := range seqsets {

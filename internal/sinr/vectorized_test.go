@@ -69,7 +69,7 @@ func TestVectorizedReplayBitIdentity(t *testing.T) {
 }
 
 // TestHotTableBlockGranularityGate is the hardware-independent cost
-// gate of the block-granularity hot table: across a churny delta-path
+// gate of the block-granularity hot table: across a churny round
 // sequence, the mean number of counter bumps per live-cell transition
 // must stay at least 20× below the (2·nearCells+1)² bumps the per-cell
 // table paid for the same transitions.
