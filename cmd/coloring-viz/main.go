@@ -5,53 +5,44 @@
 //
 // Usage:
 //
-//	coloring-viz -family uniform -n 128 -density 24
-//	coloring-viz -family expchain -n 64 -ratio 0.7
+//	coloring-viz -scenario uniform:n=128,density=24
+//	coloring-viz -scenario expchain:n=64,ratio=0.7
+//	coloring-viz -scenario clusters:k=4,m=32 -seed 3
+//
+// The scenario catalogue is printed by netgen -list.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"sinrcast/internal/coloring"
-	"sinrcast/internal/netgen"
-	"sinrcast/internal/network"
+	"sinrcast/internal/scenario"
 	"sinrcast/internal/sinr"
 	"sinrcast/internal/stats"
 )
 
 func main() {
 	var (
-		family  = flag.String("family", "uniform", "uniform|path|clusters|expchain")
-		n       = flag.Int("n", 128, "number of stations")
-		density = flag.Float64("density", 8, "uniform density")
-		ratio   = flag.Float64("ratio", 0.7, "expchain shrink ratio")
-		seed    = flag.Uint64("seed", 1, "seed")
+		spec = flag.String("scenario", "uniform:n=128,density=8", "scenario spec: family[:name=value,...]")
+		seed = flag.Uint64("seed", 1, "seed")
 	)
 	flag.Parse()
 
-	p := sinr.DefaultParams()
-	gen := netgen.Config{Params: p, Seed: *seed}
-	var (
-		net *network.Network
-		err error
-	)
-	switch *family {
-	case "uniform":
-		net, err = netgen.Uniform(gen, *n, *density)
-	case "path":
-		net, err = netgen.Path(gen, *n, 0.9)
-	case "clusters":
-		net, err = netgen.Clusters(gen, 4, *n/4, 0.08, 0.6)
-	case "expchain":
-		net, err = netgen.ExponentialChain(gen, *n, 0.5, *ratio)
-	default:
-		fmt.Fprintf(os.Stderr, "coloring-viz: unknown family %q\n", *family)
-		os.Exit(2)
-	}
+	sp, err := scenario.Parse(*spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "coloring-viz: %v\n", err)
+		os.Exit(2)
+	}
+	net, err := scenario.Generate(sp, sinr.DefaultParams(), *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "coloring-viz: %v\n", err)
+		var se *scenario.SpecError
+		if errors.As(err, &se) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 
@@ -62,7 +53,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("network    %s n=%d Rs=%.3g\n", *family, net.N(), net.Granularity())
+	fmt.Printf("network    %s n=%d Rs=%.3g\n", sp, net.N(), net.Granularity())
 	fmt.Printf("schedule   %d rounds (%d phases × %d), palette up to %d colors\n",
 		par.TotalRounds(), par.Phases(), par.PhaseLen(), par.NumColors())
 	fmt.Printf("traffic    %d transmissions, %d receptions\n\n",

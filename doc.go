@@ -214,8 +214,7 @@
 // CLIs' -scenario parsing and -list catalogue, the registry-wide
 // property tests (connectivity, metric validity, byte-identical
 // determinism), and experiment E12, a cross-family sweep whose coverage
-// grows automatically when a family is registered. internal/netgen
-// remains as thin wrappers for the function-per-family call sites.
+// grows automatically when a family is registered.
 // Generators that densify-and-retry until connected report the attempt
 // count and final geometry in Network.Meta. Experiment tables stream
 // through pluggable sinks (internal/stats: aligned text, CSV, JSON).

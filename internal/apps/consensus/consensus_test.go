@@ -3,14 +3,14 @@ package consensus
 import (
 	"testing"
 
-	"sinrcast/internal/netgen"
 	"sinrcast/internal/network"
+	"sinrcast/internal/scenario"
 	"sinrcast/internal/sinr"
 )
 
 func genNet(t testing.TB, n int, seed uint64) *network.Network {
 	t.Helper()
-	net, err := netgen.Uniform(netgen.Config{Params: sinr.DefaultParams(), Seed: seed}, n, 8)
+	net, err := scenario.Generate(scenario.Spec{Family: "uniform", Params: map[string]float64{"n": float64(n), "density": 8}}, sinr.DefaultParams(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}

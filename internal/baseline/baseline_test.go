@@ -6,15 +6,15 @@ import (
 	"testing"
 	"unsafe"
 
-	"sinrcast/internal/netgen"
 	"sinrcast/internal/network"
 	"sinrcast/internal/rng"
+	"sinrcast/internal/scenario"
 	"sinrcast/internal/sinr"
 )
 
 func genUniform(t testing.TB, n int, density float64, seed uint64) *network.Network {
 	t.Helper()
-	net, err := netgen.Uniform(netgen.Config{Params: sinr.DefaultParams(), Seed: seed}, n, density)
+	net, err := scenario.Generate(scenario.Spec{Family: "uniform", Params: map[string]float64{"n": float64(n), "density": density}}, sinr.DefaultParams(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +46,11 @@ func TestDecayLevels(t *testing.T) {
 }
 
 func TestDaumStyleLevelsGrowWithGranularity(t *testing.T) {
-	cfg := netgen.Config{Params: sinr.DefaultParams(), Seed: 1}
-	smooth, err := netgen.Path(cfg, 32, 0.9)
+	smooth, err := scenario.Generate(scenario.Spec{Family: "path", Params: map[string]float64{"n": 32, "frac": 0.9}}, sinr.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rough, err := netgen.ExponentialChain(cfg, 32, 0.5, 0.5)
+	rough, err := scenario.Generate(scenario.Spec{Family: "expchain", Params: map[string]float64{"n": 32, "first": 0.5, "ratio": 0.5}}, sinr.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +206,7 @@ func TestDaumSlowerOnRoughNetwork(t *testing.T) {
 	// E6 shape in miniature: on an exponential chain the Daum-style
 	// sweep pays for its extra levels relative to plain decay sized for
 	// the same n.
-	cfg := netgen.Config{Params: sinr.DefaultParams(), Seed: 2}
-	chain, err := netgen.ExponentialChain(cfg, 24, 0.5, 0.55)
+	chain, err := scenario.Generate(scenario.Spec{Family: "expchain", Params: map[string]float64{"n": 24, "first": 0.5, "ratio": 0.55}}, sinr.DefaultParams(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

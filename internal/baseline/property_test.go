@@ -5,13 +5,13 @@ import (
 	"testing"
 	"testing/quick"
 
-	"sinrcast/internal/netgen"
 	"sinrcast/internal/rng"
+	"sinrcast/internal/scenario"
 	"sinrcast/internal/sinr"
 )
 
 func TestPropertyPoliciesReturnValidProbabilities(t *testing.T) {
-	net, err := netgen.Uniform(netgen.Config{Params: sinr.DefaultParams(), Seed: 3}, 40, 8)
+	net, err := scenario.Generate(scenario.Spec{Family: "uniform", Params: map[string]float64{"n": 40, "density": 8}}, sinr.DefaultParams(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

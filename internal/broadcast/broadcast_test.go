@@ -3,14 +3,14 @@ package broadcast
 import (
 	"testing"
 
-	"sinrcast/internal/netgen"
 	"sinrcast/internal/network"
+	"sinrcast/internal/scenario"
 	"sinrcast/internal/sinr"
 )
 
 func genUniform(t testing.TB, n int, density float64, seed uint64) *network.Network {
 	t.Helper()
-	net, err := netgen.Uniform(netgen.Config{Params: sinr.DefaultParams(), Seed: seed}, n, density)
+	net, err := scenario.Generate(scenario.Spec{Family: "uniform", Params: map[string]float64{"n": float64(n), "density": density}}, sinr.DefaultParams(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func genUniform(t testing.TB, n int, density float64, seed uint64) *network.Netw
 
 func genPath(t testing.TB, n int, seed uint64) *network.Network {
 	t.Helper()
-	net, err := netgen.Path(netgen.Config{Params: sinr.DefaultParams(), Seed: seed}, n, 0.9)
+	net, err := scenario.Generate(scenario.Spec{Family: "path", Params: map[string]float64{"n": float64(n), "frac": 0.9}}, sinr.DefaultParams(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestBroadcastFromEveryCorner(t *testing.T) {
 func TestRunNoSExponentialChain(t *testing.T) {
 	// The headline case: granularity-exponential network. The algorithm
 	// must complete without any dependence on Rs.
-	net, err := netgen.ExponentialChain(netgen.Config{Params: sinr.DefaultParams(), Seed: 1}, 32, 0.5, 0.6)
+	net, err := scenario.Generate(scenario.Spec{Family: "expchain", Params: map[string]float64{"n": 32, "first": 0.5, "ratio": 0.6}}, sinr.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,31 +3,29 @@ package coloring
 import (
 	"testing"
 
-	"sinrcast/internal/netgen"
 	"sinrcast/internal/network"
+	"sinrcast/internal/scenario"
 	"sinrcast/internal/sinr"
 )
 
 // calibrationNets returns the network families the defaults must handle.
 func calibrationNets(t testing.TB, seed uint64) map[string]*network.Network {
 	t.Helper()
-	cfg := netgen.Config{Params: sinr.DefaultParams(), Seed: seed}
 	nets := map[string]*network.Network{}
-	var err error
-	if nets["uniform-sparse"], err = netgen.Uniform(cfg, 128, 6); err != nil {
-		t.Fatal(err)
-	}
-	if nets["uniform-dense"], err = netgen.Uniform(cfg, 256, 24); err != nil {
-		t.Fatal(err)
-	}
-	if nets["clusters"], err = netgen.Clusters(cfg, 4, 24, 0.08, 0.6); err != nil {
-		t.Fatal(err)
-	}
-	if nets["path"], err = netgen.Path(cfg, 48, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if nets["expchain"], err = netgen.ExponentialChain(cfg, 48, 0.5, 0.75); err != nil {
-		t.Fatal(err)
+	for name, s := range map[string]string{
+		"uniform-sparse": "uniform:n=128,density=6",
+		"uniform-dense":  "uniform:n=256,density=24",
+		"clusters":       "clusters:k=4,m=24,radius=0.08,gap=0.6",
+		"path":           "path:n=48,frac=0.9",
+		"expchain":       "expchain:n=48,first=0.5,ratio=0.75",
+	} {
+		spec, err := scenario.Parse(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nets[name], err = scenario.Generate(spec, sinr.DefaultParams(), seed); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return nets
 }

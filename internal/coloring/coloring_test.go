@@ -6,9 +6,9 @@ import (
 	"testing/quick"
 
 	"sinrcast/internal/geom"
-	"sinrcast/internal/netgen"
 	"sinrcast/internal/network"
 	"sinrcast/internal/rng"
+	"sinrcast/internal/scenario"
 	"sinrcast/internal/sinr"
 )
 
@@ -273,8 +273,7 @@ func TestMachineNeverTransmitsAfterQuit(t *testing.T) {
 }
 
 func TestRunDeterministicInSeed(t *testing.T) {
-	cfg := netgen.Config{Params: sinr.DefaultParams(), Seed: 3}
-	net, err := netgen.Uniform(cfg, 64, 8)
+	net, err := scenario.Generate(scenario.Spec{Family: "uniform", Params: map[string]float64{"n": 64, "density": 8}}, sinr.DefaultParams(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,8 +294,7 @@ func TestRunDeterministicInSeed(t *testing.T) {
 }
 
 func TestRunColorsInPalette(t *testing.T) {
-	cfg := netgen.Config{Params: sinr.DefaultParams(), Seed: 4}
-	net, err := netgen.Uniform(cfg, 96, 12)
+	net, err := scenario.Generate(scenario.Spec{Family: "uniform", Params: map[string]float64{"n": 96, "density": 12}}, sinr.DefaultParams(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +318,7 @@ func TestRunColorsInPalette(t *testing.T) {
 }
 
 func TestRunRejectsInvalidParams(t *testing.T) {
-	cfg := netgen.Config{Params: sinr.DefaultParams(), Seed: 4}
-	net, err := netgen.Uniform(cfg, 32, 8)
+	net, err := scenario.Generate(scenario.Spec{Family: "uniform", Params: map[string]float64{"n": 32, "density": 8}}, sinr.DefaultParams(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

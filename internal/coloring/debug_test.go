@@ -3,7 +3,7 @@ package coloring
 import (
 	"testing"
 
-	"sinrcast/internal/netgen"
+	"sinrcast/internal/scenario"
 	"sinrcast/internal/sinr"
 )
 
@@ -12,8 +12,7 @@ func TestQuitPhaseHistogram(t *testing.T) {
 	if testing.Short() {
 		t.Skip("diagnostic")
 	}
-	cfg := netgen.Config{Params: sinr.DefaultParams(), Seed: 42}
-	net, err := netgen.Uniform(cfg, 128, 6)
+	net, err := scenario.Generate(scenario.Spec{Family: "uniform", Params: map[string]float64{"n": 128, "density": 6}}, sinr.DefaultParams(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}

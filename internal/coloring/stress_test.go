@@ -3,8 +3,8 @@ package coloring
 import (
 	"testing"
 
-	"sinrcast/internal/netgen"
 	"sinrcast/internal/network"
+	"sinrcast/internal/scenario"
 	"sinrcast/internal/sinr"
 )
 
@@ -15,12 +15,11 @@ func TestStressDense(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress")
 	}
-	cfg := netgen.Config{Params: sinr.DefaultParams(), Seed: 5}
-	dense, err := netgen.Uniform(cfg, 384, 60)
+	dense, err := scenario.Generate(scenario.Spec{Family: "uniform", Params: map[string]float64{"n": 384, "density": 60}}, sinr.DefaultParams(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, err := netgen.ExponentialChain(cfg, 192, 0.5, 0.7)
+	chain, err := scenario.Generate(scenario.Spec{Family: "expchain", Params: map[string]float64{"n": 192, "first": 0.5, "ratio": 0.7}}, sinr.DefaultParams(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

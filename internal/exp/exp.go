@@ -96,10 +96,9 @@ func lg2(n int) float64 {
 func physParams() sinr.Params { return sinr.DefaultParams() }
 
 // genNet builds a registered scenario family with explicit parameter
-// overrides — exactly the call the former netgen wrappers made, so
-// every E1–E11 network is byte-identical to the pre-registry suite.
-// The scenario registry is the single topology path of the experiment
-// suite; internal/netgen survives only for external-style callers.
+// overrides, so every E1–E11 network is byte-identical to the
+// pre-registry suite. The scenario registry is the single topology
+// path of the experiment suite.
 func genNet(family string, seed uint64, params map[string]float64) (*network.Network, error) {
 	return scenario.Generate(scenario.Spec{Family: family, Params: params}, physParams(), seed)
 }

@@ -188,7 +188,7 @@ func scalingSpec(fam string, n int) scenario.Spec {
 // under the given selection (what "auto" picked).
 func sinrKindFor(engine string, net *network.Network) sinr.EngineKind {
 	if engine == "auto" {
-		return sinr.Choose(net.Space, net.Params, sinr.AccuracyBalanced)
+		return sinr.Choose(net.Space, net.Params)
 	}
 	return sinr.EngineKind(engine)
 }

@@ -168,6 +168,3 @@ func (net *Network) Granularity() float64 {
 	}
 	return maxE / minE
 }
-
-// Neighbors returns the neighbor set N(v) of station v in G.
-func (net *Network) Neighbors(v int) []int32 { return net.Adj[v] }

@@ -9,11 +9,10 @@ import (
 	"sinrcast/internal/registry"
 )
 
-// This file registers the families that exist only in the registry
-// (no netgen wrapper): geometries probing the density/percolation and
-// clustering regimes of the related work — annulus rings, dumbbells
-// with a thin bridge, perforated grids, density-gradient strips, and
-// stars of clusters.
+// This file registers the families added with the registry: geometries
+// probing the density/percolation and clustering regimes of the related
+// work — annulus rings, dumbbells with a thin bridge, perforated grids,
+// density-gradient strips, and stars of clusters.
 
 func init() {
 	Register(Family{

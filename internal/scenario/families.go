@@ -10,10 +10,10 @@ import (
 	"sinrcast/internal/rng"
 )
 
-// This file registers the original netgen families. The sampling code
-// is moved verbatim from internal/netgen so that networks are
-// byte-identical to the pre-registry generators for the same
-// (Params, Seed) — the experiment tables E1–E11 pin this down.
+// This file registers the original eight families. Their sampling code
+// predates the registry and is kept byte for byte, so networks match
+// the pre-registry generators for the same (Params, Seed) — the
+// experiment tables E1–E11 pin this down.
 
 const maxAttempts = 40 // connectivity-retry budget of densifying generators
 

@@ -6,17 +6,18 @@
 // Every family declares its typed parameters (name, default, range,
 // doc), so command-line tools list the full catalogue with -list and
 // experiments can sweep *every* registered family without naming any
-// of them (exp.E12CrossFamilySweep). internal/netgen keeps its
-// function-per-family surface as thin wrappers over this registry.
+// of them (exp.E12CrossFamilySweep). Every generated network is built
+// here; the public sinrcast.Generate* helpers are fixed specs.
 //
 // The package is the geometry axis of the paper's comparison, a typed
 // view over internal/registry: parsing, validation, registration and
 // the catalogue live there, shared with internal/protocol (the
 // algorithm axis); this package adds what a family builds.
 //
-// Registering a family makes it visible everywhere at once: the three
-// CLIs (netgen, broadcast-sim, experiments), the cross-family sweep,
-// the registry-wide property tests, and the public sinrcast.Generate.
+// Registering a family makes it visible everywhere at once: the four
+// CLIs (netgen, broadcast-sim, experiments, coloring-viz), the
+// cross-family sweep, the registry-wide property tests, and the public
+// sinrcast.Generate.
 package scenario
 
 import (

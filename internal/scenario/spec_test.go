@@ -99,33 +99,44 @@ func TestParseErrors(t *testing.T) {
 func TestGenerateValidation(t *testing.T) {
 	phys := sinr.DefaultParams()
 	for _, tc := range []struct {
+		name    string
 		spec    Spec
 		wantSub string
 	}{
-		{Spec{Family: "nope"}, "unknown family"},
-		{Spec{Family: "uniform", Params: map[string]float64{"bogus": 1}}, "no parameter"},
-		{Spec{Family: "uniform", Params: map[string]float64{"n": 0}}, "outside"},
-		{Spec{Family: "uniform", Params: map[string]float64{"n": 2.5}}, "must be an integer"},
-		{Spec{Family: "path", Params: map[string]float64{"frac": 1.5}}, "outside"},
-		{Spec{Family: "path", Params: map[string]float64{"n": 4, "frac": 0}}, "must be in (0,1]"},
-		{Spec{Family: "grid", Params: map[string]float64{"spacing": 10}}, "spacing"},
-		{Spec{Family: "expchain", Params: map[string]float64{"first": 5}}, "first gap"},
-		{Spec{Family: "clusters", Params: map[string]float64{"radius": 0.5}}, "radius"},
-		{Spec{Family: "annulus", Params: map[string]float64{"thickness": 1.99, "density": 0}}, "density"},
-		{Spec{Family: "dumbbell", Params: map[string]float64{"n": 2}}, "too small"},
-		{Spec{Family: "starclusters", Params: map[string]float64{"radius": 0.5}}, "radius"},
-		{Spec{Family: "uniform", Params: map[string]float64{"n": 1e300}}, "exceeds the size limit"},
-		{Spec{Family: "uniform", Params: map[string]float64{"density": math.Inf(1)}}, "outside"},
-		{Spec{Family: "gridholes", Params: map[string]float64{"hole": 1e6}}, "too large"},
+		{"unknown-family", Spec{Family: "nope"}, "unknown family"},
+		{"uniform-bogus-param", Spec{Family: "uniform", Params: map[string]float64{"bogus": 1}}, "no parameter"},
+		{"uniform-n0", Spec{Family: "uniform", Params: map[string]float64{"n": 0}}, "outside"},
+		{"uniform-n-fractional", Spec{Family: "uniform", Params: map[string]float64{"n": 2.5}}, "must be an integer"},
+		{"path-frac-above-1", Spec{Family: "path", Params: map[string]float64{"frac": 1.5}}, "outside"},
+		{"path-frac0", Spec{Family: "path", Params: map[string]float64{"n": 4, "frac": 0}}, "must be in (0,1]"},
+		{"grid-spacing10", Spec{Family: "grid", Params: map[string]float64{"spacing": 10}}, "spacing"},
+		{"grid-spacing0", Spec{Family: "grid", Params: map[string]float64{"n": 9, "spacing": 0}}, "spacing"},
+		{"expchain-first5", Spec{Family: "expchain", Params: map[string]float64{"first": 5}}, "first gap"},
+		{"expchain-ratio1.5", Spec{Family: "expchain", Params: map[string]float64{"n": 4, "ratio": 1.5}}, "outside"},
+		{"clusteredpath-pathlen1", Spec{Family: "clusteredpath", Params: map[string]float64{"pathlen": 1, "cluster": 4}}, "outside"},
+		{"clusteredpath-cluster0", Spec{Family: "clusteredpath", Params: map[string]float64{"pathlen": 4, "cluster": 0}}, "outside"},
+		{"clusteredpath-ratio1", Spec{Family: "clusteredpath", Params: map[string]float64{"pathlen": 4, "cluster": 4, "ratio": 1}}, "must be in (0,1)"},
+		{"clusters-radius", Spec{Family: "clusters", Params: map[string]float64{"radius": 0.5}}, "radius"},
+		{"clusters-k0", Spec{Family: "clusters", Params: map[string]float64{"k": 0, "m": 5}}, "outside"},
+		{"clusters-gap2", Spec{Family: "clusters", Params: map[string]float64{"k": 2, "m": 5, "gap": 2}}, "gap"},
+		{"gaussian-sigma0", Spec{Family: "gaussian", Params: map[string]float64{"n": 10, "sigma": 0}}, "sigma"},
+		{"corridor-step0", Spec{Family: "corridor", Params: map[string]float64{"n": 5, "step": 0}}, "step"},
+		{"annulus-density0", Spec{Family: "annulus", Params: map[string]float64{"thickness": 1.99, "density": 0}}, "density"},
+		{"dumbbell-n2", Spec{Family: "dumbbell", Params: map[string]float64{"n": 2}}, "too small"},
+		{"starclusters-radius", Spec{Family: "starclusters", Params: map[string]float64{"radius": 0.5}}, "radius"},
+		{"uniform-n-huge", Spec{Family: "uniform", Params: map[string]float64{"n": 1e300}}, "exceeds the size limit"},
+		{"uniform-density-inf", Spec{Family: "uniform", Params: map[string]float64{"density": math.Inf(1)}}, "outside"},
+		{"gridholes-hole-huge", Spec{Family: "gridholes", Params: map[string]float64{"hole": 1e6}}, "too large"},
 	} {
-		_, err := Generate(tc.spec, phys, 1)
-		if err == nil {
-			t.Errorf("Generate(%v): want error containing %q, got nil", tc.spec, tc.wantSub)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.wantSub) {
-			t.Errorf("Generate(%v) error = %q, want substring %q", tc.spec, err, tc.wantSub)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Generate(tc.spec, phys, 1)
+			if err == nil {
+				t.Fatalf("Generate(%v): want error containing %q, got nil", tc.spec, tc.wantSub)
+			}
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Errorf("Generate(%v) error = %q, want substring %q", tc.spec, err, tc.wantSub)
+			}
+		})
 	}
 	// Defaults alone must build every family.
 	if _, err := Generate(Spec{Family: "uniform"}, phys, 1); err != nil {

@@ -33,28 +33,6 @@ var (
 	_ Resolver = (*HierEngine)(nil)
 )
 
-// ResolverFor is the subset-resolution capability alone, for callers
-// that hold an engine behind a narrower interface and want to
-// type-assert just this.
-type ResolverFor interface {
-	ResolveFor(tx []int, receivers []int) []Reception
-}
-
-// Accuracy is the error budget AutoEngine may trade for speed.
-type Accuracy int
-
-const (
-	// AccuracyExact always selects the exact Engine.
-	AccuracyExact Accuracy = iota
-	// AccuracyBalanced keeps the exact engine up to a few thousand
-	// stations and approximates beyond — the default for large-n
-	// experiments.
-	AccuracyBalanced
-	// AccuracyFast approximates aggressively (from 512 stations instead
-	// of 4096); for throughput studies where the far-field tail is noise.
-	AccuracyFast
-)
-
 // EngineKind names an engine implementation.
 type EngineKind string
 
@@ -64,17 +42,20 @@ const (
 	KindHier  EngineKind = "hier"
 )
 
-// Choose returns the engine kind AutoEngine builds for the given space,
-// parameters and accuracy: KindExact or KindHier, nothing else.
+// approxMin is the station count from which Choose trades the exact
+// engine for the hierarchy on Euclidean spaces.
+const approxMin = 4096
+
+// Choose returns the engine kind AutoEngine builds for the given space
+// and parameters: KindExact or KindHier, nothing else.
 //
-//   - non-Euclidean spaces and AccuracyExact always resolve exactly
-//     (the hierarchy needs planar cell geometry);
+//   - non-Euclidean spaces always resolve exactly (the hierarchy needs
+//     planar cell geometry);
 //   - α close to the growth degree keeps the exact engine too — the
 //     far-field interference sum barely converges there, so aggregation
 //     error is not dominated by the tail;
-//   - otherwise n below the approximation threshold (4096 Balanced, 512
-//     Fast) stays exact (fast enough, and the paper's model), and every
-//     larger n takes the hierarchy.
+//   - otherwise n below approxMin stays exact (fast enough, and the
+//     paper's model), and every larger n takes the hierarchy.
 //
 // GridEngine is not a tier: measured on a 2-vCPU Xeon, median decay
 // flood time grid / hier / exact was 9.7 / 3.5 / 4.0 ms at n=512,
@@ -82,15 +63,8 @@ const (
 // at n=4096 the grid disagrees with exact on up to 4.7e-3 of receptions
 // per family against hier's 1.1e-4 (TestHierMidBandBeatsGrid). It stays
 // reachable by the name "grid" as a reference.
-func Choose(s geom.Space, p Params, acc Accuracy) EngineKind {
-	if _, ok := s.(*geom.Euclidean); !ok || acc == AccuracyExact {
-		return KindExact
-	}
-	approxMin := 4096
-	if acc == AccuracyFast {
-		approxMin = 512
-	}
-	if p.Alpha <= s.Growth()+0.5 || s.Len() < approxMin {
+func Choose(s geom.Space, p Params) EngineKind {
+	if _, ok := s.(*geom.Euclidean); !ok || p.Alpha <= s.Growth()+0.5 || s.Len() < approxMin {
 		return KindExact
 	}
 	return KindHier
@@ -99,18 +73,18 @@ func Choose(s geom.Space, p Params, acc Accuracy) EngineKind {
 // AutoEngine builds the engine Choose selects, with the package default
 // geometry (DefaultCellSize, DefaultNearRadius, DefaultTheta) for the
 // approximate kinds.
-func AutoEngine(s geom.Space, p Params, acc Accuracy) (Resolver, error) {
-	return build(Choose(s, p, acc), s, p)
+func AutoEngine(s geom.Space, p Params) (Resolver, error) {
+	return build(Choose(s, p), s, p)
 }
 
 // NewNamedEngine builds an engine by name: "exact", "grid", "hier", or
-// "auto" (= AutoEngine at AccuracyBalanced). It is the single mapping
-// behind every -engine CLI flag. "grid" and "hier" require a Euclidean
-// space; "auto" falls back to exact on any other metric.
+// "auto" (= AutoEngine). It is the single mapping behind every -engine
+// CLI flag. "grid" and "hier" require a Euclidean space; "auto" falls
+// back to exact on any other metric.
 func NewNamedEngine(name string, s geom.Space, p Params) (Resolver, error) {
 	switch name {
 	case "auto":
-		return AutoEngine(s, p, AccuracyBalanced)
+		return AutoEngine(s, p)
 	case string(KindExact), string(KindGrid), string(KindHier):
 		return build(EngineKind(name), s, p)
 	default:

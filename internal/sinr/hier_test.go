@@ -251,37 +251,29 @@ func TestAutoEngineChoice(t *testing.T) {
 		name string
 		s    geom.Space
 		p    Params
-		acc  Accuracy
 		want EngineKind
 	}{
-		{"small euclidean", mkEu(256), p, AccuracyBalanced, KindExact},
-		{"mid euclidean", mkEu(8192), p, AccuracyBalanced, KindHier},
-		{"balanced below threshold", mkEu(4095), p, AccuracyBalanced, KindExact},
-		{"balanced at threshold", mkEu(4096), p, AccuracyBalanced, KindHier},
-		{"fast below threshold", mkEu(511), p, AccuracyFast, KindExact},
-		{"fast at threshold", mkEu(512), p, AccuracyFast, KindHier},
-		{"large euclidean", mkEu(40000), p, AccuracyBalanced, KindHier},
-		{"fast mid", mkEu(8192), p, AccuracyFast, KindHier},
-		{"exact accuracy", mkEu(40000), p, AccuracyExact, KindExact},
-		{"line metric", geom.NewLine(make([]float64, 9000)), p, AccuracyBalanced, KindExact},
-		{"alpha near growth", mkEu(40000), Params{Alpha: 2.2, Beta: 1.5, Noise: 1, Eps: 1. / 3}, AccuracyBalanced, KindExact},
+		{"small euclidean", mkEu(256), p, KindExact},
+		{"mid euclidean", mkEu(8192), p, KindHier},
+		{"balanced below threshold", mkEu(4095), p, KindExact},
+		{"balanced at threshold", mkEu(4096), p, KindHier},
+		{"large euclidean", mkEu(40000), p, KindHier},
+		{"line metric", geom.NewLine(make([]float64, 9000)), p, KindExact},
+		{"alpha near growth", mkEu(40000), Params{Alpha: 2.2, Beta: 1.5, Noise: 1, Eps: 1. / 3}, KindExact},
 	}
 	for _, tt := range tests {
-		if got := Choose(tt.s, tt.p, tt.acc); got != tt.want {
+		if got := Choose(tt.s, tt.p); got != tt.want {
 			t.Errorf("%s: Choose = %q, want %q", tt.name, got, tt.want)
 		}
 	}
 	// The grid is an explicit reference only: auto never picks it.
 	for _, n := range []int{1, 64, 511, 512, 4095, 4096, 32767, 32768, 40000} {
-		s := mkEu(n)
-		for _, acc := range []Accuracy{AccuracyExact, AccuracyBalanced, AccuracyFast} {
-			if got := Choose(s, p, acc); got == KindGrid {
-				t.Errorf("n=%d accuracy=%d: Choose = %q", n, acc, got)
-			}
+		if got := Choose(mkEu(n), p); got == KindGrid {
+			t.Errorf("n=%d: Choose = %q", n, got)
 		}
 	}
 	// AutoEngine must build what Choose says and satisfy Resolver.
-	r, err := AutoEngine(mkEu(256), p, AccuracyBalanced)
+	r, err := AutoEngine(mkEu(256), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"sinrcast/internal/broadcast"
 	"sinrcast/internal/coloring"
 	"sinrcast/internal/geom"
-	"sinrcast/internal/netgen"
 	"sinrcast/internal/network"
 	"sinrcast/internal/protocol"
 	"sinrcast/internal/scenario"
@@ -152,30 +151,37 @@ func NewLineNetwork(p Physical, coords []float64) (*Network, error) {
 // GenerateUniform places n stations uniformly at the given mean density
 // (stations per communication ball), retrying until connected.
 func GenerateUniform(p Physical, n int, density float64, seed uint64) (*Network, error) {
-	return netgen.Uniform(netgen.Config{Params: p, Seed: seed}, n, density)
+	if density <= 0 {
+		density = 6
+	}
+	return Generate(Spec{Family: "uniform", Params: map[string]float64{"n": float64(n), "density": density}}, p, seed)
 }
 
 // GeneratePath places n stations on a line at fraction·commRadius gaps.
 func GeneratePath(p Physical, n int, fraction float64, seed uint64) (*Network, error) {
-	return netgen.Path(netgen.Config{Params: p, Seed: seed}, n, fraction)
+	return Generate(Spec{Family: "path", Params: map[string]float64{"n": float64(n), "frac": fraction}}, p, seed)
 }
 
 // GenerateClusters places k clusters of m stations bridged in a row.
 func GenerateClusters(p Physical, k, m int, clusterRadius, bridgeGap float64, seed uint64) (*Network, error) {
-	return netgen.Clusters(netgen.Config{Params: p, Seed: seed}, k, m, clusterRadius, bridgeGap)
+	return Generate(Spec{Family: "clusters", Params: map[string]float64{
+		"k": float64(k), "m": float64(m), "radius": clusterRadius, "gap": bridgeGap,
+	}}, p, seed)
 }
 
 // GenerateExponentialChain builds the paper's footnote-2 worst case:
 // consecutive gaps shrink geometrically, granularity Rs = ratio^-n.
 func GenerateExponentialChain(p Physical, n int, first, ratio float64, seed uint64) (*Network, error) {
-	return netgen.ExponentialChain(netgen.Config{Params: p, Seed: seed}, n, first, ratio)
+	return Generate(Spec{Family: "expchain", Params: map[string]float64{"n": float64(n), "first": first, "ratio": ratio}}, p, seed)
 }
 
 // GenerateClusteredPath builds a fixed-diameter path with an exponential
 // cluster at station 0: the ratio controls granularity Rs while D stays
 // constant — the topology of the geometry-impact experiment (E6).
 func GenerateClusteredPath(p Physical, pathLen, clusterSize int, ratio float64) (*Network, error) {
-	return netgen.ClusteredPath(netgen.Config{Params: p}, pathLen, clusterSize, ratio)
+	return Generate(Spec{Family: "clusteredpath", Params: map[string]float64{
+		"pathlen": float64(pathLen), "cluster": float64(clusterSize), "ratio": ratio,
+	}}, p, 0)
 }
 
 // DefaultBroadcastConfig returns the calibrated broadcast configuration

@@ -1,6 +1,8 @@
 package sinrcast
 
 import (
+	"math"
+	"reflect"
 	"testing"
 )
 
@@ -204,16 +206,6 @@ func TestFacadeScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The spec path and the legacy generator must agree exactly.
-	legacy, err := GenerateUniform(DefaultPhysical(), 48, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < net.N(); i++ {
-		if net.Space.Position(i) != legacy.Space.Position(i) {
-			t.Fatalf("station %d: spec path diverged from GenerateUniform", i)
-		}
-	}
 	if net.Meta["attempts"] < 1 {
 		t.Fatalf("generator meta missing: %v", net.Meta)
 	}
@@ -222,6 +214,51 @@ func TestFacadeScenarios(t *testing.T) {
 	}
 	if ScenarioCatalogue() == "" {
 		t.Fatal("empty scenario catalogue")
+	}
+}
+
+// TestFacadeGeneratorsMatchSpecs pins every Generate* wrapper to the
+// scenario spec it stands for: same station count, positions equal bit
+// for bit, same generator meta.
+func TestFacadeGeneratorsMatchSpecs(t *testing.T) {
+	p := DefaultPhysical()
+	for _, tc := range []struct {
+		spec   string
+		seed   uint64
+		legacy func() (*Network, error)
+	}{
+		{"uniform:n=48,density=8", 1, func() (*Network, error) { return GenerateUniform(p, 48, 8, 1) }},
+		{"uniform:n=48,density=6", 1, func() (*Network, error) { return GenerateUniform(p, 48, 0, 1) }},
+		{"uniform:n=48,density=6", 2, func() (*Network, error) { return GenerateUniform(p, 48, -1, 2) }},
+		{"path:n=20,frac=0.9", 1, func() (*Network, error) { return GeneratePath(p, 20, 0.9, 1) }},
+		{"clusters:k=3,m=10,radius=0.08,gap=0.6", 2, func() (*Network, error) { return GenerateClusters(p, 3, 10, 0.08, 0.6, 2) }},
+		{"expchain:n=24,first=0.5,ratio=0.55", 3, func() (*Network, error) { return GenerateExponentialChain(p, 24, 0.5, 0.55, 3) }},
+		{"clusteredpath:pathlen=10,cluster=16,ratio=0.6", 0, func() (*Network, error) { return GenerateClusteredPath(p, 10, 16, 0.6) }},
+	} {
+		spec, err := ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Generate(spec, p, tc.seed)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		got, err := tc.legacy()
+		if err != nil {
+			t.Fatalf("%s wrapper: %v", tc.spec, err)
+		}
+		if got.N() != want.N() {
+			t.Fatalf("%s: wrapper built n=%d, spec n=%d", tc.spec, got.N(), want.N())
+		}
+		for i := 0; i < want.N(); i++ {
+			a, b := got.Space.Position(i), want.Space.Position(i)
+			if math.Float64bits(a.X) != math.Float64bits(b.X) || math.Float64bits(a.Y) != math.Float64bits(b.Y) {
+				t.Fatalf("%s station %d: wrapper %v, spec %v", tc.spec, i, a, b)
+			}
+		}
+		if !reflect.DeepEqual(got.Meta, want.Meta) {
+			t.Fatalf("%s: wrapper meta %v, spec meta %v", tc.spec, got.Meta, want.Meta)
+		}
 	}
 }
 
