@@ -8,6 +8,10 @@
 // is divided across the job workers, so J concurrent jobs never
 // oversubscribe the cores a single batch run would use.
 //
+// The Manager is the service's only id → job table: each Handle
+// carries one caller-defined value V (the transport's per-job record),
+// so the record lives exactly as long as the manager retains the job.
+//
 // Shutdown is graceful and two-phased: new submissions are rejected,
 // jobs still waiting in the queue fail with ErrShutdown (a clean,
 // queryable error — the work never started), and in-flight jobs drain
@@ -22,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -102,10 +107,11 @@ func (c Config) EngineWorkersPerJob() int {
 
 // Handle is one submitted job. All methods are safe for concurrent
 // use.
-type Handle struct {
-	id   string
-	name string
-	run  RunFunc
+type Handle[V any] struct {
+	id    string
+	name  string
+	value V
+	run   RunFunc
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -120,14 +126,17 @@ type Handle struct {
 }
 
 // ID returns the manager-assigned job id.
-func (h *Handle) ID() string { return h.id }
+func (h *Handle[V]) ID() string { return h.id }
 
 // Name returns the caller-supplied display name.
-func (h *Handle) Name() string { return h.name }
+func (h *Handle[V]) Name() string { return h.name }
+
+// Value returns the caller-supplied per-job value.
+func (h *Handle[V]) Value() V { return h.value }
 
 // State returns the current state and, for failed/canceled jobs, the
 // error.
-func (h *Handle) State() (State, error) {
+func (h *Handle[V]) State() (State, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.state, h.err
@@ -135,18 +144,18 @@ func (h *Handle) State() (State, error) {
 
 // Times returns the creation, start, and finish instants; started and
 // finished are zero until the corresponding transition.
-func (h *Handle) Times() (created, started, finished time.Time) {
+func (h *Handle[V]) Times() (created, started, finished time.Time) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.created, h.started, h.finished
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
-func (h *Handle) Done() <-chan struct{} { return h.done }
+func (h *Handle[V]) Done() <-chan struct{} { return h.done }
 
 // Wait blocks until the job finishes or ctx expires, returning the
 // job's terminal error (nil for done).
-func (h *Handle) Wait(ctx context.Context) error {
+func (h *Handle[V]) Wait(ctx context.Context) error {
 	select {
 	case <-h.done:
 		_, err := h.State()
@@ -159,7 +168,7 @@ func (h *Handle) Wait(ctx context.Context) error {
 // Cancel requests cancellation: a queued job finishes canceled without
 // running; a running job has its context cancelled and finishes when
 // its RunFunc returns.
-func (h *Handle) Cancel() {
+func (h *Handle[V]) Cancel() {
 	h.cancel()
 	h.mu.Lock()
 	if h.state == StateQueued {
@@ -170,7 +179,7 @@ func (h *Handle) Cancel() {
 
 // tryStart moves queued → running; false when the job was cancelled
 // while queued (the worker skips it).
-func (h *Handle) tryStart() bool {
+func (h *Handle[V]) tryStart() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.state != StateQueued {
@@ -182,7 +191,7 @@ func (h *Handle) tryStart() bool {
 }
 
 // finish records the terminal state of a job that ran.
-func (h *Handle) finish(err error) {
+func (h *Handle[V]) finish(err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.state.Terminal() {
@@ -199,7 +208,7 @@ func (h *Handle) finish(err error) {
 }
 
 // failQueued fails a job that never ran (shutdown drain).
-func (h *Handle) failQueued(err error) {
+func (h *Handle[V]) failQueued(err error) {
 	h.mu.Lock()
 	if !h.state.Terminal() {
 		h.finishLocked(StateFailed, err)
@@ -208,7 +217,7 @@ func (h *Handle) failQueued(err error) {
 	h.cancel()
 }
 
-func (h *Handle) finishLocked(s State, err error) {
+func (h *Handle[V]) finishLocked(s State, err error) {
 	h.state = s
 	h.err = err
 	h.finished = time.Now()
@@ -229,15 +238,16 @@ type Stats struct {
 	DrainPerSec float64 `json:"drain_per_sec"`
 }
 
-// Manager runs jobs from a bounded queue on a fixed worker pool.
-type Manager struct {
+// Manager runs jobs from a bounded queue on a fixed worker pool. V is
+// the type of the per-job value its handles carry.
+type Manager[V any] struct {
 	cfg   Config
-	queue chan *Handle
+	queue chan *Handle[V]
 	wg    sync.WaitGroup
 
 	mu       sync.Mutex
-	jobs     map[string]*Handle
-	order    []string
+	jobs     map[string]*Handle[V]
+	order    []*Handle[V] // retained jobs in submission order
 	nextID   int64
 	shutdown bool
 
@@ -260,19 +270,19 @@ const (
 	drainWindow  = 30 * time.Second
 )
 
-// maxRetained bounds how many finished jobs stay queryable; older ones
-// are pruned oldest-first so a long-running daemon does not grow
-// without bound.
-const maxRetained = 4096
+// MaxRetained bounds how many jobs stay queryable: past it the oldest
+// finished jobs are pruned, so a long-running daemon does not grow
+// without bound. Live jobs are never pruned.
+const MaxRetained = 4096
 
 // New starts a manager with cfg's (defaulted) queue depth and worker
 // pool.
-func New(cfg Config) *Manager {
+func New[V any](cfg Config) *Manager[V] {
 	cfg = cfg.withDefaults()
-	m := &Manager{
+	m := &Manager[V]{
 		cfg:   cfg,
-		queue: make(chan *Handle, cfg.QueueDepth),
-		jobs:  make(map[string]*Handle),
+		queue: make(chan *Handle[V], cfg.QueueDepth),
+		jobs:  make(map[string]*Handle[V]),
 	}
 	m.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -282,82 +292,73 @@ func New(cfg Config) *Manager {
 }
 
 // Config returns the effective (defaulted) configuration.
-func (m *Manager) Config() Config { return m.cfg }
+func (m *Manager[V]) Config() Config { return m.cfg }
 
-// Submit admits a job. It returns ErrQueueFull when the admission
-// queue is at capacity and ErrShutdown after Shutdown began; both are
-// immediate — Submit never blocks on the queue.
-func (m *Manager) Submit(name string, run RunFunc) (*Handle, error) {
-	return m.admit("", name, run)
+// Submit admits a job carrying value. It returns ErrQueueFull when
+// the admission queue is at capacity and ErrShutdown after Shutdown
+// began; both are immediate — Submit never blocks on the queue.
+func (m *Manager[V]) Submit(name string, value V, run RunFunc) (*Handle[V], error) {
+	return m.admit("", name, value, run)
 }
 
 // Resubmit admits a job under a caller-supplied id — the journal
 // replay path, where a restarted daemon re-queues work that was
 // in-flight at the crash and clients must find it under its original
 // id. The id counter advances past the replayed id so fresh Submit
-// ids never collide; an id already live in the manager is an error.
-func (m *Manager) Resubmit(id, name string, run RunFunc) (*Handle, error) {
+// ids never collide; an id the manager still retains is an error.
+func (m *Manager[V]) Resubmit(id, name string, value V, run RunFunc) (*Handle[V], error) {
 	if id == "" {
 		return nil, fmt.Errorf("jobs: Resubmit needs an id")
 	}
-	return m.admit(id, name, run)
+	return m.admit(id, name, value, run)
 }
 
 // ReserveThrough advances the id counter so no future Submit assigns
-// "jK" for any K <= n. Journal replay calls it with the highest id
-// found in the journal before any traffic is accepted, so fresh ids
-// can never collide with ids Resubmit will re-queue later.
-func (m *Manager) ReserveThrough(n int64) {
+// id or any "jK" below it; ids not of that form reserve nothing.
+// Journal replay calls it with every journaled id before any traffic
+// is accepted, so fresh ids can never collide with ids Resubmit will
+// re-queue later.
+func (m *Manager[V]) ReserveThrough(id string) {
 	m.mu.Lock()
-	if n > m.nextID {
+	m.reserveLocked(id)
+	m.mu.Unlock()
+}
+
+// reserveLocked advances the id counter to N for an id "jN" — the one
+// parser of the manager's id format.
+func (m *Manager[V]) reserveLocked(id string) {
+	digits, ok := strings.CutPrefix(id, "j")
+	if n, err := strconv.ParseInt(digits, 10, 64); ok && err == nil && n > m.nextID {
 		m.nextID = n
 	}
-	m.mu.Unlock()
 }
 
 // RegisterFailed records a job that could not be re-queued (e.g. the
 // replay of a journal whose in-flight jobs exceed the new queue depth)
 // as already failed, so clients querying its id find a terminal state
 // instead of a vanished job. It occupies no queue slot and never runs.
-func (m *Manager) RegisterFailed(id, name string, cause error) (*Handle, error) {
+func (m *Manager[V]) RegisterFailed(id, name string, value V, cause error) (*Handle[V], error) {
 	if id == "" {
 		return nil, fmt.Errorf("jobs: RegisterFailed needs an id")
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, exists := m.jobs[id]; exists {
-		return nil, fmt.Errorf("jobs: id %s already exists", id)
+	h, err := m.newLocked(id, name, value, nil)
+	if err != nil {
+		return nil, err
 	}
-	if n, err := strconv.ParseInt(strings.TrimPrefix(id, "j"), 10, 64); err == nil && n > m.nextID {
-		m.nextID = n
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	now := time.Now()
-	h := &Handle{
-		id:       id,
-		name:     name,
-		ctx:      ctx,
-		cancel:   cancel,
-		state:    StateFailed,
-		err:      cause,
-		created:  now,
-		finished: now,
-		done:     make(chan struct{}),
-	}
-	close(h.done)
-	m.jobs[id] = h
-	m.order = append(m.order, id)
+	h.cancel()
+	h.finishLocked(StateFailed, cause)
 	// Submitted and Completed move together so the drain invariant
 	// (Submitted == Completed after Shutdown) holds; the drain-rate ring
 	// is left alone — nothing actually drained through a worker.
 	m.submitted.Add(1)
 	m.completed.Add(1)
-	m.pruneLocked()
+	m.retainLocked(h)
 	return h, nil
 }
 
-func (m *Manager) admit(id, name string, run RunFunc) (*Handle, error) {
+func (m *Manager[V]) admit(id, name string, value V, run RunFunc) (*Handle[V], error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.shutdown {
@@ -365,27 +366,9 @@ func (m *Manager) admit(id, name string, run RunFunc) (*Handle, error) {
 		return nil, ErrShutdown
 	}
 	assigned := id == ""
-	if assigned {
-		m.nextID++
-		id = fmt.Sprintf("j%d", m.nextID)
-	} else {
-		if _, exists := m.jobs[id]; exists {
-			return nil, fmt.Errorf("jobs: id %s already exists", id)
-		}
-		if n, err := strconv.ParseInt(strings.TrimPrefix(id, "j"), 10, 64); err == nil && n > m.nextID {
-			m.nextID = n
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	h := &Handle{
-		id:      id,
-		name:    name,
-		run:     run,
-		ctx:     ctx,
-		cancel:  cancel,
-		state:   StateQueued,
-		created: time.Now(),
-		done:    make(chan struct{}),
+	h, err := m.newLocked(id, name, value, run)
+	if err != nil {
+		return nil, err
 	}
 	select {
 	case m.queue <- h:
@@ -394,32 +377,76 @@ func (m *Manager) admit(id, name string, run RunFunc) (*Handle, error) {
 			m.nextID--
 		}
 		m.rejected.Add(1)
-		cancel()
+		h.cancel()
 		return nil, ErrQueueFull
 	}
-	m.jobs[h.id] = h
-	m.order = append(m.order, h.id)
 	m.submitted.Add(1)
-	m.pruneLocked()
+	m.retainLocked(h)
 	return h, nil
 }
 
-// pruneLocked drops the oldest finished jobs beyond maxRetained.
-func (m *Manager) pruneLocked() {
-	for len(m.order) > maxRetained {
-		id := m.order[0]
-		if h, ok := m.jobs[id]; ok {
-			if s, _ := h.State(); !s.Terminal() {
-				return // oldest still live; nothing older to drop
-			}
-			delete(m.jobs, id)
-		}
-		m.order = m.order[1:]
+// newLocked builds a queued handle under id, or under the next fresh id
+// when id is empty. A caller-supplied id must not be retained already.
+func (m *Manager[V]) newLocked(id, name string, value V, run RunFunc) (*Handle[V], error) {
+	if id == "" {
+		m.nextID++
+		id = fmt.Sprintf("j%d", m.nextID)
+	} else if _, exists := m.jobs[id]; exists {
+		return nil, fmt.Errorf("jobs: id %s already exists", id)
+	} else {
+		m.reserveLocked(id)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	return &Handle[V]{
+		id:      id,
+		name:    name,
+		value:   value,
+		run:     run,
+		ctx:     ctx,
+		cancel:  cancel,
+		state:   StateQueued,
+		created: time.Now(),
+		done:    make(chan struct{}),
+	}, nil
 }
 
-// Get returns a submitted job by id.
-func (m *Manager) Get(id string) (*Handle, bool) {
+// retainLocked registers h and prunes past MaxRetained: the oldest
+// terminal jobs are dropped, and live ones keep their place however
+// old they are. At most QueueDepth + Workers jobs are live, so a prune
+// scans past at most that many before it has dropped enough.
+func (m *Manager[V]) retainLocked(h *Handle[V]) {
+	m.jobs[h.id] = h
+	m.order = append(m.order, h)
+	excess := len(m.order) - MaxRetained
+	if excess <= 0 {
+		return
+	}
+	// Walk the head dropping terminal jobs until excess are gone, then
+	// slide the live ones met on the way up, in order, to just before
+	// the first unvisited slot. Vacated slots are cleared so a pruned
+	// job's value is freed now, not when append next moves the slice.
+	i := 0
+	for ; i < len(m.order) && excess > 0; i++ {
+		old := m.order[i]
+		if s, _ := old.State(); s.Terminal() {
+			delete(m.jobs, old.id)
+			m.order[i] = nil
+			excess--
+		}
+	}
+	head := i
+	for j := i - 1; j >= 0; j-- {
+		if live := m.order[j]; live != nil {
+			m.order[j] = nil
+			head--
+			m.order[head] = live
+		}
+	}
+	m.order = m.order[head:]
+}
+
+// Get returns a retained job by id.
+func (m *Manager[V]) Get(id string) (*Handle[V], bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	h, ok := m.jobs[id]
@@ -427,30 +454,14 @@ func (m *Manager) Get(id string) (*Handle, bool) {
 }
 
 // Jobs returns all retained handles in submission order.
-func (m *Manager) Jobs() []*Handle {
+func (m *Manager[V]) Jobs() []*Handle[V] {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Handle, 0, len(m.order))
-	for _, id := range m.order {
-		if h, ok := m.jobs[id]; ok {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// Cancel cancels the job with the given id; false if unknown.
-func (m *Manager) Cancel(id string) bool {
-	h, ok := m.Get(id)
-	if !ok {
-		return false
-	}
-	h.Cancel()
-	return true
+	return slices.Clone(m.order)
 }
 
 // Stats snapshots the counters.
-func (m *Manager) Stats() Stats {
+func (m *Manager[V]) Stats() Stats {
 	return Stats{
 		Queued:      len(m.queue),
 		Depth:       cap(m.queue),
@@ -464,7 +475,7 @@ func (m *Manager) Stats() Stats {
 
 // completeOne counts a job that reached a terminal state and feeds the
 // drain-rate window.
-func (m *Manager) completeOne() {
+func (m *Manager[V]) completeOne() {
 	m.completed.Add(1)
 	now := time.Now()
 	m.drainMu.Lock()
@@ -481,7 +492,7 @@ func (m *Manager) completeOne() {
 // instants no older than drainWindow. It returns 0 before two
 // completions land in the window — callers fall back to a fixed
 // Retry-After.
-func (m *Manager) DrainRate() float64 {
+func (m *Manager[V]) DrainRate() float64 {
 	now := time.Now()
 	m.drainMu.Lock()
 	defer m.drainMu.Unlock()
@@ -511,7 +522,7 @@ func (m *Manager) DrainRate() float64 {
 // backpressure hint: roughly how long until a queue slot frees, in
 // whole seconds, clamped to [1, 60]. With no drain observed yet it
 // answers a conservative 2.
-func (m *Manager) RetryAfter() time.Duration {
+func (m *Manager[V]) RetryAfter() time.Duration {
 	rate := m.DrainRate()
 	if rate <= 0 {
 		return 2 * time.Second
@@ -526,7 +537,7 @@ func (m *Manager) RetryAfter() time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-func (m *Manager) worker() {
+func (m *Manager[V]) worker() {
 	defer m.wg.Done()
 	for h := range m.queue {
 		if !h.tryStart() {
@@ -546,7 +557,7 @@ func (m *Manager) worker() {
 // invoke runs a job's body, converting a panic into a failure so one
 // bad job cannot take the worker pool down. The stall hook lets the
 // chaos suite hold a worker between dequeue and run.
-func (m *Manager) invoke(h *Handle) (err error) {
+func (m *Manager[V]) invoke(h *Handle[V]) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("jobs: job %s panicked: %v", h.id, r)
@@ -563,7 +574,7 @@ func (m *Manager) invoke(h *Handle) (err error) {
 // ctx expires before the drain completes, running jobs are cancelled
 // through their contexts and Shutdown still waits for their RunFuncs
 // to unwind, returning ctx's error to signal the drain was forced.
-func (m *Manager) Shutdown(ctx context.Context) error {
+func (m *Manager[V]) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if m.shutdown {
 		m.mu.Unlock()

@@ -18,10 +18,10 @@ func waitCtx(t *testing.T) context.Context {
 }
 
 func TestSubmitRunWait(t *testing.T) {
-	m := New(Config{Workers: 2, QueueDepth: 4})
+	m := New[any](Config{Workers: 2, QueueDepth: 4})
 	defer m.Shutdown(context.Background())
 	var gotWorkers int
-	h, err := m.Submit("t", func(ctx context.Context, w int) error {
+	h, err := m.Submit("t", nil, func(ctx context.Context, w int) error {
 		gotWorkers = w
 		return nil
 	})
@@ -82,20 +82,20 @@ func (g *gatedJob) run(ctx context.Context, _ int) error {
 // worker and a depth-2 queue, the fourth submission is rejected
 // immediately with ErrQueueFull — never blocked, never buffered.
 func TestQueueFullBackpressure(t *testing.T) {
-	m := New(Config{Workers: 1, QueueDepth: 2})
+	m := New[any](Config{Workers: 1, QueueDepth: 2})
 	defer m.Shutdown(context.Background())
 	g := newGatedJob()
-	running, err := m.Submit("running", g.run)
+	running, err := m.Submit("running", nil, g.run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-g.started
 	for i := 0; i < 2; i++ {
-		if _, err := m.Submit("queued", func(ctx context.Context, _ int) error { return nil }); err != nil {
+		if _, err := m.Submit("queued", nil, func(ctx context.Context, _ int) error { return nil }); err != nil {
 			t.Fatalf("queued submit %d: %v", i, err)
 		}
 	}
-	if _, err := m.Submit("overflow", func(ctx context.Context, _ int) error { return nil }); !errors.Is(err, ErrQueueFull) {
+	if _, err := m.Submit("overflow", nil, func(ctx context.Context, _ int) error { return nil }); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit: err = %v, want ErrQueueFull", err)
 	}
 	if st := m.Stats(); st.Rejected != 1 || st.Queued != 2 {
@@ -108,24 +108,22 @@ func TestQueueFullBackpressure(t *testing.T) {
 }
 
 func TestCancelQueuedNeverRuns(t *testing.T) {
-	m := New(Config{Workers: 1, QueueDepth: 4})
+	m := New[any](Config{Workers: 1, QueueDepth: 4})
 	defer m.Shutdown(context.Background())
 	g := newGatedJob()
-	if _, err := m.Submit("running", g.run); err != nil {
+	if _, err := m.Submit("running", nil, g.run); err != nil {
 		t.Fatal(err)
 	}
 	<-g.started
 	var ran atomic.Bool
-	h, err := m.Submit("queued", func(ctx context.Context, _ int) error {
+	h, err := m.Submit("queued", nil, func(ctx context.Context, _ int) error {
 		ran.Store(true)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Cancel(h.ID()) {
-		t.Fatal("Cancel returned false for a known job")
-	}
+	h.Cancel()
 	if err := h.Wait(waitCtx(t)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("wait: %v, want context.Canceled", err)
 	}
@@ -134,7 +132,7 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 	}
 	close(g.release)
 	// Drain the worker past the cancelled entry; it must skip it.
-	h2, err := m.Submit("after", func(ctx context.Context, _ int) error { return nil })
+	h2, err := m.Submit("after", nil, func(ctx context.Context, _ int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +145,10 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 }
 
 func TestCancelRunning(t *testing.T) {
-	m := New(Config{Workers: 1, QueueDepth: 4})
+	m := New[any](Config{Workers: 1, QueueDepth: 4})
 	defer m.Shutdown(context.Background())
 	g := newGatedJob()
-	h, err := m.Submit("running", g.run)
+	h, err := m.Submit("running", nil, g.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,22 +166,22 @@ func TestCancelRunning(t *testing.T) {
 // queued jobs fail with ErrShutdown without ever running, and new
 // submissions are rejected.
 func TestGracefulShutdown(t *testing.T) {
-	m := New(Config{Workers: 2, QueueDepth: 8})
+	m := New[any](Config{Workers: 2, QueueDepth: 8})
 	g1, g2 := newGatedJob(), newGatedJob()
-	r1, err := m.Submit("run1", g1.run)
+	r1, err := m.Submit("run1", nil, g1.run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := m.Submit("run2", g2.run)
+	r2, err := m.Submit("run2", nil, g2.run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-g1.started
 	<-g2.started
 	var ran atomic.Int32
-	var queued []*Handle
+	var queued []*Handle[any]
 	for i := 0; i < 4; i++ {
-		h, err := m.Submit(fmt.Sprintf("q%d", i), func(ctx context.Context, _ int) error {
+		h, err := m.Submit(fmt.Sprintf("q%d", i), nil, func(ctx context.Context, _ int) error {
 			ran.Add(1)
 			return nil
 		})
@@ -211,7 +209,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 
 	// New submissions are rejected while draining.
-	if _, err := m.Submit("late", func(ctx context.Context, _ int) error { return nil }); !errors.Is(err, ErrShutdown) {
+	if _, err := m.Submit("late", nil, func(ctx context.Context, _ int) error { return nil }); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("late submit: err %v, want ErrShutdown", err)
 	}
 
@@ -221,7 +219,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("graceful shutdown returned %v", err)
 	}
-	for i, h := range []*Handle{r1, r2} {
+	for i, h := range []*Handle[any]{r1, r2} {
 		if s, _ := h.State(); s != StateDone {
 			t.Fatalf("in-flight job %d: state %s, want done", i, s)
 		}
@@ -232,9 +230,9 @@ func TestGracefulShutdown(t *testing.T) {
 // running jobs are cancelled through their own contexts and Shutdown
 // still waits for them to unwind.
 func TestShutdownDeadlineForcesCancel(t *testing.T) {
-	m := New(Config{Workers: 1, QueueDepth: 2})
+	m := New[any](Config{Workers: 1, QueueDepth: 2})
 	g := newGatedJob()
-	h, err := m.Submit("stuck", g.run)
+	h, err := m.Submit("stuck", nil, g.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +248,9 @@ func TestShutdownDeadlineForcesCancel(t *testing.T) {
 }
 
 func TestPanicIsolation(t *testing.T) {
-	m := New(Config{Workers: 1, QueueDepth: 4})
+	m := New[any](Config{Workers: 1, QueueDepth: 4})
 	defer m.Shutdown(context.Background())
-	h, err := m.Submit("boom", func(ctx context.Context, _ int) error { panic("boom") })
+	h, err := m.Submit("boom", nil, func(ctx context.Context, _ int) error { panic("boom") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +261,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("state %s, want failed", s)
 	}
 	// The worker survived; the next job runs.
-	h2, err := m.Submit("after", func(ctx context.Context, _ int) error { return nil })
+	h2, err := m.Submit("after", nil, func(ctx context.Context, _ int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +274,7 @@ func TestPanicIsolation(t *testing.T) {
 // goroutines — the race detector's food (the CI race job covers this
 // package).
 func TestConcurrentSubmitWaitCancel(t *testing.T) {
-	m := New(Config{Workers: 4, QueueDepth: 256, EngineWorkers: 4})
+	m := New[any](Config{Workers: 4, QueueDepth: 256, EngineWorkers: 4})
 	defer m.Shutdown(context.Background())
 	var wg sync.WaitGroup
 	var completed atomic.Int64
@@ -285,7 +283,7 @@ func TestConcurrentSubmitWaitCancel(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				h, err := m.Submit("w", func(ctx context.Context, _ int) error { return nil })
+				h, err := m.Submit("w", nil, func(ctx context.Context, _ int) error { return nil })
 				if errors.Is(err, ErrQueueFull) {
 					continue
 				}
@@ -310,22 +308,25 @@ func TestConcurrentSubmitWaitCancel(t *testing.T) {
 	}
 }
 
-// TestReserveThrough pins the replay id guard: after ReserveThrough(n)
-// no fresh Submit assigns an id at or below jn, and lower reservations
-// never move the counter backwards.
+// TestReserveThrough pins the replay id guard: after ReserveThrough("jn")
+// no fresh Submit assigns an id at or below jn, lower reservations
+// never move the counter backwards, and ids not of the form "jN"
+// reserve nothing.
 func TestReserveThrough(t *testing.T) {
-	m := New(Config{Workers: 1, QueueDepth: 4})
+	m := New[any](Config{Workers: 1, QueueDepth: 4})
 	defer m.Shutdown(context.Background())
-	m.ReserveThrough(41)
-	h, err := m.Submit("a", func(ctx context.Context, _ int) error { return nil })
+	m.ReserveThrough("j41")
+	h, err := m.Submit("a", nil, func(ctx context.Context, _ int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.ID() != "j42" {
-		t.Fatalf("id after ReserveThrough(41) = %s, want j42", h.ID())
+		t.Fatalf("id after ReserveThrough(j41) = %s, want j42", h.ID())
 	}
-	m.ReserveThrough(3)
-	h2, err := m.Submit("b", func(ctx context.Context, _ int) error { return nil })
+	for _, id := range []string{"j3", "x99", "99", "j", "j1e3", "J50", ""} {
+		m.ReserveThrough(id)
+	}
+	h2, err := m.Submit("b", nil, func(ctx context.Context, _ int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,9 +340,9 @@ func TestReserveThrough(t *testing.T) {
 // id, occupies no queue slot, reserves its id, and keeps the
 // Submitted == Completed drain invariant.
 func TestRegisterFailed(t *testing.T) {
-	m := New(Config{Workers: 1, QueueDepth: 1})
+	m := New[any](Config{Workers: 1, QueueDepth: 1})
 	cause := errors.New("replay: queue full")
-	h, err := m.RegisterFailed("j9", "lost", cause)
+	h, err := m.RegisterFailed("j9", "lost", nil, cause)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,10 +360,10 @@ func TestRegisterFailed(t *testing.T) {
 	if got, ok := m.Get("j9"); !ok || got != h {
 		t.Fatal("registered handle not queryable by id")
 	}
-	if _, err := m.RegisterFailed("j9", "dup", cause); err == nil {
+	if _, err := m.RegisterFailed("j9", "dup", nil, cause); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
-	h2, err := m.Submit("next", func(ctx context.Context, _ int) error { return nil })
+	h2, err := m.Submit("next", nil, func(ctx context.Context, _ int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,5 +376,91 @@ func TestRegisterFailed(t *testing.T) {
 	st := m.Stats()
 	if st.Submitted != st.Completed {
 		t.Fatalf("Submitted %d != Completed %d after drain", st.Submitted, st.Completed)
+	}
+}
+
+// TestRetentionPrunesPastLiveHead pins the retention bound: while the
+// oldest job (and one a little younger) are held running, finished
+// jobs past MaxRetained are still pruned oldest-first. The live jobs
+// keep their places, Jobs lists exactly MaxRetained handles in
+// submission order, and each carries the value it was submitted with.
+// Once the head finishes, it is the next job pruned.
+func TestRetentionPrunesPastLiveHead(t *testing.T) {
+	m := New[int](Config{Workers: 3, QueueDepth: 8})
+	defer m.Shutdown(context.Background())
+	head, mid := newGatedJob(), newGatedJob()
+	releaseHead := sync.OnceFunc(func() { close(head.release) })
+	// Released before Shutdown, which would wait on the held jobs.
+	defer close(mid.release)
+	defer releaseHead()
+	ctx := waitCtx(t)
+	quick := func(value int) {
+		t.Helper()
+		h, err := m.Submit("quick", value, func(ctx context.Context, _ int) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := func(value int, g *gatedJob) *Handle[int] {
+		t.Helper()
+		h, err := m.Submit("held", value, g.run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-g.started
+		return h
+	}
+
+	// Values follow submission order: 0 is the head, 1…3 quick, 4 the
+	// held middle job, then the rest quick.
+	hHead := held(0, head)
+	for v := 1; v <= 3; v++ {
+		quick(v)
+	}
+	hMid := held(4, mid)
+	const total = MaxRetained + 500
+	for v := 5; v < total; v++ {
+		quick(v)
+	}
+	retained := m.Jobs()
+	if len(retained) != MaxRetained {
+		t.Fatalf("%d jobs retained, want MaxRetained = %d", len(retained), MaxRetained)
+	}
+	if retained[0] != hHead || retained[1] != hMid {
+		t.Fatalf("Jobs() starts %s, %s; want the live jobs %s, %s",
+			retained[0].ID(), retained[1].ID(), hHead.ID(), hMid.ID())
+	}
+	// Every finished job older than the newest MaxRetained-2 is gone.
+	firstKept := total - (MaxRetained - 2)
+	for i, h := range retained[2:] {
+		if want := firstKept + i; h.Value() != want {
+			t.Fatalf("Jobs()[%d] carries value %d, want %d", i+2, h.Value(), want)
+		}
+	}
+	for v := 1; v < firstKept; v++ {
+		if v == 4 {
+			continue
+		}
+		// Value v was submitted as j(v+1).
+		if _, ok := m.Get(fmt.Sprintf("j%d", v+1)); ok {
+			t.Fatalf("finished job j%d still retained past MaxRetained", v+1)
+		}
+	}
+
+	releaseHead()
+	if err := hHead.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	quick(total)
+	if _, ok := m.Get(hHead.ID()); ok {
+		t.Fatal("finished head job not pruned by the next admission")
+	}
+	retained = m.Jobs()
+	if len(retained) != MaxRetained || retained[0] != hMid || retained[len(retained)-1].Value() != total {
+		t.Fatalf("after the head finished: %d retained from %s to value %d; want %d from %s to value %d",
+			len(retained), retained[0].ID(), retained[len(retained)-1].Value(), MaxRetained, hMid.ID(), total)
 	}
 }

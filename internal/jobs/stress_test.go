@@ -17,7 +17,7 @@ import (
 // lean on: every admission is eventually completed, rejections are
 // counted, and a drained manager holds no work.
 func TestStatsConsistentUnderChurn(t *testing.T) {
-	m := New(Config{QueueDepth: 8, Workers: 4})
+	m := New[any](Config{QueueDepth: 8, Workers: 4})
 	var accepted atomic.Int64
 	var rejected atomic.Int64
 	var handles sync.Map
@@ -34,7 +34,7 @@ func TestStatsConsistentUnderChurn(t *testing.T) {
 				// Drawn here, not inside the body: the job runs on a
 				// worker goroutine and rand.Rand is not concurrency-safe.
 				nap := time.Duration(r.Intn(200)) * time.Microsecond
-				h, err := m.Submit(fmt.Sprintf("g%d-%d", g, i), func(ctx context.Context, _ int) error {
+				h, err := m.Submit(fmt.Sprintf("g%d-%d", g, i), nil, func(ctx context.Context, _ int) error {
 					select {
 					case <-time.After(nap):
 						return nil
@@ -84,7 +84,7 @@ func TestStatsConsistentUnderChurn(t *testing.T) {
 	}
 	// Every accepted handle must be terminal.
 	handles.Range(func(_, v any) bool {
-		h := v.(*Handle)
+		h := v.(*Handle[any])
 		if s, _ := h.State(); !s.Terminal() {
 			t.Fatalf("job %s not terminal after shutdown: %s", h.ID(), s)
 		}
@@ -97,7 +97,7 @@ func TestStatsConsistentUnderChurn(t *testing.T) {
 // [1s, 60s] envelope with the conservative 2s fallback before any
 // signal exists.
 func TestDrainRateAndRetryAfter(t *testing.T) {
-	m := New(Config{QueueDepth: 4, Workers: 2})
+	m := New[any](Config{QueueDepth: 4, Workers: 2})
 	defer m.Shutdown(context.Background())
 
 	if ra := m.RetryAfter(); ra != 2*time.Second {
@@ -107,9 +107,9 @@ func TestDrainRateAndRetryAfter(t *testing.T) {
 		t.Fatalf("DrainRate with no completions = %v, want 0", rate)
 	}
 
-	var hs []*Handle
+	var hs []*Handle[any]
 	for i := 0; i < 6; i++ {
-		h, err := m.Submit("quick", func(ctx context.Context, _ int) error { return nil })
+		h, err := m.Submit("quick", nil, func(ctx context.Context, _ int) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,10 +132,10 @@ func TestDrainRateAndRetryAfter(t *testing.T) {
 // lives under its original id, Get finds it there, and the id counter
 // skips past replayed ids so fresh submissions never collide.
 func TestResubmitKeepsID(t *testing.T) {
-	m := New(Config{QueueDepth: 8, Workers: 1})
+	m := New[any](Config{QueueDepth: 8, Workers: 1})
 	defer m.Shutdown(context.Background())
 
-	h, err := m.Resubmit("j7", "replayed", func(ctx context.Context, _ int) error { return nil })
+	h, err := m.Resubmit("j7", "replayed", nil, func(ctx context.Context, _ int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestResubmitKeepsID(t *testing.T) {
 	}
 
 	// Fresh ids continue past the replayed one.
-	h2, err := m.Submit("fresh", func(ctx context.Context, _ int) error { return nil })
+	h2, err := m.Submit("fresh", nil, func(ctx context.Context, _ int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +159,10 @@ func TestResubmitKeepsID(t *testing.T) {
 	}
 
 	// A live id cannot be replayed twice.
-	if _, err := m.Resubmit("j8", "dup", func(ctx context.Context, _ int) error { return nil }); err == nil {
+	if _, err := m.Resubmit("j8", "dup", nil, func(ctx context.Context, _ int) error { return nil }); err == nil {
 		t.Fatal("Resubmit over a live id succeeded")
 	}
-	if _, err := m.Resubmit("", "anon", func(ctx context.Context, _ int) error { return nil }); err == nil {
+	if _, err := m.Resubmit("", "anon", nil, func(ctx context.Context, _ int) error { return nil }); err == nil {
 		t.Fatal("Resubmit with an empty id succeeded")
 	}
 }

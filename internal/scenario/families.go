@@ -123,7 +123,7 @@ func init() {
 func buildUniform(b Build) (*network.Network, error) {
 	n, density := b.Int("n"), b.Float("density")
 	if density <= 0 {
-		density = 6
+		return nil, registry.SpecErrorf("scenario: uniform: density %v must be positive", density)
 	}
 	r := b.Rng()
 	// side chosen so that n stations give ~density stations per ball of

@@ -105,6 +105,7 @@ func TestGenerateValidation(t *testing.T) {
 	}{
 		{"unknown-family", Spec{Family: "nope"}, "unknown family"},
 		{"uniform-bogus-param", Spec{Family: "uniform", Params: map[string]float64{"bogus": 1}}, "no parameter"},
+		{"uniform-density0", Spec{Family: "uniform", Params: map[string]float64{"n": 10, "density": 0}}, "density 0 must be positive"},
 		{"uniform-n0", Spec{Family: "uniform", Params: map[string]float64{"n": 0}}, "outside"},
 		{"uniform-n-fractional", Spec{Family: "uniform", Params: map[string]float64{"n": 2.5}}, "must be an integer"},
 		{"path-frac-above-1", Spec{Family: "path", Params: map[string]float64{"frac": 1.5}}, "outside"},

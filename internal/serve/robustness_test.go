@@ -200,7 +200,7 @@ func TestStreamWriteErrorUnsubscribes(t *testing.T) {
 	s, _ := testServer(t, Config{})
 	release := make(chan struct{})
 	s.runHook = func(id string) { <-release }
-	st, err := s.submit(&quickRun)
+	h, err := s.submit(&quickRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestStreamWriteErrorUnsubscribes(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				st.log.append(event{Type: "progress", Job: st.id, Round: intp(i)})
+				h.Value().log.append(event{Type: "progress", Job: h.ID(), Round: intp(i)})
 				time.Sleep(100 * time.Microsecond)
 			}
 		}
@@ -221,8 +221,8 @@ func TestStreamWriteErrorUnsubscribes(t *testing.T) {
 	defer close(release)
 
 	w := &errAfterWriter{n: 2}
-	req := httptest.NewRequest("GET", "/v1/jobs/"+st.id+"/stream", nil)
-	req.SetPathValue("id", st.id)
+	req := httptest.NewRequest("GET", "/v1/jobs/"+h.ID()+"/stream", nil)
+	req.SetPathValue("id", h.ID())
 	done := make(chan struct{})
 	go func() {
 		s.handleStream(w, req)
@@ -242,7 +242,7 @@ func TestStreamClientDisconnectUnsubscribes(t *testing.T) {
 	s, _ := testServer(t, Config{})
 	release := make(chan struct{})
 	s.runHook = func(id string) { <-release }
-	st, err := s.submit(&quickRun)
+	h, err := s.submit(&quickRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestStreamClientDisconnectUnsubscribes(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				st.log.append(event{Type: "progress", Job: st.id, Round: intp(i)})
+				h.Value().log.append(event{Type: "progress", Job: h.ID(), Round: intp(i)})
 				time.Sleep(100 * time.Microsecond)
 			}
 		}
@@ -263,8 +263,8 @@ func TestStreamClientDisconnectUnsubscribes(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &errAfterWriter{n: 1 << 30} // writes always succeed
-	req := httptest.NewRequest("GET", "/v1/jobs/"+st.id+"/stream", nil).WithContext(ctx)
-	req.SetPathValue("id", st.id)
+	req := httptest.NewRequest("GET", "/v1/jobs/"+h.ID()+"/stream", nil).WithContext(ctx)
+	req.SetPathValue("id", h.ID())
 	done := make(chan struct{})
 	go func() {
 		s.handleStream(w, req)
@@ -287,12 +287,12 @@ func TestStreamDisconnectOverTCP(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	release := make(chan struct{})
 	s.runHook = func(id string) { <-release }
-	st, err := s.submit(&JobRequest{Scenario: "uniform:n=32", Protocol: "decay", Seed: 3, Trials: 1, ProgressEvery: 1})
+	h, err := s.submit(&JobRequest{Scenario: "uniform:n=32", Protocol: "decay", Seed: 3, Trials: 1, ProgressEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.id + "/stream")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + h.ID() + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,11 +96,11 @@ func (s *Server) dispatchRPC(method string, params json.RawMessage) (any, *rpcEr
 		if err := unmarshalParams(params, &jr); err != nil {
 			return nil, &rpcError{Code: rpcInvalidParams, Message: err.Error()}
 		}
-		st, err := s.submit(&jr)
+		h, err := s.submit(&jr)
 		switch {
 		case err == nil:
-			state, _ := st.handle.State()
-			return map[string]any{"id": st.id, "state": string(state)}, nil
+			state, _ := h.State()
+			return map[string]any{"id": h.ID(), "state": string(state)}, nil
 		case isBadRequest(err):
 			return nil, &rpcError{Code: rpcInvalidParams, Message: err.Error()}
 		case err == jobs.ErrQueueFull:
@@ -113,22 +113,16 @@ func (s *Server) dispatchRPC(method string, params json.RawMessage) (any, *rpcEr
 		if err := unmarshalParams(params, &ref); err != nil || ref.ID == "" {
 			return nil, &rpcError{Code: rpcInvalidParams, Message: `params must be {"id":"..."}`}
 		}
-		st, ok := s.state(ref.ID)
+		h, ok := s.mgr.Get(ref.ID)
 		if !ok {
 			return nil, &rpcError{Code: rpcNotFound, Message: "no job " + ref.ID}
 		}
 		if method == "job.cancel" {
-			st.handle.Cancel()
+			h.Cancel()
 		}
-		return s.status(st), nil
+		return status(h), nil
 	case "job.list":
-		out := []statusJSON{}
-		for _, h := range s.mgr.Jobs() {
-			if st, ok := s.state(h.ID()); ok {
-				out = append(out, s.status(st))
-			}
-		}
-		return out, nil
+		return s.list(), nil
 	case "cache.stats":
 		return map[string]any{"cache": s.cache.Stats(), "jobs": s.mgr.Stats()}, nil
 	default:

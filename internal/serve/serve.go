@@ -43,7 +43,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,14 +88,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// jobState pairs a jobs.Handle with the serve-side artifacts: the
-// original request, the event log feeding /stream, and the result
-// table.
+// jobState is serve's per-job record, carried as the value of the
+// job's jobs.Handle: the original request, the event log feeding
+// /stream, the result table and the resume state. It is freed when the
+// manager prunes the handle.
 type jobState struct {
-	id     string
-	req    *JobRequest
-	handle *jobs.Handle
-	log    *eventLog
+	// id is the handle's id. On the submit path it is assigned after
+	// Submit returns, so only the job body and the terminal watcher —
+	// both ordered after admit — read it; handlers use the handle's ID.
+	id  string
+	req *JobRequest
+	log *eventLog
 
 	// Resume state, populated only by journal replay: the contiguous
 	// prefix of completed run-job trial rows, and the checkpointed
@@ -128,11 +130,14 @@ func (st *jobState) getTable() *stats.Table {
 	return st.table
 }
 
-// Server is the daemon state: manager, cache, journal, and the job
-// registry.
+// jobHandle is one job as the manager holds it, with its serve record.
+type jobHandle = jobs.Handle[*jobState]
+
+// Server is the daemon state: manager (the job registry), cache and
+// journal.
 type Server struct {
 	cfg   Config
-	mgr   *jobs.Manager
+	mgr   *jobs.Manager[*jobState]
 	cache *Cache
 
 	// journal is nil unless the server was built by Open with a
@@ -164,9 +169,6 @@ type Server struct {
 	// journal.
 	watchers sync.WaitGroup
 
-	mu     sync.Mutex
-	states map[string]*jobState
-
 	// runHook, when set by tests, runs at the start of every job body
 	// with the job id; it lets tests gate job execution
 	// deterministically (backpressure, cancellation, shutdown).
@@ -181,9 +183,8 @@ func New(cfg Config) *Server {
 	close(done)
 	s := &Server{
 		cfg:        cfg,
-		mgr:        jobs.New(cfg.Jobs),
+		mgr:        jobs.New[*jobState](cfg.Jobs),
 		cache:      NewCache(cfg.CacheBytes),
-		states:     make(map[string]*jobState),
 		replayDone: done,
 	}
 	s.ready.Store(true)
@@ -211,7 +212,9 @@ func Open(cfg Config) (*Server, error) {
 	// and a fresh id colliding with an in-flight journaled id would make
 	// its Resubmit fail — and hand clients polling the original id a
 	// different job.
-	s.mgr.ReserveThrough(maxJournalID(recs))
+	for _, rec := range recs {
+		s.mgr.ReserveThrough(rec.ID)
+	}
 	j, err := OpenJournal(s.cfg.JournalPath)
 	if err != nil {
 		return nil, fmt.Errorf("serve: opening journal: %w", err)
@@ -343,15 +346,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// submit validates and admits a request, returning the job state or an
+// submit validates and admits a request, returning the job or an
 // admission error. Both transports (REST and RPC) route through it.
-func (s *Server) submit(req *JobRequest) (*jobState, error) {
+func (s *Server) submit(req *JobRequest) (*jobHandle, error) {
 	return s.admit(req, "", nil, nil)
 }
 
 // admit is submit plus the replay entry point: a non-empty id re-queues
 // a journaled job under its original id with its resume state.
-func (s *Server) admit(req *JobRequest, id string, resumeRows [][]string, resumeTrials map[trialKey][]byte) (*jobState, error) {
+func (s *Server) admit(req *JobRequest, id string, resumeRows [][]string, resumeTrials map[trialKey][]byte) (*jobHandle, error) {
 	if err := req.validate(); err != nil {
 		return nil, &badRequestError{err}
 	}
@@ -372,10 +375,10 @@ func (s *Server) admit(req *JobRequest, id string, resumeRows [][]string, resume
 		return nil, jobs.ErrShutdown
 	}
 	st := &jobState{req: req, log: newEventLog(), resumeRows: resumeRows, resumeTrials: resumeTrials}
-	// st.id and st.handle are assigned only after Submit returns, but a
-	// worker may pick the job up immediately; ready gates the closure so
-	// it never observes them half-initialized (and so the "queued" event
-	// always precedes "running" in the log).
+	// st.id is assigned only after Submit returns, but a worker may pick
+	// the job up immediately; ready gates the closure so it never
+	// observes it unset (and so the "queued" event always precedes
+	// "running" in the log).
 	ready := make(chan struct{})
 	run := func(ctx context.Context, engineWorkers int) error {
 		<-ready
@@ -391,22 +394,17 @@ func (s *Server) admit(req *JobRequest, id string, resumeRows [][]string, resume
 		}
 		return err
 	}
-	var h *jobs.Handle
+	var h *jobHandle
 	var err error
 	if id == "" {
-		h, err = s.mgr.Submit(req.name(), run)
+		h, err = s.mgr.Submit(req.name(), st, run)
 	} else {
-		h, err = s.mgr.Resubmit(id, req.name(), run)
+		h, err = s.mgr.Resubmit(id, req.name(), st, run)
 	}
 	if err != nil {
 		return nil, err
 	}
 	st.id = h.ID()
-	st.handle = h
-	s.mu.Lock()
-	s.states[st.id] = st
-	s.pruneLocked()
-	s.mu.Unlock()
 	// Write-ahead: the accept record is durable before the admission
 	// response leaves the daemon, so a crash after this point can never
 	// lose the job.
@@ -431,7 +429,7 @@ func (s *Server) admit(req *JobRequest, id string, resumeRows [][]string, resume
 		st.log.close()
 		s.journal.Append(rec)
 	}()
-	return st, nil
+	return h, nil
 }
 
 // replayedJob folds one job's journal records.
@@ -568,29 +566,12 @@ func (s *Server) replay(recs []journalRecord, skipped int) {
 // see "failed" — never a 404 for a job the daemon acknowledged.
 func (s *Server) failReplayed(rj *replayedJob, cause error) {
 	ferr := fmt.Errorf("replay: %w", cause)
-	if h, err := s.mgr.RegisterFailed(rj.id, rj.req.name(), ferr); err == nil {
-		st := &jobState{id: rj.id, req: rj.req, handle: h, log: newEventLog()}
-		st.log.append(event{Type: "state", Job: rj.id, State: string(jobs.StateFailed), Error: ferr.Error()})
-		st.log.close()
-		s.mu.Lock()
-		s.states[rj.id] = st
-		s.pruneLocked()
-		s.mu.Unlock()
-	}
+	st := &jobState{id: rj.id, req: rj.req, log: newEventLog()}
+	st.log.append(event{Type: "state", Job: rj.id, State: string(jobs.StateFailed), Error: ferr.Error()})
+	st.log.close()
+	s.mgr.RegisterFailed(rj.id, rj.req.name(), st, ferr)
 	s.journal.Append(journalRecord{Op: "done", ID: rj.id,
 		State: string(jobs.StateFailed), Error: ferr.Error()})
-}
-
-// maxJournalID returns the highest numeric job id ("jN") among recs —
-// the floor Open reserves in the manager before accepting traffic.
-func maxJournalID(recs []journalRecord) int64 {
-	var max int64
-	for _, rec := range recs {
-		if n, err := strconv.ParseInt(strings.TrimPrefix(rec.ID, "j"), 10, 64); err == nil && n > max {
-			max = n
-		}
-	}
-	return max
 }
 
 // contiguousRows returns the longest 0-based contiguous prefix of
@@ -607,26 +588,6 @@ func contiguousRows(rows map[int][]string) [][]string {
 	}
 }
 
-// maxStates mirrors the jobs layer's retention bound for the
-// serve-side artifacts (event logs, tables).
-const maxStates = 4096
-
-func (s *Server) pruneLocked() {
-	if len(s.states) <= maxStates {
-		return
-	}
-	for id, st := range s.states {
-		if len(s.states) <= maxStates {
-			break
-		}
-		if state, _ := st.handle.State(); state.Terminal() {
-			if _, known := s.mgr.Get(id); !known {
-				delete(s.states, id)
-			}
-		}
-	}
-}
-
 type badRequestError struct{ err error }
 
 func (e *badRequestError) Error() string { return e.err.Error() }
@@ -640,13 +601,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	st, err := s.submit(&req)
+	h, err := s.submit(&req)
 	if err != nil {
 		s.writeSubmitError(w, err)
 		return
 	}
-	state, _ := st.handle.State()
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": st.id, "state": string(state)})
+	state, _ := h.State()
+	writeJSON(w, http.StatusAccepted, map[string]any{"id": h.ID(), "state": string(state)})
 }
 
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
@@ -688,15 +649,15 @@ type statusJSON struct {
 	Result   bool   `json:"result"`
 }
 
-func (s *Server) status(st *jobState) statusJSON {
-	state, err := st.handle.State()
-	created, started, finished := st.handle.Times()
+func status(h *jobHandle) statusJSON {
+	state, err := h.State()
+	created, started, finished := h.Times()
 	out := statusJSON{
-		ID:      st.id,
-		Name:    st.handle.Name(),
+		ID:      h.ID(),
+		Name:    h.Name(),
 		State:   string(state),
 		Created: created.UTC().Format(time.RFC3339Nano),
-		Result:  st.getTable() != nil,
+		Result:  h.Value().getTable() != nil,
 	}
 	if err != nil {
 		out.Error = err.Error()
@@ -710,61 +671,59 @@ func (s *Server) status(st *jobState) statusJSON {
 	return out
 }
 
-func (s *Server) state(id string) (*jobState, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.states[id]
-	return st, ok
+// list is the status of every retained job, in submission order — the
+// body of GET /v1/jobs and of the job.list RPC.
+func (s *Server) list() []statusJSON {
+	hs := s.mgr.Jobs()
+	out := make([]statusJSON, len(hs))
+	for i, h := range hs {
+		out[i] = status(h)
+	}
+	return out
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	var out []statusJSON
-	for _, h := range s.mgr.Jobs() {
-		if st, ok := s.state(h.ID()); ok {
-			out = append(out, s.status(st))
-		}
+	writeJSON(w, http.StatusOK, s.list())
+}
+
+// lookup finds the path's job, answering 404 itself when there is none.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*jobHandle, bool) {
+	h, ok := s.mgr.Get(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 	}
-	if out == nil {
-		out = []statusJSON{}
-	}
-	writeJSON(w, http.StatusOK, out)
+	return h, ok
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.state(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
+	if h, ok := s.lookup(w, r); ok {
+		writeJSON(w, http.StatusOK, status(h))
 	}
-	writeJSON(w, http.StatusOK, s.status(st))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.state(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
+	if h, ok := s.lookup(w, r); ok {
+		h.Cancel()
+		writeJSON(w, http.StatusOK, status(h))
 	}
-	st.handle.Cancel()
-	writeJSON(w, http.StatusOK, s.status(st))
 }
 
 // handleStream replays the job's event log as NDJSON and follows it
 // until the job reaches a terminal state or the client goes away. Each
 // line is flushed immediately — this is the live progress feed.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.state(r.PathValue("id"))
+	h, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
+	events := h.Value().log
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	ctx := r.Context()
 	offset := 0
 	for {
-		lines, closed, wake := st.log.next(offset)
+		lines, closed, wake := events.next(offset)
 		for _, line := range lines {
 			// A departed client must release the stream promptly even
 			// when the log keeps producing: writes to a closed
@@ -804,9 +763,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // comparable. ?wait=1 blocks until the job finishes; otherwise a job
 // without a table yet answers 409.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.state(r.PathValue("id"))
+	h, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	format := r.URL.Query().Get("format")
@@ -824,18 +782,18 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wait, _ := strconv.ParseBool(r.URL.Query().Get("wait")); wait {
-		if err := st.handle.Wait(r.Context()); err != nil && r.Context().Err() != nil {
+		if err := h.Wait(r.Context()); err != nil && r.Context().Err() != nil {
 			return // client went away
 		}
 	}
-	state, jerr := st.handle.State()
+	state, jerr := h.State()
 	if jerr != nil {
-		writeError(w, http.StatusUnprocessableEntity, "job %s %s: %v", st.id, state, jerr)
+		writeError(w, http.StatusUnprocessableEntity, "job %s %s: %v", h.ID(), state, jerr)
 		return
 	}
-	tb := st.getTable()
+	tb := h.Value().getTable()
 	if tb == nil {
-		writeError(w, http.StatusConflict, "job %s is %s; no result yet (use ?wait=1)", st.id, state)
+		writeError(w, http.StatusConflict, "job %s is %s; no result yet (use ?wait=1)", h.ID(), state)
 		return
 	}
 	switch format {

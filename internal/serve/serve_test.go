@@ -179,13 +179,13 @@ func TestCancelQueuedJob(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel: status %d", resp.StatusCode)
 	}
-	st, ok := s.state(queued)
+	h, ok := s.mgr.Get(queued)
 	if !ok {
-		t.Fatal("state lost")
+		t.Fatal("job lost")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	st.handle.Wait(ctx)
+	h.Wait(ctx)
 	_, body := get(t, ts.URL+"/v1/jobs/"+queued)
 	if !strings.Contains(string(body), `"state":"canceled"`) {
 		t.Fatalf("status after cancel: %s", body)
@@ -324,10 +324,10 @@ func TestServerShutdownDrains(t *testing.T) {
 		shutdownErr <- s.Shutdown(ctx)
 	}()
 
-	qst, _ := s.state(queued)
+	qh, _ := s.mgr.Get(queued)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := qst.handle.Wait(ctx); err == nil || !strings.Contains(err.Error(), "shutting down") {
+	if err := qh.Wait(ctx); err == nil || !strings.Contains(err.Error(), "shutting down") {
 		t.Fatalf("queued job error %v, want the shutdown error", err)
 	}
 
@@ -340,8 +340,8 @@ func TestServerShutdownDrains(t *testing.T) {
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	rst, _ := s.state(running)
-	if state, err := rst.handle.State(); state != jobs.StateDone || err != nil {
+	rh, _ := s.mgr.Get(running)
+	if state, err := rh.State(); state != jobs.StateDone || err != nil {
 		t.Fatalf("in-flight job after drain: %s %v (want done)", state, err)
 	}
 }
@@ -409,5 +409,56 @@ func TestHealthz(t *testing.T) {
 	resp, body := get(t, ts.URL+"/healthz")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "true") {
 		t.Fatalf("healthz: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestRetentionMatchesManager runs jobs.MaxRetained+extra cheap jobs:
+// the serve side keeps exactly what the manager keeps. The oldest
+// finished ids answer 404 on status, stream and result, and /v1/jobs
+// lists the manager's retained jobs in submission order.
+func TestRetentionMatchesManager(t *testing.T) {
+	s, ts := testServer(t, Config{Jobs: jobs.Config{Workers: 2, QueueDepth: 64}})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	const extra = 40
+	var ids []string
+	for i := 0; i < jobs.MaxRetained+extra; i++ {
+		h, err := s.submit(&quickRun)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, h.ID())
+		if err := h.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids[:extra] {
+		for _, path := range []string{"", "/stream", "/result"} {
+			if resp, body := get(t, ts.URL+"/v1/jobs/"+id+path); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("pruned job %s%s: status %d, want 404: %s", id, path, resp.StatusCode, body)
+			}
+		}
+	}
+	newest := ids[len(ids)-1]
+	if code, out := fetchResult(t, ts, newest, "text"); code != http.StatusOK {
+		t.Fatalf("newest job %s result: status %d: %s", newest, code, out)
+	}
+
+	resp, body := get(t, ts.URL+"/v1/jobs")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("list: status %d", resp.StatusCode)
+	}
+	var listed []statusJSON
+	if err := json.Unmarshal(body, &listed); err != nil {
+		t.Fatal(err)
+	}
+	retained := s.mgr.Jobs()
+	if len(listed) != len(retained) || len(listed) != jobs.MaxRetained {
+		t.Fatalf("listed %d jobs, manager retains %d, want both %d", len(listed), len(retained), jobs.MaxRetained)
+	}
+	for i, st := range listed {
+		if st.ID != retained[i].ID() || st.ID != ids[extra+i] {
+			t.Fatalf("list[%d] = %s, want %s (manager %s)", i, st.ID, ids[extra+i], retained[i].ID())
+		}
 	}
 }
