@@ -34,10 +34,11 @@ import (
 
 func main() {
 	profiles := prof.AddFlags(flag.CommandLine)
+	def := exp.DefaultConfig()
 	var (
-		seed    = flag.Uint64("seed", 2014, "experiment seed")
-		trials  = flag.Int("trials", 5, "trials per data point")
-		scale   = flag.Float64("scale", 1, "network size multiplier")
+		seed    = flag.Uint64("seed", def.Seed, "experiment seed")
+		trials  = flag.Int("trials", def.Trials, "trials per data point")
+		scale   = flag.Float64("scale", def.Scale, "network size multiplier")
 		only    = flag.Int("only", 0, "run a single experiment (1-14), 0 = all")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0),
 			"concurrent trials per data point (tables are identical for any value)")
@@ -46,7 +47,7 @@ func main() {
 			"restrict E12/E13 to one scenario spec (default: every registered family)")
 		alg = flag.String("alg", "",
 			"restrict E13 to one protocol spec (default: every registered protocol)")
-		engine = flag.String("engine", "auto",
+		engine = flag.String("engine", def.Engine,
 			"physical engine for E14: exact|grid|hier|auto (E1-E13 always use the exact engine)")
 		list = flag.Bool("list", false, "list registered protocols and scenario families and exit")
 	)
@@ -101,47 +102,28 @@ func main() {
 
 	cfg := exp.Config{Seed: *seed, Trials: *trials, Scale: *scale, Workers: *workers,
 		Scenario: *spec, Protocol: *alg, Engine: *engine}
-	runners := map[int]struct {
-		name string
-		run  func(exp.Config) (*stats.Table, error)
-	}{
-		1:  {"E1", exp.E1NoSBroadcastVsD},
-		2:  {"E2", exp.E2SBroadcastScaling},
-		3:  {"E3", exp.E3Lemma1},
-		4:  {"E4", exp.E4Lemma2},
-		5:  {"E5", exp.E5ColoringRounds},
-		6:  {"E6", exp.E6GeometryImpact},
-		7:  {"E7", exp.E7BaselineComparison},
-		8:  {"E8", exp.E8Applications},
-		9:  {"E9", exp.E9SuccessProbability},
-		10: {"E10", exp.E10ModelRobustness},
-		11: {"E11", exp.E11ColoringAblation},
-		12: {"E12", exp.E12CrossFamilySweep},
-		13: {"E13", exp.E13ProtocolMatrix},
-		14: {"E14", exp.E14LargeNScaling},
-	}
-	ids := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
+	suite := exp.Suite
 	if *only != 0 {
-		if _, ok := runners[*only]; !ok {
+		e, ok := exp.Lookup(*only)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "experiments: no experiment %d\n", *only)
 			os.Exit(2)
 		}
-		ids = []int{*only}
+		suite = []exp.Experiment{e}
 	}
 	sink, err := stats.NewSink(*format, os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	for _, id := range ids {
-		r := runners[id]
-		tb, err := r.run(cfg)
+	for _, e := range suite {
+		tb, err := e.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", r.name, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 		if err := sink.Emit(tb); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: emitting %s: %v\n", r.name, err)
+			fmt.Fprintf(os.Stderr, "experiments: emitting %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 	}

@@ -189,7 +189,7 @@
 // engine state is split into an immutable topology slab shared by
 // pointer and lazily-allocated run state, so Engine/GridEngine/
 // HierEngine Clone() costs ~350 ns against milliseconds of fresh
-// construction; internal/exp pools clones per experiment point, so T
+// construction; E14 clones one prototype per experiment point, so T
 // trials pay one topology build. Clone reuse is sound because resolve output depends only on
 // (topology, transmitter set) — a purity contract the clone tests pin;
 // engines with per-trial randomness (fading, weak-device) refuse to

@@ -62,8 +62,9 @@ type Config struct {
 	Checkpoint TrialCheckpoint
 }
 
-// DefaultConfig returns the full-size configuration.
-func DefaultConfig() Config { return Config{Seed: 2014, Trials: 5, Scale: 1} }
+// DefaultConfig returns the full-size configuration: the defaults of
+// both cmd/experiments' flags and sinrcastd's experiment jobs.
+func DefaultConfig() Config { return Config{Seed: 2014, Trials: 5, Scale: 1, Engine: "auto"} }
 
 func (c Config) trials() int {
 	if c.Trials < 1 {
@@ -532,31 +533,37 @@ func E9SuccessProbability(cfg Config) (*stats.Table, error) {
 	return t, nil
 }
 
-// All runs the full suite in order.
-func All(cfg Config) ([]*stats.Table, error) {
-	runners := []func(Config) (*stats.Table, error){
-		E1NoSBroadcastVsD,
-		E2SBroadcastScaling,
-		E3Lemma1,
-		E4Lemma2,
-		E5ColoringRounds,
-		E6GeometryImpact,
-		E7BaselineComparison,
-		E8Applications,
-		E9SuccessProbability,
-		E10ModelRobustness,
-		E11ColoringAblation,
-		E12CrossFamilySweep,
-		E13ProtocolMatrix,
-		E14LargeNScaling,
+// Experiment is one entry of the suite: its display name ("E6") and
+// its runner.
+type Experiment struct {
+	Name string
+	Run  func(Config) (*stats.Table, error)
+}
+
+// Suite lists E1–E14 in order; Suite[i] is experiment i+1. It is the
+// one runner table behind cmd/experiments and sinrcastd's experiment
+// jobs, so both produce byte-identical tables for one configuration.
+var Suite = []Experiment{
+	{"E1", E1NoSBroadcastVsD},
+	{"E2", E2SBroadcastScaling},
+	{"E3", E3Lemma1},
+	{"E4", E4Lemma2},
+	{"E5", E5ColoringRounds},
+	{"E6", E6GeometryImpact},
+	{"E7", E7BaselineComparison},
+	{"E8", E8Applications},
+	{"E9", E9SuccessProbability},
+	{"E10", E10ModelRobustness},
+	{"E11", E11ColoringAblation},
+	{"E12", E12CrossFamilySweep},
+	{"E13", E13ProtocolMatrix},
+	{"E14", E14LargeNScaling},
+}
+
+// Lookup returns experiment id (1-based, as in E<id>).
+func Lookup(id int) (Experiment, bool) {
+	if id < 1 || id > len(Suite) {
+		return Experiment{}, false
 	}
-	var out []*stats.Table
-	for i, r := range runners {
-		tb, err := r(cfg)
-		if err != nil {
-			return out, fmt.Errorf("experiment %d: %w", i+1, err)
-		}
-		out = append(out, tb)
-	}
-	return out, nil
+	return Suite[id-1], true
 }

@@ -8,7 +8,6 @@ import (
 	"sinrcast/internal/baseline"
 	"sinrcast/internal/broadcast"
 	"sinrcast/internal/network"
-	"sinrcast/internal/protocol"
 	"sinrcast/internal/scenario"
 	"sinrcast/internal/sim"
 	"sinrcast/internal/sinr"
@@ -46,10 +45,6 @@ func E14LargeNScaling(cfg Config) (*stats.Table, error) {
 	if engine == "" {
 		engine = "auto"
 	}
-	ch, err := protocol.NamedChannel(engine)
-	if err != nil {
-		return nil, fmt.Errorf("E14: %w", err)
-	}
 	t := stats.NewTable(
 		fmt.Sprintf("E14: large-n scaling, engine=%s, budget 2·lg²n rounds (rounds/s is wall-clock, machine-dependent)", engine),
 		"family", "n", "engine", "alg", "rounds", "informed%", "receptions", "rounds/s")
@@ -70,23 +65,17 @@ func E14LargeNScaling(cfg Config) (*stats.Table, error) {
 				trials = 2
 			}
 			// All trials at this point share one deployment, so they
-			// share one engine pool: the first trial pays the topology
-			// construction, later ones clone or recycle (engine purity
-			// makes reuse byte-identical; see enginePooling).
-			pool := newEnginePool(func() (sim.Resolver, error) {
-				if ch != nil {
-					return ch(net)
-				}
-				return sinr.NewEngine(net.Space, net.Params)
-			})
+			// share one topology construction: each trial resolves on a
+			// clone of a prototype that never runs (engine purity makes a
+			// clone byte-identical to a fresh build).
+			proto, err := sinr.NewNamedEngine(engine, net.Space, net.Params)
+			if err != nil {
+				return nil, fmt.Errorf("E14 %s n=%d: %w", fam, n, err)
+			}
 			for ai, alg := range []string{"nos", "decay"} {
 				point := matrixKey(fam, fmt.Sprintf("%d/%s", base, alg))
 				runs, err := runNTrials(cfg, trials, 14, point+uint64(ai), func(seed uint64) (scalingRun, error) {
-					phys, err := pool.get()
-					if err != nil {
-						return scalingRun{}, err
-					}
-					defer pool.put(phys)
+					phys, _ := sinr.CloneResolver(proto) // NewNamedEngine builds only cloneable engines
 					return scalingTrial(net, alg, seed, budget, phys)
 				})
 				if err != nil {
@@ -119,8 +108,7 @@ type scalingRun struct {
 }
 
 // scalingTrial runs one bounded trial of alg on net, resolving rounds
-// with the pool-provided engine phys (nil falls back to each runner's
-// default exact engine).
+// with the trial's private engine phys.
 func scalingTrial(net *network.Network, alg string, seed uint64, budget int, phys sim.Resolver) (scalingRun, error) {
 	start := time.Now()
 	var res *broadcast.Result
@@ -129,9 +117,7 @@ func scalingTrial(net *network.Network, alg string, seed uint64, budget int, phy
 	case "nos":
 		bc := bcastCfg(net)
 		bc.MaxRounds = budget
-		if phys != nil {
-			bc.Channel = func(*network.Network) (sim.Resolver, error) { return phys, nil }
-		}
+		bc.Channel = func(*network.Network) (sim.Resolver, error) { return phys, nil }
 		res, err = broadcast.RunNoS(net, bc, seed, 0, 1)
 	case "decay":
 		res, err = baseline.RunFloodOn(net, baseline.NewDecay(net.N()), seed, 0, budget, phys)

@@ -98,7 +98,7 @@ func (e *CircuitOpenError) Unwrap() error { return e.Cause }
 type cacheEntry struct {
 	key       string
 	net       *network.Network
-	proto     sim.Resolver // cloneable prototype; nil when only net is cached
+	proto     sim.Resolver // the built engine; cloned per request, never handed out
 	bytes     int64
 	probation bool // resident on the probation list, not yet hit
 }
@@ -298,10 +298,7 @@ func (c *Cache) get(key string,
 			close(f.done)
 			return nil, nil, false, err
 		}
-		ent := &cacheEntry{key: key, net: net, bytes: entryBytes(net)}
-		if sinr.Cloneable(proto) {
-			ent.proto = proto
-		}
+		ent := &cacheEntry{key: key, net: net, proto: proto, bytes: entryBytes(net)}
 		c.mu.Lock()
 		delete(c.flights, key)
 		delete(c.neg, key) // a successful build closes the breaker
@@ -309,25 +306,16 @@ func (c *Cache) get(key string,
 		c.mu.Unlock()
 		f.ent = ent
 		close(f.done)
-
-		if ent.proto != nil {
-			// The prototype is never handed out: the miss gets a clone
-			// too, exactly like every later hit. An injected clone fault
-			// degrades to a fresh build, never to the shared prototype.
-			if faultinject.Fire(faultinject.EngineClone) == nil {
-				eng, _ := sinr.CloneResolver(ent.proto)
-				return net, eng, false, nil
-			}
-			eng, err := buildEngine(net)
-			return net, eng, false, err
-		}
-		return net, proto, false, nil
+		return c.handout(ent, buildEngine, false)
 	}
 }
 
-// handout produces a request-private engine from a cached entry.
+// handout produces a request-private engine from a cached entry: a
+// clone of its prototype, or a fresh build when the engine cannot be
+// cloned or an injected clone fault fires. The prototype itself is
+// never handed out.
 func (c *Cache) handout(ent *cacheEntry, buildEngine func(*network.Network) (sim.Resolver, error), hit bool) (*network.Network, sim.Resolver, bool, error) {
-	if ent.proto != nil && faultinject.Fire(faultinject.EngineClone) == nil {
+	if faultinject.Fire(faultinject.EngineClone) == nil {
 		if eng, ok := sinr.CloneResolver(ent.proto); ok {
 			return ent.net, eng, hit, nil
 		}

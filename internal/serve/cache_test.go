@@ -63,6 +63,47 @@ func TestCacheHitSharesNetwork(t *testing.T) {
 	}
 }
 
+// TestCacheNeverHandsOutPrototype pins the single handout: on a miss
+// and on a hit the engine returned is never the entry's prototype. A
+// cloneable engine is cloned (one build in all); a non-cloneable one
+// is built fresh for every request, the miss included.
+func TestCacheNeverHandsOutPrototype(t *testing.T) {
+	buildNet, exact := testBuilders(t, 48, 3)
+	nop := func(n *network.Network) (sim.Resolver, error) { return &nopResolver{n: n.N()}, nil }
+	for _, tc := range []struct {
+		name       string
+		build      func(*network.Network) (sim.Resolver, error)
+		wantBuilds []int // after the miss, after the hit
+	}{
+		{"cloneable", exact, []int{1, 1}},
+		{"not-cloneable", nop, []int{2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCache(DefaultCacheBytes)
+			builds := 0
+			build := func(n *network.Network) (sim.Resolver, error) {
+				builds++
+				return tc.build(n)
+			}
+			for i, want := range tc.wantBuilds {
+				_, eng, hit, err := c.Get("k", buildNet, build)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hit != (i > 0) {
+					t.Fatalf("request %d: hit = %v", i, hit)
+				}
+				if proto := c.entries["k"].Value.(*cacheEntry).proto; eng == proto {
+					t.Fatalf("request %d handed out the cached prototype", i)
+				}
+				if builds != want {
+					t.Fatalf("request %d: %d engine builds, want %d", i, builds, want)
+				}
+			}
+		})
+	}
+}
+
 // TestCacheSingleflight is the concurrency gate (run under -race in
 // CI): many goroutines missing one key must collapse to a single
 // build.

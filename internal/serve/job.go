@@ -34,8 +34,8 @@ type PhysicsSpec struct {
 //     ("uniform:n=64", "decay"); the daemon generates the deployment
 //     (through the warm-engine cache), runs Trials independent
 //     protocol executions, and streams progress plus one result table.
-//   - experiment: Experiment selects a suite runner (1–14, the same
-//     map as cmd/experiments); Scenario/Protocol optionally restrict
+//   - experiment: Experiment selects a suite runner (1–14, from the
+//     same exp.Suite as cmd/experiments); Scenario/Protocol optionally restrict
 //     the registry sweeps E12/E13 exactly like the CLI flags. The
 //     result table is byte-identical to cmd/experiments with the same
 //     seed, trials, scale, and engine.
@@ -63,7 +63,7 @@ func (r *JobRequest) engineName() string {
 		return r.Engine
 	}
 	if r.isExperiment() {
-		return "auto" // the cmd/experiments default (E14 is the only consumer)
+		return exp.DefaultConfig().Engine // E14 is the only consumer
 	}
 	return "exact" // the paper's model
 }
@@ -73,7 +73,7 @@ func (r *JobRequest) trialCount() int {
 		return r.Trials
 	}
 	if r.isExperiment() {
-		return 5 // the cmd/experiments default
+		return exp.DefaultConfig().Trials
 	}
 	return 1
 }
@@ -82,7 +82,7 @@ func (r *JobRequest) scale() float64 {
 	if r.Scale > 0 {
 		return r.Scale
 	}
-	return 1
+	return exp.DefaultConfig().Scale
 }
 
 // physParams resolves the physics overrides over the defaults.
@@ -137,8 +137,8 @@ func (r *JobRequest) validate() error {
 		return err
 	}
 	if r.isExperiment() {
-		if r.Experiment < 1 || r.Experiment > 14 {
-			return fmt.Errorf("experiment must be in [1, 14], got %d", r.Experiment)
+		if _, ok := exp.Lookup(r.Experiment); !ok {
+			return fmt.Errorf("experiment must be in [1, %d], got %d", len(exp.Suite), r.Experiment)
 		}
 		if r.Scenario != "" {
 			if err := parseAndValidateScenario(r.Scenario); err != nil {
@@ -353,29 +353,6 @@ func runTrial(ctx context.Context, st *jobState, net *network.Network, spec prot
 	return protocol.RunOn(net, spec, seed, ch)
 }
 
-// expRunners mirrors cmd/experiments' runner map; the CI daemon smoke
-// relies on the two producing byte-identical tables for the same
-// configuration.
-var expRunners = map[int]struct {
-	name string
-	run  func(exp.Config) (*stats.Table, error)
-}{
-	1:  {"E1", exp.E1NoSBroadcastVsD},
-	2:  {"E2", exp.E2SBroadcastScaling},
-	3:  {"E3", exp.E3Lemma1},
-	4:  {"E4", exp.E4Lemma2},
-	5:  {"E5", exp.E5ColoringRounds},
-	6:  {"E6", exp.E6GeometryImpact},
-	7:  {"E7", exp.E7BaselineComparison},
-	8:  {"E8", exp.E8Applications},
-	9:  {"E9", exp.E9SuccessProbability},
-	10: {"E10", exp.E10ModelRobustness},
-	11: {"E11", exp.E11ColoringAblation},
-	12: {"E12", exp.E12CrossFamilySweep},
-	13: {"E13", exp.E13ProtocolMatrix},
-	14: {"E14", exp.E14LargeNScaling},
-}
-
 // runExperiment executes an experiment-suite job. Suite runners manage
 // their own trial concurrency and cannot be interrupted mid-run; the
 // context is honored between submission and start (the jobs layer
@@ -385,7 +362,7 @@ func (s *Server) runExperiment(ctx context.Context, st *jobState, workers int) e
 		return err
 	}
 	req := st.req
-	r, ok := expRunners[req.Experiment]
+	e, ok := exp.Lookup(req.Experiment)
 	if !ok {
 		return fmt.Errorf("no experiment %d", req.Experiment)
 	}
@@ -405,9 +382,9 @@ func (s *Server) runExperiment(ctx context.Context, st *jobState, workers int) e
 		// recomputing every trial.
 		cfg.Checkpoint = &journalCheckpoint{journal: s.journal, id: st.id, restored: st.resumeTrials}
 	}
-	tb, err := r.run(cfg)
+	tb, err := e.Run(cfg)
 	if err != nil {
-		return fmt.Errorf("%s: %w", r.name, err)
+		return fmt.Errorf("%s: %w", e.Name, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return err

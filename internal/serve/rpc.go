@@ -1,16 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 
 	"sinrcast/internal/jobs"
 )
 
 // JSON-RPC 2.0 transport over POST /rpc — the programmatic twin of the
-// REST routes for clients that prefer a single endpoint. Single
-// requests only (no batches); notifications (absent id) get no
-// response body.
+// REST routes for clients that prefer a single endpoint. A body is
+// exactly one request object: batches answer -32600, and anything but
+// whitespace after the object answers -32700. Notifications (absent
+// id) get no response body.
 //
 // Methods:
 //
@@ -55,8 +58,18 @@ type rpcResponse struct {
 
 func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 	var req rpcRequest
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(r.Body)
+	if err == nil {
+		if isBatch(body) {
+			writeRPC(w, rpcResponse{Version: "2.0", ID: nil,
+				Error: &rpcError{Code: rpcInvalidRequest, Message: "batch requests are not supported"}})
+			return
+		}
+		// Unmarshal takes exactly one JSON value: trailing bytes other
+		// than whitespace are a parse error.
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		writeRPC(w, rpcResponse{Version: "2.0", ID: nil,
 			Error: &rpcError{Code: rpcParseError, Message: "parse error: " + err.Error()}})
 		return
@@ -78,6 +91,13 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 		resp.Result = result
 	}
 	writeRPC(w, resp)
+}
+
+// isBatch reports whether body is a JSON-RPC batch: its first
+// non-whitespace byte opens an array.
+func isBatch(body []byte) bool {
+	b := bytes.TrimLeft(body, " \t\r\n")
+	return len(b) > 0 && b[0] == '['
 }
 
 func writeRPC(w http.ResponseWriter, resp rpcResponse) {

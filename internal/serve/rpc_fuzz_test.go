@@ -19,10 +19,10 @@ var rpcCodes = map[int]bool{
 // FuzzRPC feeds arbitrary bodies to the JSON-RPC handler of a server
 // that is already shut down, so job.submit validates but never
 // enqueues a job. Nothing may panic; a well-formed notification (a
-// 2.0 request with a method and no id) gets 204 and no body; every
-// other answer is exactly one JSON object with "jsonrpc":"2.0", an id,
-// exactly one of result and error, and an error code from rpc.go's
-// documented set.
+// body that is exactly one 2.0 request with a method and no id) gets
+// 204 and no body; every other answer is exactly one JSON object with
+// "jsonrpc":"2.0", an id, exactly one of result and error, and an
+// error code from rpc.go's documented set — -32600 for a batch.
 func FuzzRPC(f *testing.F) {
 	for _, seed := range []string{
 		`{"jsonrpc":"2.0","method":"job.submit","params":{"scenario":"uniform:n=16","protocol":"decay","seed":7},"id":1}`,
@@ -39,8 +39,10 @@ func FuzzRPC(f *testing.F) {
 		`{"jsonrpc":"2.0","method":"job.submit","params":{"trials":-1},"id":9}`,
 		`{"jsonrpc":"2.0","method":"job.submit","params":[1,2],"id":10}`,
 		`{"jsonrpc":"2.0","method":"job.status","params":"j1","id":11}`,
-		`{"jsonrpc":"2.0","method":`, // parse error
-		`[{"jsonrpc":"2.0","method":"job.list","id":1}]`,
+		`{"jsonrpc":"2.0","method":`,                               // parse error
+		`[{"jsonrpc":"2.0","method":"job.list","id":1}]`,           // batch
+		`{"jsonrpc":"2.0","method":"job.list","id":1} trailing{`,   // trailing data
+		"{\"jsonrpc\":\"2.0\",\"method\":\"job.list\",\"id\":1}\n", // trailing newline
 		``,
 	} {
 		f.Add([]byte(seed))
@@ -54,7 +56,7 @@ func FuzzRPC(f *testing.F) {
 		s.handleRPC(w, httptest.NewRequest(http.MethodPost, "/rpc", bytes.NewReader(body)))
 
 		var req rpcRequest
-		notification := json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil &&
+		notification := json.Unmarshal(body, &req) == nil &&
 			req.Version == "2.0" && req.Method != "" && req.ID == nil
 		if notification {
 			if w.Code != http.StatusNoContent || w.Body.Len() != 0 {
@@ -92,6 +94,11 @@ func FuzzRPC(f *testing.F) {
 			if err := json.Unmarshal(rawErr, &e); err != nil || !rpcCodes[e.Code] {
 				t.Fatalf("body %q: error %s is not one of the documented codes", body, rawErr)
 			}
+			if isBatch(body) && e.Code != rpcInvalidRequest {
+				t.Fatalf("batch body %q: error %s, want code %d", body, rawErr, rpcInvalidRequest)
+			}
+		} else if isBatch(body) {
+			t.Fatalf("batch body %q: answered with a result", body)
 		}
 	})
 }

@@ -403,6 +403,60 @@ func TestRPCRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBodiesAreOneJSONValue pins that both transports take exactly one
+// JSON value per body: trailing data after it is a parse error, a
+// trailing newline is not, and an RPC batch is an invalid request
+// rather than a parse error.
+func TestBodiesAreOneJSONValue(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	const list = `{"jsonrpc":"2.0","method":"job.list","id":1}`
+	const run = `{"scenario":"uniform:n=16","protocol":"decay","seed":1}`
+	for _, tc := range []struct {
+		path, body string
+		want       int // RPC error code (0 = a result), or HTTP status
+	}{
+		{"/rpc", list + ` trailing{`, rpcParseError},
+		{"/rpc", list + list, rpcParseError},
+		{"/rpc", `[` + list + `]`, rpcInvalidRequest},
+		{"/rpc", " \n[", rpcInvalidRequest},
+		{"/rpc", list + "\n", 0},
+		{"/v1/jobs", run + ` trailing{`, http.StatusBadRequest},
+		{"/v1/jobs", run + run, http.StatusBadRequest},
+		{"/v1/jobs", `[` + run + `]`, http.StatusBadRequest},
+		{"/v1/jobs", run + "\n", http.StatusAccepted},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.path == "/v1/jobs" {
+			if resp.StatusCode != tc.want {
+				t.Errorf("POST /v1/jobs %q: status %d, want %d: %s", tc.body, resp.StatusCode, tc.want, out)
+			}
+			continue
+		}
+		var ans struct {
+			Result json.RawMessage `json:"result"`
+			Error  *rpcError       `json:"error"`
+		}
+		if err := json.Unmarshal(out, &ans); err != nil {
+			t.Fatalf("POST /rpc %q: answer %q: %v", tc.body, out, err)
+		}
+		got := 0
+		if ans.Error != nil {
+			got = ans.Error.Code
+		}
+		if got != tc.want || (got == 0 && ans.Result == nil) {
+			t.Errorf("POST /rpc %q: answer %s, want code %d", tc.body, out, tc.want)
+		}
+	}
+}
+
 // TestHealthz pins the liveness endpoint the CI smoke polls.
 func TestHealthz(t *testing.T) {
 	_, ts := testServer(t, Config{})

@@ -6,9 +6,10 @@ package sinr
 // pyramid aggregates, caches, runner). Clone shares the former and
 // allocates the latter, so getting a second engine over the same
 // deployment costs allocations only — no bounding-box scan, no cell
-// assignment, no CSR counting sorts. Experiment drivers use this to pay
-// one topology construction per data point instead of one per trial;
-// see internal/exp's engine pool.
+// assignment, no CSR counting sorts. E14 (internal/exp) pays one
+// topology construction per data point and clones it for each trial;
+// sinrcastd's warm cache (internal/serve) clones a cached prototype
+// for each request.
 
 // CloneResolver clones r when it is one of this package's engines,
 // sharing its immutable topology. It returns (nil, false) for anything
@@ -26,14 +27,4 @@ func CloneResolver(r any) (Resolver, bool) {
 		return e.Clone(), true
 	}
 	return nil, false
-}
-
-// Cloneable reports whether CloneResolver would succeed on r, without
-// paying for the clone.
-func Cloneable(r any) bool {
-	switch r.(type) {
-	case *Engine, *GridEngine, *HierEngine:
-		return true
-	}
-	return false
 }

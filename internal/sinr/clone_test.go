@@ -155,14 +155,11 @@ func TestCloneNotCloneable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Cloneable(f) {
-		t.Error("fading engine reported cloneable (it owns RNG state)")
-	}
 	if _, ok := CloneResolver(f); ok {
-		t.Error("CloneResolver cloned a fading engine")
+		t.Error("CloneResolver cloned a fading engine (it owns RNG state)")
 	}
-	if Cloneable(nil) {
-		t.Error("nil reported cloneable")
+	if _, ok := CloneResolver(nil); ok {
+		t.Error("CloneResolver cloned nil")
 	}
 }
 
@@ -198,9 +195,9 @@ func TestClonesRunConcurrently(t *testing.T) {
 	}
 }
 
-// BenchmarkTrialSetup measures what the exp engine pool buys: the cost
-// of readying one trial's engine, fresh construction versus cloning a
-// prototype. The clone skips the bounding-box scan, cell assignment and
+// BenchmarkTrialSetup measures what handing out clones buys (E14's
+// trials, the serve cache's requests): the cost of readying one
+// engine, fresh construction versus cloning a prototype. The clone skips the bounding-box scan, cell assignment and
 // both CSR counting sorts; run-state arrays are lazily allocated on
 // first resolve either way, so the numbers isolate topology work. The
 // acceptance gate wants cloned ≥ 5× faster at n=65536.

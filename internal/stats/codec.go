@@ -17,19 +17,33 @@ import (
 const titleMarker = "#table"
 
 // WriteCSV encodes the table as CSV: an optional ["#table", title]
-// record, the header record, then one record per row.
+// record, the header record, then one record per row. The title record
+// is written for an untitled table too when its header record would
+// read back as one. A record holding one empty field is written as
+// `""`: encoding/csv writes it as a blank line, which readers skip.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if t.Title != "" {
-		if err := cw.Write([]string{titleMarker, t.Title}); err != nil {
+	write := func(rec []string) error {
+		if len(rec) == 1 && rec[0] == "" {
+			cw.Flush()
+			if err := cw.Error(); err != nil {
+				return err
+			}
+			_, err := io.WriteString(w, "\"\"\n")
+			return err
+		}
+		return cw.Write(rec)
+	}
+	if t.Title != "" || (len(t.Headers) == 2 && t.Headers[0] == titleMarker) {
+		if err := write([]string{titleMarker, t.Title}); err != nil {
 			return err
 		}
 	}
-	if err := cw.Write(t.Headers); err != nil {
+	if err := write(t.Headers); err != nil {
 		return err
 	}
 	for _, r := range t.Rows {
-		if err := cw.Write(r); err != nil {
+		if err := write(r); err != nil {
 			return err
 		}
 	}

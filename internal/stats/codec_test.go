@@ -62,6 +62,31 @@ func TestCSVWithoutTitle(t *testing.T) {
 	}
 }
 
+// TestCSVAmbiguousRecords pins the two records WriteCSV must spell out
+// to round-trip: an untitled table whose header record reads like a
+// title record, and a record holding one empty field, which
+// encoding/csv would write as a skipped blank line.
+func TestCSVAmbiguousRecords(t *testing.T) {
+	titleLike := NewTable("", titleMarker, "x")
+	titleLike.AddRow("a", "b")
+	emptyCell := NewTable("", "")
+	emptyCell.AddRow("")
+	emptyCell.AddRow("z")
+	for _, tb := range []*Table{titleLike, emptyCell} {
+		var buf bytes.Buffer
+		if err := tb.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%q: %v", buf.String(), err)
+		}
+		if !reflect.DeepEqual(back, tb) {
+			t.Fatalf("round trip through %q: %#v != %#v", buf.String(), back, tb)
+		}
+	}
+}
+
 func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader("")); err == nil {
 		t.Fatal("want error for empty CSV input")
