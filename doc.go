@@ -136,14 +136,19 @@
 //
 // All three engines also implement ResolveFor(tx, receivers) — subset
 // resolution byte-identical to a filtered Resolve; the hier engine
-// groups a subset's receivers by receiver block and runs its one block
-// loop, so each block builds its far-field frontier at most once per
-// round however scattered the receivers are — and sim.Engine
-// exposes SetReceiverActive so protocols whose quiescent stations
-// cannot change state by receiving (informed flood stations,
+// groups a subset's receivers by receiver block in one pass and runs
+// its one block loop, so each block builds its far-field frontier at
+// most once per round however scattered the receivers are — and
+// sim.Engine exposes SetReceiverActive so protocols whose quiescent
+// stations cannot change state by receiving (informed flood stations,
 // SBroadcast stations past the coloring, alerted alert stations) stop
-// paying O(n) per round for settled receivers. Experiment E14 measures
-// the resulting large-n throughput at 10⁴–10⁶ stations.
+// paying for settled receivers. The receiver side of such a round
+// costs what its active receivers cost, not n: the engine updates its
+// active list by filtering the previous one (only a re-activation
+// rescans all n stations), and the hier engine visits only the active
+// receivers of blocks near a transmitter, each reading only the cells
+// within its communication range. Experiment E14 measures the
+// resulting large-n throughput at 10⁴–10⁶ stations.
 //
 // There is one round loop: every runner — the paper's algorithms, the
 // four baseline floods (baseline.RunFloodOn) and the §5 applications —

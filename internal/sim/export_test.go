@@ -21,3 +21,15 @@ func SetStationWrapperForTest(wrap func(Protocol) Protocol) (prev func(Protocol)
 	prev, wrapStation = wrapStation, wrap
 	return prev
 }
+
+// SetEngineObserverForTest makes every engine built afterwards call
+// observe with itself (nil: none), and returns the previous observer.
+// Tests outside the package use it to reach engines that runners build.
+func SetEngineObserverForTest(observe func(*Engine)) (prev func(*Engine)) {
+	prev, engineBuilt = engineBuilt, observe
+	return prev
+}
+
+// ActiveExaminedForTest returns how many stations the engine's
+// active-receiver list updates have looked at since construction.
+func (e *Engine) ActiveExaminedForTest() int64 { return e.activeExamined }

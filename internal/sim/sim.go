@@ -187,6 +187,10 @@ func (d *dueSet) pop() int32 {
 // Only tests set it, to run whole protocols on a reference adapter.
 var wrapStation func(Protocol) Protocol
 
+// engineBuilt, when non-nil, sees every engine NewEngine returns. Only
+// tests set it, to read the counters of engines that runners build.
+var engineBuilt func(*Engine)
+
 // Engine drives one simulation.
 type Engine struct {
 	phys   Resolver
@@ -220,11 +224,17 @@ type Engine struct {
 
 	// Receiver-activity tracking (see SetReceiverActive): inactive
 	// stations are excluded from reception resolution when the physical
-	// layer supports subsets. activeRecv is rebuilt lazily when dirty.
-	inactive    []bool
-	inactiveN   int
-	activeRecv  []int
-	activeDirty bool
+	// layer supports subsets. activeRecv is brought up to date lazily
+	// when dirty: filtered in place when stations only went inactive
+	// since (activeStale unset), rebuilt from all n stations otherwise.
+	// activeExamined counts the stations the two paths look at, for the
+	// counted gate.
+	inactive       []bool
+	inactiveN      int
+	activeRecv     []int
+	activeDirty    bool
+	activeStale    bool
+	activeExamined int64
 
 	// Metrics of the run so far.
 	Metrics Metrics
@@ -265,6 +275,9 @@ func NewEngine(phys Resolver, protos []Protocol) (*Engine, error) {
 		e.next[i] = int32(i)
 		e.calPrev[i] = unlinked
 	}
+	if engineBuilt != nil {
+		engineBuilt(e)
+	}
 	return e, nil
 }
 
@@ -273,7 +286,10 @@ func NewEngine(phys Resolver, protos []Protocol) (*Engine, error) {
 // longer change by receiving — an informed flood station, an SBroadcast
 // station past the coloring whose Recv is a no-op once informed — so
 // late rounds stop paying O(n) interference work for receivers whose
-// outcome is already settled.
+// outcome is already settled. The engine's own bookkeeping follows the
+// same budget: a round after deactivations only filters the previous
+// round's active list, so it costs the stations still active, not n; a
+// re-activation makes the next round rebuild the list from all n.
 //
 // The contract is strict: receptions delivered to the remaining active
 // stations are byte-identical to a full resolution (ResolveFor
@@ -293,6 +309,7 @@ func (e *Engine) SetReceiverActive(i int, active bool) {
 			return
 		}
 		e.inactive = make([]bool, len(e.protos))
+		e.activeStale = true
 	}
 	if e.inactive[i] == !active {
 		return
@@ -300,24 +317,43 @@ func (e *Engine) SetReceiverActive(i int, active bool) {
 	e.inactive[i] = !active
 	if active {
 		e.inactiveN--
+		e.activeStale = true
 	} else {
 		e.inactiveN++
 	}
 	e.activeDirty = true
 }
 
-// activeReceivers returns the sorted active-station list, rebuilding it
-// only after SetReceiverActive changed something.
+// activeReceivers returns the sorted active-station list, updating it
+// only after SetReceiverActive changed something. When every change
+// since the last update was a deactivation, the active stations are a
+// subsequence of the previous list, so dropping the inactive ones in
+// place costs that list's length and keeps it sorted; a re-activation
+// (or the first update) rescans all n stations.
 func (e *Engine) activeReceivers() []int {
-	if e.activeDirty {
+	if !e.activeDirty {
+		return e.activeRecv
+	}
+	if e.activeStale {
+		e.activeExamined += int64(len(e.inactive))
 		e.activeRecv = e.activeRecv[:0]
 		for i, off := range e.inactive {
 			if !off {
 				e.activeRecv = append(e.activeRecv, i)
 			}
 		}
-		e.activeDirty = false
+	} else {
+		e.activeExamined += int64(len(e.activeRecv))
+		kept := 0
+		for _, i := range e.activeRecv {
+			e.activeRecv[kept] = i
+			if !e.inactive[i] {
+				kept++
+			}
+		}
+		e.activeRecv = e.activeRecv[:kept]
 	}
+	e.activeDirty, e.activeStale = false, false
 	return e.activeRecv
 }
 

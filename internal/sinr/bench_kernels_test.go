@@ -42,7 +42,7 @@ var benchSink float64
 func BenchmarkFrontierReplay(b *testing.B) {
 	for _, size := range []int{64, 512, 4096} {
 		x, y, p := benchSlabs(uint64(size), size)
-		for _, alpha := range []float64{2, 2.5, 4} {
+		for _, alpha := range []float64{2, 2.5, 3, 4} {
 			k := NewKernel(alpha)
 			b.Run(fmt.Sprintf("len=%d/alpha=%g/scalar", size, alpha), func(b *testing.B) {
 				acc := 0.0
@@ -75,7 +75,7 @@ func BenchmarkFrontierReplay(b *testing.B) {
 func BenchmarkGatherNear(b *testing.B) {
 	for _, size := range []int{16, 64, 256} {
 		x, y, _ := benchSlabs(uint64(size)*7+1, size)
-		for _, alpha := range []float64{2, 2.5, 4} {
+		for _, alpha := range []float64{2, 2.5, 3, 4} {
 			k := NewKernel(alpha)
 			const pw = 1.0
 			b.Run(fmt.Sprintf("len=%d/alpha=%g/scalar", size, alpha), func(b *testing.B) {

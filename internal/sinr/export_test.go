@@ -85,7 +85,7 @@ func (h *HierEngine) FrontierBuildsForTest() int64 { return h.frontierBuilds.Loa
 func (h *HierEngine) PyramidBuildsForTest() int64 { return h.pyramidBuilds.Load() }
 
 // BlockOfForTest returns the receiver block of station u.
-func (h *HierEngine) BlockOfForTest(u int) int { return int(h.blockOfCell(h.cellOf[u])) }
+func (h *HierEngine) BlockOfForTest(u int) int { return int(h.blockOf[u]) }
 
 // NearCellsForTest exposes the near-field box radius in cells, the
 // input of the per-cell bump count the hot-table gate compares against.
@@ -119,4 +119,18 @@ func SetSoloMemoForTest(on bool) (prev bool) {
 	prev = !soloMemoOff
 	soloMemoOff = !on
 	return prev
+}
+
+// RecvStatsForTest returns the receiver-loop cost counters accumulated
+// since construction: receivers resolved (visits), near-slab elements
+// their rejection scans read, and the slab lengths a whole-slab scan
+// would have read for the same visits.
+func (h *HierEngine) RecvStatsForTest() (visits, scanned, slab int64) {
+	return h.visits.Load(), h.candScanned.Load(), h.slabScanned.Load()
+}
+
+// HotBlockForTest reports whether station u's receiver block is hot in
+// the engine's current round (some transmitter's near box touches it).
+func (h *HierEngine) HotBlockForTest(u int) bool {
+	return h.hotCnt != nil && h.hotCnt[h.blockOf[u]] != 0
 }

@@ -76,6 +76,18 @@ type blockSlabs struct {
 	evX, evY, evP []float64
 	nearID        []int32
 	nearX, nearY  []float64
+	// cellOff indexes the near slab by cell: the transmitters of cell
+	// (x0+i, y0+j) of the union near box, which is w×h cells, are
+	// near*[cellOff[j*w+i]:cellOff[j*w+i+1]]. rowOcc[j] has bit i set
+	// when that cell holds a transmitter, and candOcc[j] when the
+	// candidate box around it does, so a rejection scan dismisses a
+	// receiver with an empty box from one bit. The masks are read only
+	// when w ≤ 64 (always, with the default geometry's 24).
+	cellOff []int32
+	rowOcc  []uint64
+	candOcc []uint64
+	x0, y0  int32
+	w, h    int32
 }
 
 // blockCacheEntry is one slot of the cross-round per-block slab cache:
@@ -91,8 +103,20 @@ type blockCacheEntry struct {
 	nearEpoch, frontierEpoch uint32
 }
 
+// stationGeom is what a receiver's rejection scan reads, in one place:
+// the station's position, the column and row of its base cell, and its
+// candidate span — columns c0..c1 and rows r0..r1, the cells that can
+// hold a transmitter within the communication range (see candSpan).
+type stationGeom struct {
+	x, y           float64
+	col, row       int32
+	c0, c1, r0, r1 int32
+}
+
 // blockRange is one entry of a round's receiver work list: block b's
-// receivers are workItems[lo:hi], in ascending station order.
+// receivers sit at the static-CSR positions workItems[lo:hi], in
+// ascending station order. lo is always blockStart[b]: a block's
+// receivers are a prefix of its range of the CSR layout.
 type blockRange struct {
 	b, lo, hi int32
 }
@@ -110,15 +134,16 @@ type blockRange struct {
 // approximation error only perturbs the far interference tail, and the
 // center-of-mass placement cancels the first-order term of that error.
 //
-// Three amortizations keep the hot path cheap:
+// Three amortizations keep the hot path cheap, and the receiver side
+// of a round costs what its live receivers cost:
 //
 //   - Across receivers (frontier memoization): the descent runs once
 //     per round and block of frontierBlock×frontierBlock cells that
 //     holds a decode candidate (a receiver passing the near-field
 //     rejection; a hot block without one gathers its near field and
 //     stops there) — whole rounds and ResolveFor subsets alike, since
-//     a subset round groups its receivers by block before it resolves
-//     them —
+//     a subset round groups its receivers by block, in one pass over
+//     the subset, before it resolves them —
 //     classifying each node against the whole block rectangle —
 //     accepted only when θ holds at the rectangle's nearest point (so
 //     it holds for every receiver in the block), descended otherwise —
@@ -132,10 +157,16 @@ type blockRange struct {
 //     finer approximations than the per-receiver descent's, so the
 //     error can only shrink (TestHierEngineAgreement still bounds it
 //     by GridEngine's; measured, it drops by an order of magnitude).
+//     The gathered slab is indexed by cell, so a receiver's rejection
+//     scan reads only the cells that can hold a transmitter within its
+//     communication range (its candidate span), not the block's whole
+//     union box, and a receiver with nothing within candCells of its
+//     cell is dismissed from one bit.
 //
-//   - Within a round (a two-stage build): every round buckets its
-//     transmitters into cells, marks the blocks they make hot and
-//     advances an aggregation epoch — O(|tx|). The pyramid (canonical
+//   - Within a round (a two-stage build): every round chains its
+//     transmitters into per-cell lists (one flat link per transmitter,
+//     in round order), marks the blocks they make hot and advances an
+//     aggregation epoch — O(|tx|). The pyramid (canonical
 //     cell sums and the upper levels) is built on demand, at most once
 //     per round, by the first receiver that survives its near field:
 //     interference only grows as transmitters are added, so a receiver
@@ -156,9 +187,11 @@ type blockRange struct {
 //
 // These amortizations are the engine's only resolve path: Resolve and
 // ResolveFor run one block loop (collectBlocks) over a work list of
-// per-block receiver ranges. The plain per-receiver descent they
-// replace is kept in the tests as an oracle, and the round-sequence
-// tests require the two to agree bit for bit.
+// per-block receiver ranges, listed from the round's hot blocks alone
+// (listWork) — Resolve's ranges are the static block CSR, a subset's
+// are its receivers grouped into the same layout. The plain
+// per-receiver descent they replace is kept in the tests as an oracle,
+// and the round-sequence tests require the two to agree bit for bit.
 //
 // Like the other engines, path loss goes through the specialized
 // Kernel, large rounds split into chunks (one per block) drained by the
@@ -169,9 +202,7 @@ type blockRange struct {
 type HierEngine struct {
 	*hierTopo
 
-	// blockStamp dedups per-round block visits.
-	blockStamp []uint32
-	levels     []pyrLevel
+	levels []pyrLevel
 
 	workers      int
 	minParallelN int
@@ -182,8 +213,16 @@ type HierEngine struct {
 
 	// The round's transmitter aggregation state. It persists between
 	// rounds only so that a round repeating the previous transmitter
-	// slice can keep it (and its epoch) whole.
-	txInCell [][]int32
+	// slice can keep it (and its epoch) whole. The transmitters of a
+	// cell are a chain through positions of prevTx (the round's
+	// transmitter slice), in round order: cellHead[c] is the first
+	// position (-1: empty cell), cellTail[c] the last, and txNext[k]
+	// the position after k (-1: end). Links name positions, not
+	// stations, so a transmitter listed twice is chained, and counted,
+	// twice — as the exact engine counts it.
+	cellHead []int32
+	cellTail []int32
+	txNext   []int32
 	// hotCnt[b] counts live cells whose near box intersects receiver
 	// block b: a station in a block with count 0 has no transmitter
 	// within the near radius (every cell of the block is cold) and is
@@ -214,14 +253,23 @@ type HierEngine struct {
 	aggEpoch uint32
 
 	// Per-round receiver work list: one (block, lo, hi) range of
-	// workItems per block with receivers to resolve. Resolve points
-	// workItems at the static block CSR (blockItems); ResolveFor points
-	// it at recvItems, its subset grouped by block (blockSlot maps a
-	// block stamped this round to its work-list entry).
+	// workItems per hot block with receivers to resolve (see listWork).
+	// Work items are CSR positions. Resolve points workItems at allPos,
+	// every position; ResolveFor points it at recvItems, its subset's
+	// positions laid out like the CSR: block b's receivers fill
+	// recvItems[blockStart[b]:blockFill[b]].
 	workList  []blockRange
 	workItems []int32
 	recvItems []int32
-	blockSlot []int32
+	blockFill []int32
+	// Receiver-loop cost counters for the hardware-independent gates:
+	// receivers resolved (visits), near-slab elements their rejection
+	// scans read (candScanned), and the slab lengths a whole-slab scan
+	// would have read (slabScanned). Atomic: parallel blocks count
+	// concurrently, once per block.
+	visits      atomic.Int64
+	candScanned atomic.Int64
+	slabScanned atomic.Int64
 	// blockCache persists each block's slabs across rounds, stamped
 	// with the aggregation epoch that built them. The parallel block
 	// loop makes each work-list block its own chunk, claimed by exactly
@@ -257,6 +305,13 @@ type hierTopo struct {
 	theta2   float64
 	// nearCells is the near-field box radius in cells (see GridEngine).
 	nearCells int
+	// candCells is the candidate box radius in cells, ⌈1/cellSize⌉+1:
+	// every transmitter within the communication range 1 of a station
+	// sits within candCells cells of the station's cell, with a cell of
+	// margin for rounding in the cell assignment. candCells ≤ nearCells
+	// because nearRadius ≥ 1. A station's candidate span (candSpan)
+	// narrows the box to its own position.
+	candCells int
 
 	cols, rows int
 	minX, minY float64
@@ -266,16 +321,25 @@ type hierTopo struct {
 	// moves borderline nodes from accepted to descended — the safe
 	// direction).
 	rectPad float64
+	// Static per-station cell index and receiver block.
 	cellOf  []int32
+	blockOf []int32
 	// Receiver blocks: the plane is cut into frontierBlock-sized
 	// squares of cells; bcols×brows of them. blockItems[blockStart[b]:
 	// blockStart[b+1]] are block b's stations in ascending index order
 	// (a static CSR) — the memoized receiver loop walks blocks, not
 	// indices, so receivers of one block are resolved back to back
-	// against the block's shared slabs.
+	// against the block's shared slabs. The loop walks CSR positions:
+	// position p holds station blockItems[p], whose geometry is
+	// csrGeo[p], laid out in CSR order so a block's receivers read it
+	// in sequence; csrPos maps a station to its position, and allPos
+	// lists every position in order.
 	bcols, brows int
 	blockStart   []int32
 	blockItems   []int32
+	csrPos       []int32
+	csrGeo       []stationGeom
+	allPos       []int32
 }
 
 // NewHierEngine builds a hierarchical engine over Euclidean points.
@@ -313,34 +377,42 @@ func NewHierEngine(eu *geom.Euclidean, p Params, cellSize, nearRadius, theta flo
 		nearR2:    nearRadius * nearRadius,
 		theta2:    theta * theta,
 		nearCells: int(math.Ceil(nearRadius/cellSize)) + 1,
+		candCells: int(math.Ceil(1/cellSize)) + 1,
 		cols:      cols, rows: rows,
 		minX: minX, minY: minY,
-		cellOf: make([]int32, n),
+		bcols: (cols + frontierBlock - 1) / frontierBlock,
+		brows: (rows + frontierBlock - 1) / frontierBlock,
 	}
 	span := math.Abs(minX) + math.Abs(minY) + (float64(cols)+float64(rows))*cellSize
 	tp.rectPad = 1e-12 * (span + 1)
-	for i, q := range pts {
-		tp.ptsX[i], tp.ptsY[i] = q.X, q.Y
-		tp.cellOf[i] = int32(tp.cellIndex(q))
-	}
 	// Static station CSR by receiver block (counting sort).
-	tp.bcols = (cols + frontierBlock - 1) / frontierBlock
-	tp.brows = (rows + frontierBlock - 1) / frontierBlock
 	nBlocks := tp.bcols * tp.brows
 	counts := make([]int32, nBlocks+1)
-	for _, c := range tp.cellOf {
-		counts[tp.blockOfCell(c)+1]++
+	idx := make([]int32, 5*n)
+	tp.cellOf, tp.blockOf = idx[:n:n], idx[n:2*n:2*n]
+	tp.blockItems, tp.csrPos, tp.allPos = idx[2*n:3*n:3*n], idx[3*n:4*n:4*n], idx[4*n:]
+	tp.csrGeo = make([]stationGeom, n)
+	for i, q := range pts {
+		tp.ptsX[i], tp.ptsY[i] = q.X, q.Y
+		cx, cy := tp.cellXY(q)
+		tp.cellOf[i] = int32(cy*cols + cx)
+		tp.blockOf[i] = int32(cy/frontierBlock*tp.bcols + cx/frontierBlock)
+		counts[tp.blockOf[i]+1]++
 	}
 	for b := 1; b <= nBlocks; b++ {
 		counts[b] += counts[b-1]
 	}
 	tp.blockStart = counts
-	tp.blockItems = make([]int32, n)
 	fill := make([]int32, nBlocks)
-	for i := range pts {
-		b := tp.blockOfCell(tp.cellOf[i])
-		tp.blockItems[tp.blockStart[b]+fill[b]] = int32(i)
+	for i, b := range tp.blockOf {
+		p := tp.blockStart[b] + fill[b]
 		fill[b]++
+		tp.blockItems[p], tp.csrPos[i], tp.allPos[p] = int32(i), p, p
+		c := tp.cellOf[i]
+		g := stationGeom{x: pts[i].X, y: pts[i].Y, col: c % int32(cols), row: c / int32(cols)}
+		g.c0, g.c1 = tp.candSpan(g.x, tp.minX, cols, g.col)
+		g.r0, g.r1 = tp.candSpan(g.y, tp.minY, rows, g.row)
+		tp.csrGeo[p] = g
 	}
 	return hierFromTopo(tp), nil
 }
@@ -371,13 +443,21 @@ func (h *HierEngine) ensureRunState() {
 	}
 	n := len(h.pts)
 	nBlocks := h.bcols * h.brows
-	h.blockStamp = make([]uint32, nBlocks)
-	h.blockSlot = make([]int32, nBlocks)
+	h.blockFill = make([]int32, nBlocks)
+	for b := range h.blockFill {
+		h.blockFill[b] = int32(n) // parked (see groupReceivers)
+	}
 	h.hotCnt = make([]int32, nBlocks)
 	h.blockCache = make([]blockCacheEntry, nBlocks)
 	h.farCache = make([]float64, n)
 	h.farEpoch = make([]uint32, n)
-	h.txInCell = make([][]int32, h.cols*h.rows)
+	h.recvItems = make([]int32, n+1)
+	cells := h.cols * h.rows
+	links := make([]int32, 2*cells)
+	h.cellHead, h.cellTail = links[:cells:cells], links[cells:]
+	for c := range h.cellHead {
+		h.cellHead[c] = -1
+	}
 	h.isTx = make([]bool, n)
 	// Stack levels until a single node covers the whole grid.
 	lc, lr := h.cols, h.rows
@@ -412,12 +492,6 @@ func (h *HierEngine) Clone() *HierEngine {
 	return c
 }
 
-// blockOfCell maps a base cell to its receiver block.
-func (h *hierTopo) blockOfCell(c int32) int32 {
-	cx, cy := int(c)%h.cols, int(c)/h.cols
-	return int32(cy/frontierBlock*h.bcols + cx/frontierBlock)
-}
-
 // blockCellRange returns block b's base-cell extent [x0,x1]×[y0,y1].
 func (h *hierTopo) blockCellRange(b int32) (x0, y0, x1, y1 int) {
 	bx, by := int(b)%h.bcols, int(b)/h.bcols
@@ -427,20 +501,37 @@ func (h *hierTopo) blockCellRange(b int32) (x0, y0, x1, y1 int) {
 	return
 }
 
-func (h *hierTopo) cellIndex(q geom.Point) int {
-	cx := int((q.X - h.minX) / h.cellSize)
-	cy := int((q.Y - h.minY) / h.cellSize)
-	if cx < 0 {
-		cx = 0
-	} else if cx >= h.cols {
-		cx = h.cols - 1
+// cellXY returns the column and row of the base cell holding q.
+func (h *hierTopo) cellXY(q geom.Point) (cx, cy int) {
+	return h.cellAxis(q.X, h.minX, h.cols), h.cellAxis(q.Y, h.minY, h.rows)
+}
+
+// cellAxis returns the cell index of coordinate v along an axis of n
+// cells starting at lo. Each step — the subtraction, the division, the
+// truncation, the clamp — is monotone in v under IEEE rounding, so
+// v ≤ w implies cellAxis(v) ≤ cellAxis(w).
+func (h *hierTopo) cellAxis(v, lo float64, n int) int {
+	c := int((v - lo) / h.cellSize)
+	if c < 0 {
+		return 0
 	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= h.rows {
-		cy = h.rows - 1
-	}
-	return cy*h.cols + cx
+	return min(c, n-1)
+}
+
+// candSpan returns the cells, along one axis, that can hold a
+// transmitter whose computed squared distance to a station at
+// coordinate v, in cell number cell, is at most 1. Such a transmitter lies
+// within 1+3ε of v, ε the unit roundoff (the rounded difference and
+// squares cost at most that), and v ± (1 + 10⁻⁹·(1+|v|)) rounds to
+// points at least that far out, so by the monotonicity of cellAxis the
+// cells of those two points bound the transmitter's. The span is
+// clipped to candCells around the station's cell, itself such a bound.
+func (h *hierTopo) candSpan(v, lo float64, n int, cell int32) (c0, c1 int32) {
+	reach := 1 + 1e-9*(1+math.Abs(v))
+	r := int32(h.candCells)
+	c0 = max(int32(h.cellAxis(v-reach, lo, n)), cell-r)
+	c1 = min(int32(h.cellAxis(v+reach, lo, n)), cell+r)
+	return c0, c1
 }
 
 // N returns the number of stations.
@@ -462,13 +553,14 @@ func (h *HierEngine) SetWorkers(w int) { h.workers = resolveWorkers(w) }
 // --- Round aggregation (bucketing, pyramid, reset) ---------------------
 
 // recomputeCell recomputes cell c's level-0 aggregate from its
-// transmitter list, in list order — the round's transmitter order, so
+// transmitter chain, in chain order — the round's transmitter order, so
 // a round and a fresh engine resolving it sum bit-identically.
 func (h *HierEngine) recomputeCell(c int32) {
 	pw := h.params.Power()
 	l0 := &h.levels[0]
 	pow, px, py := 0.0, 0.0, 0.0
-	for _, t := range h.txInCell[c] {
+	for k := h.cellHead[c]; k >= 0; k = h.txNext[k] {
+		t := h.prevTx[k]
 		pow += pw
 		px += pw * h.ptsX[t]
 		py += pw * h.ptsY[t]
@@ -539,21 +631,27 @@ func (h *HierEngine) bumpHot(c int32) {
 	}
 }
 
-// bucketRound is the every-round stage of the aggregation: it buckets
-// the transmitters into their cells in round order, lists the live
-// cells, marks the blocks they make hot and advances the aggregation
-// epoch. Cost O(|tx| + live·nearBox). The pyramid waits for
+// bucketRound is the every-round stage of the aggregation: it chains
+// the round's transmitters (prevTx) into their cells in round order,
+// lists the live cells, marks the blocks they make hot and advances the
+// aggregation epoch. Cost O(|tx| + live·nearBox). The pyramid waits for
 // ensurePyramid.
-func (h *HierEngine) bucketRound(tx []int) {
+func (h *HierEngine) bucketRound() {
+	tx := h.prevTx
 	l0 := &h.levels[0]
-	for _, t := range tx {
+	h.txNext = slices.Grow(h.txNext[:0], len(tx))[:len(tx)]
+	for k, t := range tx {
 		h.isTx[t] = true
 		c := h.cellOf[t]
-		if len(h.txInCell[c]) == 0 {
+		h.txNext[k] = -1
+		if h.cellHead[c] < 0 {
+			h.cellHead[c] = int32(k)
 			l0.live = append(l0.live, c)
 			h.bumpHot(c)
+		} else {
+			h.txNext[h.cellTail[c]] = int32(k)
 		}
-		h.txInCell[c] = append(h.txInCell[c], int32(t))
+		h.cellTail[c] = int32(k)
 	}
 	h.aggEpoch++
 }
@@ -596,7 +694,7 @@ func (h *HierEngine) ensurePyramid() {
 // O(touched nodes), leaving the engine as if no round had run.
 func (h *HierEngine) resetRound() {
 	for _, c := range h.levels[0].live {
-		h.txInCell[c] = h.txInCell[c][:0]
+		h.cellHead[c] = -1
 	}
 	for lv := range h.levels {
 		l := &h.levels[lv]
@@ -629,7 +727,6 @@ func (h *HierEngine) prepareRound(tx []int) {
 		for lv := range h.levels {
 			clear(h.levels[lv].stamp)
 		}
-		clear(h.blockStamp)
 		clear(h.farEpoch)
 		for i := range h.blockCache {
 			h.blockCache[i].nearEpoch, h.blockCache[i].frontierEpoch = 0, 0
@@ -640,8 +737,8 @@ func (h *HierEngine) prepareRound(tx []int) {
 		return
 	}
 	h.resetRound()
-	h.bucketRound(tx)
 	h.prevTx = append(h.prevTx[:0], tx...)
+	h.bucketRound()
 }
 
 // --- Resolution --------------------------------------------------------
@@ -654,65 +751,67 @@ func (h *HierEngine) checkTx(tx []int) {
 	}
 }
 
-// buildWorkList collects the round's occupied hot blocks — the only
-// blocks whose stations can decode anything — as ranges of the static
-// block CSR. The hot list is already block-granular and lists each
-// hot block once, so this only drops unoccupied blocks.
-func (h *HierEngine) buildWorkList() {
+// listWork lists the round's work: one range per hot block — the only
+// blocks whose stations can decode anything — that has receivers,
+// block b's being items[blockStart[b]:end[b]]. The hot list names each
+// hot block once, so the cost is O(hot blocks), never O(blocks).
+// Resolve passes every CSR position (end = blockStart[1:], every
+// station of the block); ResolveFor passes its grouped subset.
+func (h *HierEngine) listWork(items, end []int32) {
 	h.workList = h.workList[:0]
-	h.workItems = h.blockItems
+	h.workItems = items
 	for _, b := range h.hotList {
-		if lo, hi := h.blockStart[b], h.blockStart[b+1]; hi > lo {
+		if lo, hi := h.blockStart[b], end[b]; hi > lo {
 			h.workList = append(h.workList, blockRange{b: b, lo: lo, hi: hi})
 		}
 	}
 }
 
-// groupReceivers builds the work list of a ResolveFor round: the
-// receivers that can decode anything (not transmitting, in a hot
-// block) bucketed by receiver block with a two-pass counting sort into
-// recvItems, so every block's receivers are one ascending range and
-// its slabs are built at most once per round. The cost is
-// O(len(receivers)), never O(n): blocks are deduplicated by generation
-// stamp, not by clearing a per-block array.
+// groupReceivers validates a ResolveFor subset and groups it by
+// receiver block in one pass: each receiver in a hot block has its CSR
+// position written to the next free slot of its block's range of the
+// CSR layout in recvItems, so every block's receivers end up one
+// ascending range and its slabs are built at most once per round.
+// Transmitting receivers are skipped later, by collectBlocks.
+//
+// The pass has no branch on the block: the fill cursor of every cold
+// block rests on recvItems' spare last slot (n), which absorbs the
+// writes of cold receivers and is never advanced, so those receivers
+// drop out. Only the hot list's cursors move off it, and back after
+// listWork, so the cost is O(len(receivers) + hot blocks), never O(n).
+// A hot block's cursor reaches n only once the last block has taken
+// all its stations, after which no receiver of that block remains.
 func (h *HierEngine) groupReceivers(receivers []int) {
-	h.workList = h.workList[:0]
-	h.gen++
-	kept := int32(0)
+	for _, b := range h.hotList {
+		h.blockFill[b] = h.blockStart[b]
+	}
+	n, prev := len(h.pts), -1
+	spare := int32(n)
 	for _, u := range receivers {
-		b := h.blockOfCell(h.cellOf[u])
-		if h.hotCnt[b] == 0 || h.isTx[u] {
-			continue
+		if u <= prev || u >= n {
+			h.parkFill()
+			checkReceivers(receivers, n) // panics with the offending index
 		}
-		if h.blockStamp[b] != h.gen {
-			h.blockStamp[b] = h.gen
-			h.blockSlot[b] = int32(len(h.workList))
-			h.workList = append(h.workList, blockRange{b: b})
+		prev = u
+		b := h.blockOf[u]
+		f := h.blockFill[b]
+		h.recvItems[f] = h.csrPos[u]
+		var step int32
+		if f != spare {
+			step = 1
 		}
-		h.workList[h.blockSlot[b]].hi++
-		kept++
+		h.blockFill[b] = f + step
 	}
-	// Counts become start offsets; hi then serves as each block's fill
-	// cursor and ends at lo + count.
-	off := int32(0)
-	for i := range h.workList {
-		w := &h.workList[i]
-		w.lo, w.hi, off = off, off, off+w.hi
+	h.listWork(h.recvItems, h.blockFill)
+	h.parkFill()
+}
+
+// parkFill rests the hot list's fill cursors on recvItems' spare slot,
+// where every cold block's cursor stays (see groupReceivers).
+func (h *HierEngine) parkFill() {
+	for _, b := range h.hotList {
+		h.blockFill[b] = int32(len(h.pts))
 	}
-	if int32(cap(h.recvItems)) < kept {
-		h.recvItems = make([]int32, kept)
-	}
-	h.recvItems = h.recvItems[:kept]
-	for _, u := range receivers {
-		b := h.blockOfCell(h.cellOf[u])
-		if h.hotCnt[b] == 0 || h.isTx[u] {
-			continue
-		}
-		w := &h.workList[h.blockSlot[b]]
-		h.recvItems[w.hi] = int32(u)
-		w.hi++
-	}
-	h.workItems = h.recvItems
 }
 
 // Resolve computes receptions for one round (see Engine.Resolve for
@@ -731,7 +830,7 @@ func (h *HierEngine) Resolve(tx []int) []Reception {
 	h.ensureRunState()
 	h.checkTx(tx)
 	h.prepareRound(tx)
-	h.buildWorkList()
+	h.listWork(h.allPos, h.blockStart[1:])
 	h.resolveWork(len(h.pts))
 	h.solo.record(tx, len(h.pts), h.out)
 	return h.out
@@ -740,8 +839,9 @@ func (h *HierEngine) Resolve(tx []int) []Reception {
 // ResolveFor computes the receptions of one round restricted to the
 // given receivers: byte-identical to Resolve(tx) filtered to the
 // subset. receivers must be strictly increasing station indices. The
-// subset is grouped by receiver block and runs Resolve's block loop, so
-// however scattered its receivers are, each block gathers its near
+// subset is grouped by receiver block in one pass and runs Resolve's
+// block loop, so the receiver side of a round costs O(|receivers|),
+// and however scattered its receivers are, each block gathers its near
 // field and descends the pyramid at most once per round — and not at
 // all while its cached slabs carry the current epoch. The pyramid
 // itself is built only once a receiver survives its near field.
@@ -750,7 +850,6 @@ func (h *HierEngine) ResolveFor(tx []int, receivers []int) []Reception {
 		return nil
 	}
 	h.ensureRunState()
-	checkReceivers(receivers, len(h.pts))
 	h.checkTx(tx)
 	h.prepareRound(tx)
 	h.groupReceivers(receivers)
@@ -795,25 +894,56 @@ func (h *HierEngine) runChunkBlock(chunk, worker int) {
 // gatherNear collects the transmitters of the block's union near box —
 // the block's cell extent padded by the near-field radius, so every
 // receiver in the block has its own near box covered — into the
-// block's slabs, in (cell-row, cell-col, list) scan order. Every
-// receiver of the block sums all of them exactly: a superset of its
-// own near box, so the exact region only grows.
+// block's slabs, in (cell-row, cell-col, chain) scan order, and indexes
+// them by cell for the rejection scans: where each cell's transmitters
+// start, and which cells have a transmitter in their candidate box.
+// Every receiver of the block sums all of them exactly: a superset of
+// its own near box, so the exact region only grows.
 func (h *HierEngine) gatherNear(sl *blockSlabs, bx0, by0, bx1, by1 int) {
 	sl.nearID = sl.nearID[:0]
 	sl.nearX = sl.nearX[:0]
 	sl.nearY = sl.nearY[:0]
+	sl.cellOff = sl.cellOff[:0]
+	sl.rowOcc = sl.rowOcc[:0]
 	nc := h.nearCells
 	y0, y1 := max(by0-nc, 0), min(by1+nc, h.rows-1)
 	x0, x1 := max(bx0-nc, 0), min(bx1+nc, h.cols-1)
+	sl.x0, sl.y0 = int32(x0), int32(y0)
+	sl.w, sl.h = int32(x1-x0+1), int32(y1-y0+1)
 	for cy := y0; cy <= y1; cy++ {
 		row := cy * h.cols
+		occ := uint64(0)
 		for cx := x0; cx <= x1; cx++ {
-			for _, t := range h.txInCell[row+cx] {
-				sl.nearID = append(sl.nearID, t)
+			sl.cellOff = append(sl.cellOff, int32(len(sl.nearID)))
+			k := h.cellHead[row+cx]
+			if k >= 0 {
+				occ |= 1 << uint(cx-x0)
+			}
+			for ; k >= 0; k = h.txNext[k] {
+				t := h.prevTx[k]
+				sl.nearID = append(sl.nearID, int32(t))
 				sl.nearX = append(sl.nearX, h.ptsX[t])
 				sl.nearY = append(sl.nearY, h.ptsY[t])
 			}
 		}
+		sl.rowOcc = append(sl.rowOcc, occ)
+	}
+	sl.cellOff = append(sl.cellOff, int32(len(sl.nearID)))
+	// Dilate the occupancy by the candidate radius, rows then columns:
+	// bit i of candOcc[j] is set iff some cell within candCells of
+	// (i, j), inside the slab, holds a transmitter.
+	r := h.candCells
+	sl.candOcc = sl.candOcc[:0]
+	for j := range sl.rowOcc {
+		occ := uint64(0)
+		for _, m := range sl.rowOcc[max(j-r, 0):min(j+r+1, len(sl.rowOcc))] {
+			occ |= m
+		}
+		cand := occ
+		for s := 1; s <= r; s++ {
+			cand |= occ<<uint(s) | occ>>uint(s)
+		}
+		sl.candOcc = append(sl.candOcc, cand)
 	}
 }
 
@@ -901,40 +1031,67 @@ func (h *HierEngine) buildFrontier(sl *blockSlabs, bx0c, by0c, bx1c, by1c int) {
 	}
 }
 
-// resolveReceiver resolves one receiver of block b against the block's
-// cache entry, whose near field is current: a kernel-free argmin over
-// the gathered near field elects the decoding candidate, then only
-// candidates pay the exact near fold, and only a candidate that
-// decodes against its near field alone pays the frontier replay
-// (accepted nodes as flat multiply-adds). The far sum is non-negative
-// and Decodes is monotone in the interference — in floating point too,
-// since rounding is monotone — so a candidate failing against the near
-// sum fails against near + far, and the short-circuit is exact. The
-// pyramid and the block's frontier are built on the first candidate
-// whose far sum is not cached, so a round or block whose receivers are
-// all rejected never builds them. Both folds run through the portable
-// simd batch kernels, which preserve the scalar summation order
-// bit-exactly — the per-receiver descent oracle of the round-sequence
-// tests pins that.
-func (h *HierEngine) resolveReceiver(bc *blockCacheEntry, b, u int32, dst []Reception) []Reception {
+// nearestCandidate is the rejection scan of the receiver at g: the
+// strict argmin of squared distance (first slab index wins ties; -1
+// when the box is empty) over the slab cells of the receiver's
+// candidate span (g.c0..g.c1 × g.r0..g.r1, inside candCells of its
+// cell) — the rows of that box, each one contiguous run of the slab,
+// in slab order. A transmitter within the communication range 1 of the
+// receiver lies in the box (see candSpan), so whenever the whole slab's
+// minimum is ≤ 1 the box holds it and every element tying it, in the
+// same slab order: the result the rejection and the decode test see is
+// the whole-slab scan's. It also returns the number of slab elements
+// it read.
+func (h *HierEngine) nearestCandidate(sl *blockSlabs, g *stationGeom) (best int, bestD2 float64, scanned int) {
+	best, bestD2 = -1, math.Inf(1)
+	ucx, ucy := g.col-sl.x0, g.row-sl.y0
+	// Most receivers of a hot block have nothing within candCells of
+	// their cell, and one bit of the dilated occupancy dismisses them
+	// without touching the slab.
+	if sl.w <= 64 && sl.candOcc[ucy]>>uint(ucx)&1 == 0 {
+		return best, bestD2, 0
+	}
+	x0, x1 := max(g.c0-sl.x0, 0), min(g.c1-sl.x0, sl.w-1)
+	y0, y1 := max(g.r0-sl.y0, 0), min(g.r1-sl.y0, sl.h-1)
+	upx, upy := g.x, g.y
+	nearX, nearY, off := sl.nearX, sl.nearY, sl.cellOff
+	for row := y0 * sl.w; row <= y1*sl.w; row += sl.w {
+		lo, hi := off[row+x0], off[row+x1+1]
+		if lo == hi {
+			continue
+		}
+		scanned += int(hi - lo)
+		if i, d2 := simd.ArgMin(upx, upy, nearX[lo:hi], nearY[lo:hi], bestD2); i >= 0 {
+			best, bestD2 = int(lo)+i, d2
+		}
+	}
+	return best, bestD2, scanned
+}
+
+// resolveCandidate finishes one receiver of block b whose rejection
+// scan elected slab element bi at squared distance bestD2 ≤ 1, against
+// the block's cache entry, whose near field is current: only candidates
+// pay the exact near fold, and only a candidate that decodes against
+// its near field alone pays the frontier replay (accepted nodes as flat
+// multiply-adds). The far sum is non-negative and Decodes is monotone
+// in the interference — in floating point too, since rounding is
+// monotone — so a candidate failing against the near sum fails against
+// near + far, and the short-circuit is exact. The pyramid and the
+// block's frontier are built on the first candidate whose far sum is
+// not cached, so a round or block whose receivers are all rejected
+// never builds them. Both folds run through the portable simd batch
+// kernels, which preserve the scalar summation order bit-exactly — the
+// per-receiver descent oracle of the round-sequence tests pins that.
+func (h *HierEngine) resolveCandidate(bc *blockCacheEntry, b, u int32, upx, upy float64, bi int, bestD2 float64, dst []Reception) []Reception {
 	sl := &bc.blockSlabs
 	p := h.params
 	pw := p.Power()
 	kern := h.kern
-	upx, upy := h.ptsX[u], h.ptsY[u]
 
-	// Rejection first: a pure-distance argmin with no kernel math. Most
-	// stations of a hot block have no transmitter within the
-	// communication range (only their block is hot, not their cell) and
-	// bow out here without a single divide or square root. Only decode
-	// candidates pay the kernel fold — which accumulates in index order,
-	// so the split is bit-identical to a fused scan (a rejected
-	// station's total is never observed).
-	bi, bestD2 := simd.ArgMin(upx, upy, sl.nearX, sl.nearY, math.Inf(1))
-	if bi < 0 || bestD2 > 1 {
-		return dst
-	}
-	best := sl.nearID[bi]
+	// Only decode candidates pay the kernel fold, which accumulates in
+	// index order over the whole slab, so the split from the rejection
+	// scan is bit-identical to a fused scan (a rejected station's total
+	// is never observed).
 	total := kern.NearSum(pw, upx, upy, sl.nearX, sl.nearY, 0)
 	s := pw * kern.FromDist2(bestD2)
 	if !p.Decodes(s, max(total-s, 0)) {
@@ -953,7 +1110,7 @@ func (h *HierEngine) resolveReceiver(bc *blockCacheEntry, b, u int32, dst []Rece
 	}
 	total += h.farCache[u]
 	if p.Decodes(s, max(total-s, 0)) {
-		dst = append(dst, Reception{Receiver: int(u), Transmitter: int(best)})
+		dst = append(dst, Reception{Receiver: int(u), Transmitter: int(sl.nearID[bi])})
 	}
 	return dst
 }
@@ -964,15 +1121,20 @@ func (h *HierEngine) resolveReceiver(bc *blockCacheEntry, b, u int32, dst []Rece
 // whose stamp carries the current aggregation epoch replays as-is;
 // otherwise it is rebuilt lazily and restamped — the near gather on
 // the block's first eligible receiver, the shared descent on its first
-// decode candidate (see resolveReceiver), so a hot block with no
-// candidate skips the descent. A block appears once per work list and
-// runs in exactly one chunk, so each cache entry has a single writer
-// per round. Receptions come out grouped by block; the caller sorts by
-// receiver.
+// decode candidate (see resolveCandidate), so a hot block with no
+// candidate skips the descent. Most stations of a hot block have no
+// transmitter within the communication range (only their block is hot,
+// not their cell) and bow out after the kernel-free rejection scan,
+// without a single divide or square root. A block appears once per
+// work list and runs in exactly one chunk, so each cache entry has a
+// single writer per round. Receptions come out grouped by block; the
+// caller sorts by receiver.
 func (h *HierEngine) collectBlocks(work []blockRange, dst []Reception) []Reception {
+	var visits, scanned, slab int
 	for _, w := range work {
 		bc := &h.blockCache[w.b]
-		for _, u := range h.workItems[w.lo:w.hi] {
+		for _, p := range h.workItems[w.lo:w.hi] {
+			u := h.blockItems[p]
 			if h.isTx[u] {
 				continue
 			}
@@ -981,8 +1143,18 @@ func (h *HierEngine) collectBlocks(work []blockRange, dst []Reception) []Recepti
 				h.gatherNear(&bc.blockSlabs, bx0, by0, bx1, by1)
 				bc.nearEpoch = h.aggEpoch
 			}
-			dst = h.resolveReceiver(bc, w.b, u, dst)
+			g := &h.csrGeo[p]
+			bi, bestD2, sc := h.nearestCandidate(&bc.blockSlabs, g)
+			visits++
+			scanned += sc
+			slab += len(bc.nearID)
+			if bi >= 0 && bestD2 <= 1 {
+				dst = h.resolveCandidate(bc, w.b, u, g.x, g.y, bi, bestD2, dst)
+			}
 		}
 	}
+	h.visits.Add(int64(visits))
+	h.candScanned.Add(int64(scanned))
+	h.slabScanned.Add(int64(slab))
 	return dst
 }

@@ -17,8 +17,7 @@ import "math"
 // It shares no slab, cache or kernel with that replay: only the round's
 // aggregation state (cell lists and pyramid) is common to both.
 func (h *HierEngine) collectOne(u int, dst []Reception) []Reception {
-	uc := h.cellOf[u]
-	if h.hotCnt[h.blockOfCell(uc)] == 0 || h.isTx[u] {
+	if h.hotCnt[h.blockOf[u]] == 0 || h.isTx[u] {
 		return dst
 	}
 	p := h.params
@@ -26,7 +25,7 @@ func (h *HierEngine) collectOne(u int, dst []Reception) []Reception {
 	kern := h.kern
 	nc := h.nearCells
 	upx, upy := h.ptsX[u], h.ptsY[u]
-	bx0, by0, bx1, by1 := h.blockCellRange(h.blockOfCell(uc))
+	bx0, by0, bx1, by1 := h.blockCellRange(h.blockOf[u])
 
 	// Near field first: exact per-transmitter sums over the block's
 	// union near box, which also finds the decoding candidate. If no
@@ -40,7 +39,8 @@ func (h *HierEngine) collectOne(u int, dst []Reception) []Reception {
 	for cy := y0; cy <= y1; cy++ {
 		row := cy * h.cols
 		for cx := x0; cx <= x1; cx++ {
-			for _, t := range h.txInCell[row+cx] {
+			for k := h.cellHead[row+cx]; k >= 0; k = h.txNext[k] {
+				t := int32(h.prevTx[k])
 				dx := upx - h.ptsX[t]
 				dy := upy - h.ptsY[t]
 				d2 := dx*dx + dy*dy

@@ -272,7 +272,7 @@ func TestHierResolveForSubsetSizes(t *testing.T) {
 					for _, u := range sub {
 						if h.isTx[u] {
 							txRecv++
-						} else if h.hotCnt[h.blockOfCell(h.cellOf[u])] == 0 {
+						} else if h.hotCnt[h.blockOf[u]] == 0 {
 							coldRecv++
 						}
 					}

@@ -22,8 +22,6 @@ func (k Kernel) FarSum(upx, upy float64, x, y, p []float64) float64 {
 		return farSumInvSq(upx, upy, x, y, p)
 	case kernInvQuad:
 		return farSumInvQuad(upx, upy, x, y, p)
-	case kernCube:
-		return farSumOdd1(upx, upy, x, y, p)
 	case kernHalf:
 		if k.m == 2 { // α = 2.5: ipow(d, 2) ≡ d·d
 			return farSumHalf2(upx, upy, x, y, p)
@@ -122,41 +120,6 @@ func farSumInvQuad(upx, upy float64, x, y, p []float64) float64 {
 	return sum
 }
 
-// farSumOdd1 is the α=3 replay: 1/(d²·√d²) per term, 4-wide (the two
-// long-latency ops per element — sqrt and divide — already fill the
-// pipe at four in flight).
-func farSumOdd1(upx, upy float64, x, y, p []float64) float64 {
-	n := len(x)
-	y = y[:n]
-	p = p[:n]
-	sum := 0.0
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dx0, dy0 := upx-x[i], upy-y[i]
-		dx1, dy1 := upx-x[i+1], upy-y[i+1]
-		dx2, dy2 := upx-x[i+2], upy-y[i+2]
-		dx3, dy3 := upx-x[i+3], upy-y[i+3]
-		d20 := dx0*dx0 + dy0*dy0
-		d21 := dx1*dx1 + dy1*dy1
-		d22 := dx2*dx2 + dy2*dy2
-		d23 := dx3*dx3 + dy3*dy3
-		t0 := p[i] * (1 / (d20 * math.Sqrt(d20)))
-		t1 := p[i+1] * (1 / (d21 * math.Sqrt(d21)))
-		t2 := p[i+2] * (1 / (d22 * math.Sqrt(d22)))
-		t3 := p[i+3] * (1 / (d23 * math.Sqrt(d23)))
-		sum += t0
-		sum += t1
-		sum += t2
-		sum += t3
-	}
-	for ; i < n; i++ {
-		dx, dy := upx-x[i], upy-y[i]
-		d2 := dx*dx + dy*dy
-		sum += p[i] * (1 / (d2 * math.Sqrt(d2)))
-	}
-	return sum
-}
-
 // farSumHalf2 is the α=2.5 replay: d=√d², 1/((d·d)·√d) per term, 4-wide.
 func farSumHalf2(upx, upy float64, x, y, p []float64) float64 {
 	n := len(x)
@@ -190,31 +153,17 @@ func farSumHalf2(upx, upy float64, x, y, p []float64) float64 {
 	return sum
 }
 
-// farSumGeneric covers the remaining kernel shapes (even/odd/half with
-// large m, and the math.Pow fallback): 4-wide with the FromDist2 call
-// kept per element — the callee cost dominates there, but the unroll
-// still amortizes loop and bounds overhead.
+// farSumGeneric covers the remaining kernel shapes — the default α=3
+// among them — as a plain loop with the FromDist2 call per element,
+// like nearSumGeneric. Measured against a 4-wide body and the former
+// α=3 specialisation (BenchmarkFrontierReplay), the plain loop is the
+// fastest of the three for every shape it serves.
 func (k Kernel) farSumGeneric(upx, upy float64, x, y, p []float64) float64 {
 	n := len(x)
 	y = y[:n]
 	p = p[:n]
 	sum := 0.0
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dx0, dy0 := upx-x[i], upy-y[i]
-		dx1, dy1 := upx-x[i+1], upy-y[i+1]
-		dx2, dy2 := upx-x[i+2], upy-y[i+2]
-		dx3, dy3 := upx-x[i+3], upy-y[i+3]
-		t0 := p[i] * k.FromDist2(dx0*dx0+dy0*dy0)
-		t1 := p[i+1] * k.FromDist2(dx1*dx1+dy1*dy1)
-		t2 := p[i+2] * k.FromDist2(dx2*dx2+dy2*dy2)
-		t3 := p[i+3] * k.FromDist2(dx3*dx3+dy3*dy3)
-		sum += t0
-		sum += t1
-		sum += t2
-		sum += t3
-	}
-	for ; i < n; i++ {
+	for i := 0; i < n; i++ {
 		dx, dy := upx-x[i], upy-y[i]
 		sum += p[i] * k.FromDist2(dx*dx+dy*dy)
 	}
@@ -358,10 +307,11 @@ func (k Kernel) AccumRow(pw, tx0, ty0 float64, t int32, x, y []float64, isTx []b
 // distance to (upx, upy), continuing from an incoming bestD2 (first
 // index wins ties; -1 when no element improves it). It involves no
 // kernel math at all — subtract, multiply, compare — which makes it the
-// cheap rejection pass of the hierarchical receiver loop: a station
-// whose nearest transmitter sits outside the communication range is
-// dismissed without paying a single divide or square root, and only
-// decode candidates go on to the NearSum kernel fold.
+// cheap rejection pass of the hierarchical receiver loop, run over each
+// row of a receiver's candidate box with bestD2 carried across rows: a
+// station whose nearest transmitter sits outside the communication
+// range is dismissed without paying a single divide or square root, and
+// only decode candidates go on to the NearSum kernel fold.
 func ArgMin(upx, upy float64, x, y []float64, bestD2 float64) (int, float64) {
 	n := len(x)
 	y = y[:n]

@@ -8,8 +8,9 @@ import (
 )
 
 // batchAlphas covers every kernel mode: the two reciprocal shapes, the
-// specialized odd/half batch bodies (α=3, α=2.5), their generic
-// siblings (α=5, α=3.5), an even chain (α=6) and the Pow fallback.
+// specialized half batch body (α=2.5), the default α=3 and the other
+// odd and half shapes (α=5, α=3.5) on the plain loops, an even chain
+// (α=6) and the Pow fallback.
 var batchAlphas = []float64{2, 2.5, 3, 3.5, 4, 5, 6, math.Pi}
 
 // batchLens fuzzes the tail handling: every residue mod 8 below and

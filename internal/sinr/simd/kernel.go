@@ -4,16 +4,19 @@
 // accumulation, grid near scans, exact-engine row accumulation).
 //
 // The batch kernels (FarSum, ArgMin, NearSum, NearScanIndexed,
-// AccumRow) are manually 4-wide (8-wide for the division-bound α=2 and
-// α=4 shapes) unrolled pure-Go loops with bounds checks hoisted. They
-// preserve the scalar left-to-right summation order bit-exactly —
-// every term is computed with the identical IEEE operation sequence
-// and folded into the accumulator in the identical order — so callers
-// replacing a plain loop with a batch call observe no value change at
-// all, only speed. The unroll wins come from amortized loop/bounds
-// overhead, the per-element Kernel call and mode switch hoisted out of
-// the loop, and independent divisions/square roots in flight together.
-// The code is portable: every GOARCH builds and runs the same kernels.
+// AccumRow) are pure-Go loops with bounds checks hoisted, manually
+// unrolled 4-wide (8-wide for the division-bound α=2 and α=4 shapes)
+// where the unroll measured faster; the FarSum and NearSum folds of
+// the remaining shapes, the default α=3 among them, are plain loops,
+// which measured fastest there. They preserve the scalar left-to-right
+// summation order bit-exactly — every term is computed with the
+// identical IEEE operation sequence and folded into the accumulator in
+// the identical order — so callers replacing a plain loop with a batch
+// call observe no value change at all, only speed. The unroll wins come
+// from amortized loop/bounds overhead, the per-element Kernel call and
+// mode switch hoisted out of the loop, and independent divisions/square
+// roots in flight together. The code is portable: every GOARCH builds
+// and runs the same kernels.
 package simd
 
 import "math"

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -81,21 +82,37 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// ReadJSON decodes one WriteJSON-encoded table.
+// ReadJSON decodes one WriteJSON-encoded table. The input must hold
+// that one JSON value and nothing after it but white space.
 func ReadJSON(r io.Reader) (*Table, error) {
 	var t Table
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
+	if err := decodeOne(r, &t); err != nil {
 		return nil, fmt.Errorf("stats: reading JSON table: %w", err)
 	}
 	return &t, nil
 }
 
 // DecodeTables decodes the JSON array emitted by the JSON sink
-// (cmd/experiments -format json) back into tables.
+// (cmd/experiments -format json) back into tables. Like ReadJSON it
+// rejects data after the array.
 func DecodeTables(r io.Reader) ([]*Table, error) {
 	var ts []*Table
-	if err := json.NewDecoder(r).Decode(&ts); err != nil {
+	if err := decodeOne(r, &ts); err != nil {
 		return nil, fmt.Errorf("stats: reading JSON table stream: %w", err)
 	}
 	return ts, nil
+}
+
+// decodeOne decodes the single JSON value r holds into v: a second
+// value, or anything else but white space after the first, is an error
+// rather than silently ignored.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
 }

@@ -35,6 +35,8 @@ func FuzzTableCodecs(f *testing.F) {
 		`[]`,
 		`{"title":`,
 		"",
+		`{"headers":["a"],"rows":[]} trailing{`, // data after the value
+		`[{"headers":["a"]}] ]garbage`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -145,6 +145,37 @@ func TestJSONGoldenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONDecodersRejectTrailingData: ReadJSON and DecodeTables accept
+// exactly one JSON value. Data after it — a second value, garbage, a
+// stray bracket — is an error, where it was once silently dropped;
+// trailing white space is fine.
+func TestJSONDecodersRejectTrailingData(t *testing.T) {
+	for _, in := range []string{
+		`{"headers":["a"],"rows":[]} trailing{`,
+		`{"headers":["a"]}{"headers":["b"]}`,
+		`{"headers":["a"]} ]`,
+	} {
+		if tb, err := ReadJSON(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadJSON(%q) = %#v, want an error", in, tb)
+		}
+	}
+	for _, in := range []string{
+		`[{"headers":["a"]}] ]garbage`,
+		`[{"headers":["a"]}][]`,
+		`[] 0`,
+	} {
+		if ts, err := DecodeTables(strings.NewReader(in)); err == nil {
+			t.Errorf("DecodeTables(%q) = %#v, want an error", in, ts)
+		}
+	}
+	if _, err := ReadJSON(strings.NewReader("{\"headers\":[\"a\"]}\n\t \n")); err != nil {
+		t.Errorf("ReadJSON with trailing white space: %v", err)
+	}
+	if _, err := DecodeTables(strings.NewReader("[]\n")); err != nil {
+		t.Errorf("DecodeTables with a trailing newline: %v", err)
+	}
+}
+
 // TestSinks exercises the three sinks over a two-table stream; the
 // text sink must match the historical fmt.Println output byte for
 // byte, and the JSON stream must decode with DecodeTables.
