@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sinrcast/internal/stats"
@@ -37,6 +38,34 @@ func TestE13Golden(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkGolden(t, "e13_scale0.5_trials2_seed2014."+format, buf.Bytes())
+	}
+}
+
+// TestE1toE12Golden pins E1–E12 as CSV at a small scale, one file per
+// experiment. Regenerate with
+// `go test ./internal/exp -run TestE1toE12Golden -update` and review
+// the diff: a change is a change of simulated behaviour.
+func TestE1toE12Golden(t *testing.T) {
+	cfg := Config{Seed: 2014, Trials: 2, Scale: 0.2, Workers: 4}
+	for _, e := range Suite[:12] {
+		t.Run(e.Name, func(t *testing.T) {
+			tb, err := e.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			sink, err := stats.NewSink("csv", &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Emit(tb); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, strings.ToLower(e.Name)+"_scale0.2_trials2_seed2014.csv", buf.Bytes())
+		})
 	}
 }
 
