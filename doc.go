@@ -153,10 +153,15 @@
 // There is one round loop: every runner — the paper's algorithms, the
 // four baseline floods (baseline.RunFloodOn) and the §5 applications —
 // drives sim.Engine.Step, so phase labels, metrics and the
-// receiver-activity hook apply to all of them. Below the loop, every
-// engine answers a full round with a single transmitter from memory:
-// Resolve is a pure function of the transmitter set on a static
-// deployment, so each engine replays a station's solo receptions from
+// receiver-activity hook apply to all of them. The broadcast runners
+// — NoSBroadcast (the multi-source runner with one source),
+// SBroadcast and the floods — also share one inform count,
+// broadcast.Informs: each station reports its own inform round once,
+// and the count stops the run and assembles its Result.
+//
+// Below the loop, every engine answers a full round with a single
+// transmitter from memory: Resolve is a pure function of the
+// transmitter set on a static deployment, so each engine replays a station's solo receptions from
 // a per-run memo that station's first solo round filled. The memo sits
 // inside Resolve, under every resolver wrapper (tracing, serve's
 // progress and cancellation, timing), holds at most one entry per

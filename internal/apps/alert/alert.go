@@ -177,13 +177,7 @@ func Run(net *network.Network, cfg Config, seed uint64, raised []bool) (*Result,
 	if !connected {
 		return nil, errors.New("alert: network not connected")
 	}
-	var phys sim.Resolver
-	var err error
-	if cfg.Channel != nil {
-		phys, err = cfg.Channel(net)
-	} else {
-		phys, err = sinr.NewEngine(net.Space, net.Params)
-	}
+	phys, err := sim.NewChannel(cfg.Channel, net)
 	if err != nil {
 		return nil, err
 	}

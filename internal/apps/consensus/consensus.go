@@ -18,7 +18,6 @@ import (
 	"sinrcast/internal/network"
 	"sinrcast/internal/rng"
 	"sinrcast/internal/sim"
-	"sinrcast/internal/sinr"
 )
 
 // KindToken tags window-flood messages; A carries the window index so
@@ -245,15 +244,6 @@ type Result struct {
 	Metrics sim.Metrics
 }
 
-// channelFor builds the physical layer: cfg.Channel if set, else the
-// exact SINR engine.
-func channelFor(cfg Config, net *network.Network) (sim.Resolver, error) {
-	if cfg.Channel != nil {
-		return cfg.Channel(net)
-	}
-	return sinr.NewEngine(net.Space, net.Params)
-}
-
 // Run executes consensus over the stations' messages msgs (one per
 // station, each in {0..cfg.X}).
 func Run(net *network.Network, cfg Config, seed uint64, msgs []int64) (*Result, error) {
@@ -276,7 +266,7 @@ func Run(net *network.Network, cfg Config, seed uint64, msgs []int64) (*Result, 
 	if !connected {
 		return nil, errors.New("consensus: network not connected")
 	}
-	phys, err := channelFor(cfg, net)
+	phys, err := sim.NewChannel(cfg.Channel, net)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,6 @@ import (
 	"sinrcast/internal/network"
 	"sinrcast/internal/rng"
 	"sinrcast/internal/sim"
-	"sinrcast/internal/sinr"
 )
 
 // Policy decides per-round transmission probabilities for a flooding
@@ -94,11 +93,10 @@ func RunFloodOn(net *network.Network, pol Policy, seed uint64, source, budget in
 		budget = defaultBudget(net)
 	}
 	if phys == nil {
-		eng, err := sinr.NewEngine(net.Space, net.Params)
-		if err != nil {
+		var err error
+		if phys, err = sim.NewChannel(nil, net); err != nil {
 			return nil, err
 		}
-		phys = eng
 	} else if phys.N() != n {
 		return nil, fmt.Errorf("baseline: engine has %d stations, network has %d", phys.N(), n)
 	}
@@ -117,40 +115,13 @@ func RunFloodOn(net *network.Network, pol Policy, seed uint64, source, budget in
 	if err != nil {
 		return nil, err
 	}
+	run.informs = broadcast.NewInforms(n, eng)
 	// The source draws from round 0; every station is due then anyway.
 	stations[source].inform(0, 0)
+	run.informs.Start(source)
 	eng.SetReceiverActive(source, false)
-
-	remaining := n - 1
-	lastInform := 0
-	// A station whose inform round is this round was informed by this
-	// reception. The source's at == 0 cannot match: it is round 0's only
-	// possible transmitter, so it hears nothing then.
-	eng.SetTracer(sim.TracerFunc(func(t int, _ []int, rec []sinr.Reception) {
-		for _, rc := range rec {
-			if stations[rc.Receiver].at == t {
-				remaining--
-				lastInform = t + 1
-				eng.SetReceiverActive(rc.Receiver, false)
-			}
-		}
-	}))
-	eng.Run(budget, func() bool { return remaining == 0 })
-
-	res := &broadcast.Result{
-		AllInformed: remaining == 0,
-		InformTime:  make([]int, n),
-		Metrics:     eng.Metrics,
-	}
-	if res.AllInformed {
-		res.Rounds = lastInform
-	} else {
-		res.Rounds = eng.Metrics.Rounds
-	}
-	for i := range stations {
-		res.InformTime[i] = stations[i].at
-	}
-	return res, nil
+	eng.Run(budget, run.informs.Done)
+	return run.informs.Result(eng.Metrics), nil
 }
 
 // defaultBudget is RunFlood's budget for budget 0: generous in the
@@ -161,13 +132,14 @@ func defaultBudget(net *network.Network) int {
 	return int(float64(2*d+10) * lg * lg * 40)
 }
 
-// flood is the state every station of one run shares: the policy and,
-// for a sweep policy, its threshold table and the run's round budget,
-// where every station's draw-ahead stops.
+// flood is the state every station of one run shares: the policy, its
+// inform ledger and, for a sweep policy, its threshold table and the
+// run's round budget, where every station's draw-ahead stops.
 type flood struct {
-	pol   Policy
-	sweep *rng.Sweep // nil: draw Bernoulli(TxProb) every round
-	end   int
+	pol     Policy
+	informs *broadcast.Informs
+	sweep   *rng.Sweep // nil: draw Bernoulli(TxProb) every round
+	end     int
 }
 
 // floodStation is one station of a flood: silent until informed, then
@@ -204,11 +176,13 @@ func (s *floodStation) Tick(t int) (bool, sim.Message, int) {
 }
 
 // Recv implements sim.Protocol: the first reception informs, and the
-// station draws from the next round on.
+// station draws from the next round on; its inform Mark drops it from
+// reception resolution.
 func (s *floodStation) Recv(t int, _ sim.Message) int {
 	if s.at >= 0 {
 		return sim.NeverWake
 	}
+	s.run.informs.Mark(s.id, t)
 	return s.inform(t, t+1)
 }
 

@@ -38,8 +38,10 @@ func benchSimScene(b *testing.B, n int) (*network.Network, sim.Resolver) {
 }
 
 // benchProtos builds the per-station state machines of one protocol,
-// mirroring the corresponding runner's construction (RunNoS / RunS)
-// so the benchmark drives production Tick code.
+// mirroring the corresponding runner's construction (RunNoSMulti /
+// RunS, station 0 the source) so the benchmark drives production Tick
+// code. Its inform ledger drops no receivers: the benchmark builds its
+// own engine, and runs only the coloring part.
 func benchProtos(b *testing.B, proto string, cfg *Config, net *network.Network, seed uint64) []sim.Protocol {
 	b.Helper()
 	p, err := newPlan(cfg)
@@ -47,14 +49,18 @@ func benchProtos(b *testing.B, proto string, cfg *Config, net *network.Network, 
 		b.Fatal(err)
 	}
 	n, budget := net.N(), defaultBudget(*cfg, net)
+	p.informs = NewInforms(n, nil)
+	p.informs.Start(0)
 	root := rng.New(seed)
 	protos := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
 		switch proto {
 		case "nos":
-			protos[i] = newNOSStation(p, root.Split(uint64(i)), 7, i == 0)
+			st := newNOSStation(p, i, root.Split(uint64(i)), 7)
+			st.informed = i == 0
+			protos[i] = st
 		case "s":
-			protos[i] = newSBStation(p, root.Split(uint64(i)), 7, i == 0, budget)
+			protos[i] = newSBStation(p, i, root.Split(uint64(i)), 7, i == 0, budget)
 		default:
 			b.Fatalf("unknown protocol %q", proto)
 		}

@@ -14,7 +14,6 @@ import (
 	"sinrcast/internal/coloring"
 	"sinrcast/internal/network"
 	"sinrcast/internal/sim"
-	"sinrcast/internal/sinr"
 )
 
 // Message kinds used by the broadcast protocols. Every message — also
@@ -45,8 +44,9 @@ type Config struct {
 	// the network diameter.
 	MaxRounds int
 	// Channel optionally overrides the physical layer (e.g. a fading or
-	// weak-device engine for model-robustness experiments). nil uses
-	// the exact SINR engine, which is the paper's model.
+	// weak-device engine for model-robustness experiments); every runner
+	// builds it through sim.NewChannel, so nil is the exact SINR engine,
+	// the paper's model.
 	Channel func(net *network.Network) (sim.Resolver, error)
 }
 
@@ -98,6 +98,7 @@ type plan struct {
 	sched    *coloring.Schedule
 	colorLen int // sched.TotalRounds(): the coloring part
 	phaseLen int // cfg.PhaseLen(): one NoSBroadcast phase
+	informs  *Informs
 }
 
 // newPlan validates cfg and derives its run plan.
@@ -140,9 +141,9 @@ type Result struct {
 	Metrics sim.Metrics
 }
 
-// Budget returns the round budget RunNoS, RunS and RunNoSMulti will
-// simulate at most: cfg.MaxRounds when set, else the generous
-// diameter-derived default. Exposed so callers (the protocol registry,
+// Budget returns the round budget RunNoS and RunS will simulate at
+// most (RunNoSMulti adds its latest wake-up round): cfg.MaxRounds when
+// set, else the generous diameter-derived default. Exposed so callers (the protocol registry,
 // tests) can scale or bound the budget without re-deriving it.
 func Budget(cfg Config, net *network.Network) int { return defaultBudget(cfg, net) }
 
@@ -156,11 +157,67 @@ func defaultBudget(cfg Config, net *network.Network) int {
 	return cfg.PhaseLen() * (2*d + 10)
 }
 
-// channel builds the physical layer: cfg.Channel if set, else the exact
-// SINR engine.
-func (c Config) channel(net *network.Network) (sim.Resolver, error) {
-	if c.Channel != nil {
-		return c.Channel(net)
+// Informs is the inform ledger of one broadcast run, shared by its
+// stations: which station first knew the message in which round. It
+// decides when the run is done and what its Result reports. Stations
+// informed at setup are registered with Start; every other station
+// reports its own inform transition exactly once, through Mark — from
+// Recv on a reception, from Tick on a spontaneous wake-up — so no
+// reception is ever mistaken for one.
+type Informs struct {
+	at        []int // inform round per station, -1 while uninformed
+	remaining int   // stations not yet informed
+	last      int   // one past the latest Mark round
+	// drop, when non-nil, is the engine whose reception resolution
+	// Mark drops each newly informed station from.
+	drop *sim.Engine
+}
+
+// NewInforms returns the ledger of an n-station run in which no
+// station is informed yet. A non-nil drop is the run's engine, for
+// protocols whose informed stations ignore receptions (SBroadcast past
+// the coloring, the floods): Mark then deactivates the station there
+// (sim.Engine.SetReceiverActive), which skips physical work whose
+// outcome cannot matter.
+func NewInforms(n int, drop *sim.Engine) *Informs {
+	at := make([]int, n)
+	for i := range at {
+		at[i] = -1
 	}
-	return sinr.NewEngine(net.Space, net.Params)
+	return &Informs{at: at, remaining: n, drop: drop}
+}
+
+// Start records station i as holding the message at setup (round 0).
+func (in *Informs) Start(i int) {
+	in.at[i] = 0
+	in.remaining--
+}
+
+// Mark records that station i was first informed in round t.
+func (in *Informs) Mark(i, t int) {
+	if in.at[i] >= 0 {
+		panic(fmt.Sprintf("broadcast: station %d informed twice", i))
+	}
+	in.at[i] = t
+	in.remaining--
+	in.last = t + 1
+	if in.drop != nil {
+		in.drop.SetReceiverActive(i, false)
+	}
+}
+
+// Done reports whether every station is informed: the run's stop
+// condition for sim.Engine.Run.
+func (in *Informs) Done() bool { return in.remaining == 0 }
+
+// Result assembles the run's Result from its final Metrics: Rounds is
+// one past the last inform round when every station is informed, else
+// every simulated round. It hands the ledger's inform rounds over, so
+// call it once, after the run.
+func (in *Informs) Result(m sim.Metrics) *Result {
+	res := &Result{AllInformed: in.Done(), InformTime: in.at, Metrics: m, Rounds: m.Rounds}
+	if res.AllInformed {
+		res.Rounds = in.last
+	}
+	return res
 }

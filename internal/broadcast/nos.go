@@ -7,7 +7,6 @@ import (
 	"sinrcast/internal/network"
 	"sinrcast/internal/rng"
 	"sinrcast/internal/sim"
-	"sinrcast/internal/sinr"
 )
 
 // nosStation is the per-station NoSBroadcast state machine (§4.1).
@@ -21,14 +20,15 @@ import (
 // boundary — exactly the paper's synchronization-by-round-counter.
 type nosStation struct {
 	p       *plan // shared by the run's stations
+	id      int
 	machine *coloring.Machine
 	rnd     *rng.Source
 	payload int64
 
-	informed   bool
-	informedAt int
+	informed bool
 	// wakeAt is the round of a spontaneous (adversarial) wake-up, or -1.
-	// Used by the wake-up application (§5); plain broadcast sets -1.
+	// Plain broadcast sets 0 at the source and -1 elsewhere; the wake-up
+	// application (§5) sets later rounds too.
 	wakeAt int
 	active bool // participating in the current phase
 	txProb float64
@@ -37,20 +37,15 @@ type nosStation struct {
 
 var _ sim.Protocol = (*nosStation)(nil)
 
-func newNOSStation(p *plan, rnd *rng.Source, payload int64, isSource bool) *nosStation {
-	s := &nosStation{
-		p:          p,
-		machine:    coloring.NewMachine(p.sched, rnd.Split(1)),
-		rnd:        rnd,
-		payload:    payload,
-		informedAt: -1,
-		wakeAt:     -1,
+func newNOSStation(p *plan, id int, rnd *rng.Source, payload int64) *nosStation {
+	return &nosStation{
+		p:       p,
+		id:      id,
+		machine: coloring.NewMachine(p.sched, rnd.Split(1)),
+		rnd:     rnd,
+		payload: payload,
+		wakeAt:  -1,
 	}
-	if isSource {
-		s.informed = true
-		s.informedAt = 0
-	}
-	return s
 }
 
 // Tick implements sim.Protocol.
@@ -68,7 +63,7 @@ func (s *nosStation) act(t int) (bool, sim.Message) {
 			return false, sim.Message{}
 		}
 		s.informed = true
-		s.informedAt = t
+		s.p.informs.Mark(s.id, t)
 	}
 	r := t % s.p.phaseLen
 	if r == 0 {
@@ -132,7 +127,7 @@ func (s *nosStation) Recv(t int, _ sim.Message) int {
 	wake := sim.NeverWake
 	if !s.informed {
 		s.informed = true
-		s.informedAt = t
+		s.p.informs.Mark(s.id, t)
 		wake = t - r + s.p.phaseLen
 	}
 	if s.active && r < s.p.colorLen {
@@ -142,62 +137,17 @@ func (s *nosStation) Recv(t int, _ sim.Message) int {
 }
 
 // RunNoS executes NoSBroadcast from the given source station and returns
-// the measured result. payload is the broadcast message content.
+// the measured result. payload is the broadcast message content. It is
+// RunNoSMulti with the source as the one station awake at round 0.
 func RunNoS(net *network.Network, cfg Config, seed uint64, source int, payload int64) (*Result, error) {
-	p, err := newPlan(&cfg)
-	if err != nil {
-		return nil, err
-	}
 	n := net.N()
 	if source < 0 || source >= n {
 		return nil, fmt.Errorf("broadcast: source %d out of range [0,%d)", source, n)
 	}
-	if cfg.Coloring.N != n {
-		return nil, fmt.Errorf("broadcast: config sized for %d stations, network has %d", cfg.Coloring.N, n)
+	wakeAt := make([]int, n)
+	for i := range wakeAt {
+		wakeAt[i] = -1
 	}
-	phys, err := cfg.channel(net)
-	if err != nil {
-		return nil, err
-	}
-	root := rng.New(seed)
-	stations := make([]*nosStation, n)
-	protos := make([]sim.Protocol, n)
-	for i := 0; i < n; i++ {
-		st := newNOSStation(p, root.Split(uint64(i)), payload, i == source)
-		stations[i] = st
-		protos[i] = st
-	}
-	eng, err := sim.NewEngine(phys, protos)
-	if err != nil {
-		return nil, err
-	}
-
-	remaining := n - 1
-	budget := defaultBudget(cfg, net)
-	lastInformRound := 0
-	eng.SetTracer(sim.TracerFunc(func(t int, _ []int, rec []sinr.Reception) {
-		for _, rc := range rec {
-			if stations[rc.Receiver].informedAt == t {
-				remaining--
-				lastInformRound = t + 1
-			}
-		}
-	}))
-	eng.Run(budget, func() bool { return remaining == 0 })
-
-	res := &Result{
-		AllInformed: remaining == 0,
-		InformTime:  make([]int, n),
-		Metrics:     eng.Metrics,
-	}
-	if res.AllInformed {
-		res.Rounds = lastInformRound
-	} else {
-		res.Rounds = eng.Metrics.Rounds
-	}
-	res.Phases = (res.Rounds + p.phaseLen - 1) / p.phaseLen
-	for i, st := range stations {
-		res.InformTime[i] = st.informedAt
-	}
-	return res, nil
+	wakeAt[source] = 0
+	return RunNoSMulti(net, cfg, seed, wakeAt, payload)
 }

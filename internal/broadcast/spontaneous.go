@@ -7,7 +7,6 @@ import (
 	"sinrcast/internal/network"
 	"sinrcast/internal/rng"
 	"sinrcast/internal/sim"
-	"sinrcast/internal/sinr"
 )
 
 // sbStation is the per-station SBroadcast state machine (§4.2).
@@ -20,14 +19,14 @@ import (
 // O(log n) rounds in expectation: O(D·log n + log² n) in total.
 type sbStation struct {
 	p       *plan // shared by the run's stations
+	id      int
 	machine *coloring.Machine
 	rnd     *rng.Source
 	payload int64
 	source  bool
 
-	informed   bool
-	informedAt int
-	txProb     float64
+	informed bool
+	txProb   float64
 	// budget is the run's round budget; the informed flood draws its
 	// trials ahead up to it.
 	budget int
@@ -36,21 +35,17 @@ type sbStation struct {
 
 var _ sim.Protocol = (*sbStation)(nil)
 
-func newSBStation(p *plan, rnd *rng.Source, payload int64, isSource bool, budget int) *sbStation {
-	s := &sbStation{
-		p:          p,
-		machine:    coloring.NewMachine(p.sched, rnd.Split(1)),
-		rnd:        rnd,
-		payload:    payload,
-		source:     isSource,
-		informedAt: -1,
-		budget:     budget,
+func newSBStation(p *plan, id int, rnd *rng.Source, payload int64, isSource bool, budget int) *sbStation {
+	return &sbStation{
+		p:        p,
+		id:       id,
+		machine:  coloring.NewMachine(p.sched, rnd.Split(1)),
+		rnd:      rnd,
+		payload:  payload,
+		source:   isSource,
+		informed: isSource,
+		budget:   budget,
 	}
-	if isSource {
-		s.informed = true
-		s.informedAt = 0
-	}
-	return s
 }
 
 // Tick implements sim.Protocol.
@@ -102,7 +97,8 @@ func (s *sbStation) nextWake(t int) int {
 }
 
 // Recv implements sim.Protocol: only becoming informed changes what
-// the station draws.
+// the station draws, and once informed it ignores receptions (its
+// inform Mark drops it from reception resolution).
 func (s *sbStation) Recv(t int, msg sim.Message) int {
 	if t < s.p.colorLen {
 		s.machine.OnRecv(t)
@@ -113,7 +109,7 @@ func (s *sbStation) Recv(t int, msg sim.Message) int {
 		return sim.NeverWake
 	}
 	s.informed = true
-	s.informedAt = t
+	s.p.informs.Mark(s.id, t)
 	return t + 1
 }
 
@@ -132,67 +128,31 @@ func RunS(net *network.Network, cfg Config, seed uint64, source int, payload int
 	if cfg.Coloring.N != n {
 		return nil, fmt.Errorf("broadcast: config sized for %d stations, network has %d", cfg.Coloring.N, n)
 	}
-	phys, err := cfg.channel(net)
+	phys, err := sim.NewChannel(cfg.Channel, net)
 	if err != nil {
 		return nil, err
 	}
 	budget := defaultBudget(cfg, net)
 	root := rng.New(seed)
-	stations := make([]*sbStation, n)
 	protos := make([]sim.Protocol, n)
-	for i := 0; i < n; i++ {
-		st := newSBStation(p, root.Split(uint64(i)), payload, i == source, budget)
-		stations[i] = st
-		protos[i] = st
+	for i := range protos {
+		protos[i] = newSBStation(p, i, root.Split(uint64(i)), payload, i == source, budget)
 	}
 	eng, err := sim.NewEngine(phys, protos)
 	if err != nil {
 		return nil, err
 	}
-
-	remaining := n - 1
-	lastInformRound := 0
-	eng.SetTracer(sim.TracerFunc(func(t int, _ []int, rec []sinr.Reception) {
-		for _, rc := range rec {
-			if stations[rc.Receiver].informedAt == t {
-				remaining--
-				lastInformRound = t + 1
-				// Past the coloring, an informed station's Recv is a
-				// no-op: drop it from reception resolution (the paper's
-				// state machine is unchanged — this only skips physical
-				// work whose outcome cannot matter).
-				eng.SetReceiverActive(rc.Receiver, false)
-			}
-		}
-	}))
+	p.informs = NewInforms(n, eng)
+	p.informs.Start(source)
 	// Segment the run at the coloring boundary: during part 1 every
 	// station needs its coloring feedback, so all receivers stay active;
 	// from the dedicated source round on, informed stations are
-	// quiescent receivers and are deactivated as they are informed.
-	stop := func() bool { return remaining == 0 }
-	colorLen := p.colorLen
-	pre := colorLen
-	if pre > budget {
-		pre = budget
-	}
-	eng.Run(pre, stop)
-	if eng.Round() >= colorLen {
+	// quiescent receivers, dropped as they are informed.
+	pre := min(p.colorLen, budget)
+	eng.Run(pre, p.informs.Done)
+	if eng.Round() >= p.colorLen {
 		eng.SetReceiverActive(source, false)
 	}
-	eng.Run(budget-pre, stop)
-
-	res := &Result{
-		AllInformed: remaining == 0,
-		InformTime:  make([]int, n),
-		Metrics:     eng.Metrics,
-	}
-	if res.AllInformed {
-		res.Rounds = lastInformRound
-	} else {
-		res.Rounds = eng.Metrics.Rounds
-	}
-	for i, st := range stations {
-		res.InformTime[i] = st.informedAt
-	}
-	return res, nil
+	eng.Run(budget-pre, p.informs.Done)
+	return p.informs.Result(eng.Metrics), nil
 }

@@ -17,9 +17,9 @@
 // algorithms and the baseline floods natively, the §5 applications
 // (wake-up, consensus, leader election, alert) through a result adapter
 // that maps "protocol completed correctly" onto Result.AllInformed.
-// The original entry points (broadcast.RunNoS, baseline.RunFlood,
-// apps/*.Run) remain the primary implementations; the registry wraps
-// them without changing their behavior.
+// A registry run is a direct call of one library runner
+// (broadcast.RunNoS, baseline.RunFloodOn, apps/*.Run, …) with the
+// spec's parameters, so both give the same Result.
 //
 // Registering a protocol makes it visible everywhere at once: the
 // broadcast-sim CLI (-alg/-list), the protocol×scenario matrix

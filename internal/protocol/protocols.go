@@ -17,10 +17,10 @@ import (
 
 // The built-in protocols: the paper's broadcast algorithms (§4), the
 // multi-source wake-up engine, the four baseline flood policies, and
-// the §5 applications through the result adapter. All of them wrap the
-// original entry points — broadcast.RunNoS/RunS/RunNoSMulti,
-// baseline.RunFlood, apps/{wakeup,consensus,leader,alert}.Run — which
-// stay the canonical implementations.
+// the §5 applications through the result adapter. Each maps its
+// parameters onto one library runner — broadcast.RunNoS/RunS/
+// RunNoSMulti, baseline.RunFloodOn, apps/{wakeup,consensus,leader,
+// alert}.Run — and adds no simulation logic of its own.
 
 // sourceParam declares the broadcasting-station index shared by all
 // single-source protocols.
@@ -78,17 +78,6 @@ func bcastConfig(net *network.Network, b Build) broadcast.Config {
 		cfg.MaxRounds = int(math.Ceil(m * float64(broadcast.Budget(cfg, net))))
 	}
 	return cfg
-}
-
-// floodPhys builds the flood baselines' physical layer from the run's
-// channel (nil = RunFloodOn's default exact engine). RunFloodOn drives
-// it through sim.Engine like every other protocol, so a traced or
-// observed channel sees only the busy rounds of a subset resolver.
-func floodPhys(net *network.Network, b Build) (sim.Resolver, error) {
-	if ch := b.Channel(); ch != nil {
-		return ch(net)
-	}
-	return nil, nil
 }
 
 // spread returns k station indices spread evenly over [0, n): the
@@ -185,79 +174,49 @@ func init() {
 		},
 	})
 
-	Register(Protocol{
-		Name:   "decay",
-		Doc:    "Decay flood (Bar-Yehuda et al.): probability sweep 2^-1..2^-L, L = Θ(lg n), geometry-oblivious",
-		Params: []Param{sourceParam(), budgetParam()},
-		Run: func(net *network.Network, b Build) (*broadcast.Result, error) {
-			src, err := source(net, b)
-			if err != nil {
-				return nil, err
-			}
-			phys, err := floodPhys(net, b)
-			if err != nil {
-				return nil, err
-			}
-			return baseline.RunFloodOn(net, baseline.NewDecay(net.N()), b.Seed, src, b.Int("budget"), phys)
-		},
-	})
-
-	Register(Protocol{
-		Name:   "daum",
-		Doc:    "Daum-style flood [5]: sweep spans Θ(lg n + α·lg Rs) levels — the granularity dependence the paper removes",
-		Params: []Param{sourceParam(), budgetParam()},
-		Run: func(net *network.Network, b Build) (*broadcast.Result, error) {
-			src, err := source(net, b)
-			if err != nil {
-				return nil, err
-			}
-			phys, err := floodPhys(net, b)
-			if err != nil {
-				return nil, err
-			}
-			return baseline.RunFloodOn(net, baseline.NewDaumStyle(net), b.Seed, src, b.Int("budget"), phys)
-		},
-	})
-
-	Register(Protocol{
-		Name: "oracle",
-		Doc:  "density-oracle flood ([11]-style): genie-aided, transmit with ~c/(informed stations within distance 1)",
-		Params: []Param{sourceParam(), budgetParam(),
-			{Name: "c", Doc: "aggressiveness constant (0 = the policy's default)", Default: 0, Min: 0, Max: 1e6},
-		},
-		Run: func(net *network.Network, b Build) (*broadcast.Result, error) {
-			src, err := source(net, b)
-			if err != nil {
-				return nil, err
-			}
-			phys, err := floodPhys(net, b)
-			if err != nil {
-				return nil, err
-			}
-			return baseline.RunFloodOn(net, baseline.NewDensityOracle(net, b.Float("c")), b.Seed, src, b.Int("budget"), phys)
-		},
-	})
-
-	Register(Protocol{
-		Name:   "tdma",
-		Doc:    "grid-TDMA flood ([14]-style): GPS cells scheduled round-robin, perfect in-cell coordination",
-		Params: []Param{sourceParam(), budgetParam()},
-		Run: func(net *network.Network, b Build) (*broadcast.Result, error) {
-			src, err := source(net, b)
-			if err != nil {
-				return nil, err
-			}
-			pol, err := baseline.NewGridTDMA(net)
-			if err != nil {
-				return nil, err
-			}
-			phys, err := floodPhys(net, b)
-			if err != nil {
-				return nil, err
-			}
-			return baseline.RunFloodOn(net, pol, b.Seed, src, b.Int("budget"), phys)
-		},
-	})
+	// The baseline floods differ only in their policy, built per run.
+	// They drive the channel through RunFloodOn's sim.Engine like every
+	// other protocol, so a traced or observed channel sees only the busy
+	// rounds of a subset resolver.
+	floods := []struct {
+		name, doc string
+		extra     []Param
+		policy    func(*network.Network, Build) (baseline.Policy, error)
+	}{
+		{"decay", "Decay flood (Bar-Yehuda et al.): probability sweep 2^-1..2^-L, L = Θ(lg n), geometry-oblivious", nil,
+			func(net *network.Network, _ Build) (baseline.Policy, error) { return baseline.NewDecay(net.N()), nil }},
+		{"daum", "Daum-style flood [5]: sweep spans Θ(lg n + α·lg Rs) levels — the granularity dependence the paper removes", nil,
+			func(net *network.Network, _ Build) (baseline.Policy, error) { return baseline.NewDaumStyle(net), nil }},
+		{"oracle", "density-oracle flood ([11]-style): genie-aided, transmit with ~c/(informed stations within distance 1)",
+			[]Param{{Name: "c", Doc: "aggressiveness constant (0 = the policy's default)", Default: 0, Min: 0, Max: 1e6}},
+			func(net *network.Network, b Build) (baseline.Policy, error) {
+				return baseline.NewDensityOracle(net, b.Float("c")), nil
+			}},
+		{"tdma", "grid-TDMA flood ([14]-style): GPS cells scheduled round-robin, perfect in-cell coordination", nil,
+			func(net *network.Network, _ Build) (baseline.Policy, error) { return baseline.NewGridTDMA(net) }},
+	}
+	for _, f := range floods {
+		Register(Protocol{
+			Name:   f.name,
+			Doc:    f.doc,
+			Params: append([]Param{sourceParam(), budgetParam()}, f.extra...),
+			Run: func(net *network.Network, b Build) (*broadcast.Result, error) {
+				src, err := source(net, b)
+				if err != nil {
+					return nil, err
+				}
+				pol, err := f.policy(net, b)
+				if err != nil {
+					return nil, err
+				}
+				phys, err := sim.NewChannel(b.Channel(), net)
+				if err != nil {
+					return nil, err
+				}
+				return baseline.RunFloodOn(net, pol, b.Seed, src, b.Int("budget"), phys)
+			},
+		})
+	}
 
 	Register(Protocol{
 		Name: "consensus",

@@ -3,7 +3,6 @@ package protocol
 import (
 	"sinrcast/internal/network"
 	"sinrcast/internal/sim"
-	"sinrcast/internal/sinr"
 )
 
 // TracedChannel wraps a Channel so every physical-layer round of a run
@@ -14,15 +13,7 @@ import (
 // replay it against an engine without re-running the protocol.
 func TracedChannel(ch Channel, log *sim.RoundLog) Channel {
 	return func(net *network.Network) (sim.Resolver, error) {
-		var (
-			inner sim.Resolver
-			err   error
-		)
-		if ch != nil {
-			inner, err = ch(net)
-		} else {
-			inner, err = sinr.NewEngine(net.Space, net.Params)
-		}
+		inner, err := sim.NewChannel(ch, net)
 		if err != nil {
 			return nil, err
 		}

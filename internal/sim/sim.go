@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/bits"
 
+	"sinrcast/internal/network"
 	"sinrcast/internal/prof"
 	"sinrcast/internal/sinr"
 )
@@ -76,6 +77,16 @@ type Resolver interface {
 	N() int
 }
 
+// NewChannel builds a run's physical layer: ch(net), or the exact SINR
+// engine — the paper's model — when ch is nil. Every runner that takes
+// an optional channel builds it here.
+func NewChannel(ch func(*network.Network) (Resolver, error), net *network.Network) (Resolver, error) {
+	if ch != nil {
+		return ch(net)
+	}
+	return sinr.NewEngine(net.Space, net.Params)
+}
+
 // SubsetResolver is the optional physical-layer capability behind the
 // engine's receiver-activity hook: resolving a round for an explicit
 // receiver subset, byte-identical to a filtered full Resolve. All sinr
@@ -93,7 +104,7 @@ var (
 	_ SubsetResolver = (*sinr.HierEngine)(nil)
 )
 
-// Tracer observes rounds; used by tests, stats and the CLIs.
+// Tracer observes rounds, at the end of each Step.
 type Tracer interface {
 	// OnRound is called at the end of each round with the transmitter
 	// set and the receptions. Slices are engine-owned: copy to retain.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"sinrcast/internal/geom"
@@ -157,43 +156,6 @@ func TestCountingTracer(t *testing.T) {
 	}
 	if ct.RecPerRound[0] != 1 || ct.RecPerRound[1] != 0 {
 		t.Fatalf("RecPerRound = %v", ct.RecPerRound)
-	}
-}
-
-func TestWriterTracer(t *testing.T) {
-	a := &beaconProto{every: 1, payload: 1}
-	b := &beaconProto{}
-	e := twoStationEngine(t, []Protocol{a, b})
-	var sb strings.Builder
-	e.SetTracer(&WriterTracer{W: &sb})
-	e.Run(2, nil)
-	out := sb.String()
-	if !strings.Contains(out, "round") || !strings.Contains(out, "1<-0") {
-		t.Fatalf("unexpected trace output:\n%s", out)
-	}
-}
-
-func TestWriterTracerEvery(t *testing.T) {
-	a := &beaconProto{every: 1, payload: 1}
-	b := &beaconProto{}
-	e := twoStationEngine(t, []Protocol{a, b})
-	var sb strings.Builder
-	e.SetTracer(&WriterTracer{W: &sb, Every: 2})
-	e.Run(4, nil)
-	if got := strings.Count(sb.String(), "round"); got != 2 {
-		t.Fatalf("Every=2 logged %d rounds, want 2", got)
-	}
-}
-
-func TestMultiTracer(t *testing.T) {
-	a := &beaconProto{every: 1, payload: 1}
-	b := &beaconProto{}
-	e := twoStationEngine(t, []Protocol{a, b})
-	var c1, c2 CountingTracer
-	e.SetTracer(MultiTracer{&c1, &c2})
-	e.Run(3, nil)
-	if len(c1.TxPerRound) != 3 || len(c2.TxPerRound) != 3 {
-		t.Fatal("MultiTracer did not fan out")
 	}
 }
 

@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"io"
-
-	"sinrcast/internal/sinr"
-)
+import "sinrcast/internal/sinr"
 
 // CountingTracer records per-round transmitter and reception counts.
 type CountingTracer struct {
@@ -19,47 +14,6 @@ var _ Tracer = (*CountingTracer)(nil)
 func (c *CountingTracer) OnRound(_ int, tx []int, rec []sinr.Reception) {
 	c.TxPerRound = append(c.TxPerRound, len(tx))
 	c.RecPerRound = append(c.RecPerRound, len(rec))
-}
-
-// WriterTracer streams a human-readable round log, for debugging and the
-// CLIs' -v mode.
-type WriterTracer struct {
-	W io.Writer
-	// Every limits output to rounds divisible by Every (0 = every round).
-	Every int
-}
-
-var _ Tracer = (*WriterTracer)(nil)
-
-// OnRound implements Tracer.
-func (w *WriterTracer) OnRound(t int, tx []int, rec []sinr.Reception) {
-	if w.Every > 1 && t%w.Every != 0 {
-		return
-	}
-	fmt.Fprintf(w.W, "round %6d: %3d tx, %3d rx", t, len(tx), len(rec))
-	if len(rec) > 0 && len(rec) <= 8 {
-		fmt.Fprint(w.W, " [")
-		for i, r := range rec {
-			if i > 0 {
-				fmt.Fprint(w.W, " ")
-			}
-			fmt.Fprintf(w.W, "%d<-%d", r.Receiver, r.Transmitter)
-		}
-		fmt.Fprint(w.W, "]")
-	}
-	fmt.Fprintln(w.W)
-}
-
-// MultiTracer fans out to several tracers.
-type MultiTracer []Tracer
-
-var _ Tracer = (MultiTracer)(nil)
-
-// OnRound implements Tracer.
-func (m MultiTracer) OnRound(t int, tx []int, rec []sinr.Reception) {
-	for _, tr := range m {
-		tr.OnRound(t, tx, rec)
-	}
 }
 
 // RoundLog records the physical-layer rounds of a run: per resolved
